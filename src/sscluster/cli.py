@@ -63,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a simulation sweep")
     _add_common(b)
+    # Unset unless given, so that --seed 0 still overrides a config file.
+    b.set_defaults(seed=None)
     b.add_argument("scenario", choices=("s1", "s2", "s3", "s4"))
     b.add_argument("--config", type=str, default=None,
                    help="'key = value' config file; flags override it")
@@ -203,7 +205,7 @@ def cmd_bench(args) -> int:
         cfg.zeta = args.zeta
     if args.pi is not None:
         cfg.pi = args.pi
-    if args.seed:
+    if args.seed is not None:
         cfg.master_seed = args.seed
     cfg.out = args.out or f"bench_{args.scenario}.csv"
 
@@ -222,13 +224,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    zhat = sbm.read_labels(args.predicted)
-    z = sbm.read_labels(args.reference)
-    if len(zhat) != len(z):
-        print("label files cover different node sets", file=sys.stderr)
+    try:
+        zhat = sbm.read_labels(args.predicted)
+        z = sbm.read_labels(args.reference)
+        if len(zhat) != len(z):
+            print("label files cover different node sets", file=sys.stderr)
+            return 2
+        k = args.k or int(max(zhat.max(), z.max()))
+        rate = metrics.misclustered_rate(zhat, z, k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    k = args.k or int(max(zhat.max(), z.max()))
-    rate = metrics.misclustered_rate(zhat, z, k)
     print(f"misclustered rate: {rate:.6f}")
     return 0
 

@@ -8,6 +8,7 @@ that emits an id map alongside.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,22 +96,16 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
 
     loops = arr[:, 0] == arr[:, 1]
     n_loops = int(np.count_nonzero(loops))
-    arr = arr[~loops]
+    u, v = arr[~loops].T
 
     # Symmetrize, then dedupe on a packed (i, j) key.
-    both = np.concatenate([arr, arr[:, ::-1]], axis=0)
-    if both.size:
-        key = both[:, 0] * n_nodes + both[:, 1]
-        key = np.unique(key)
-        rows = key // n_nodes
-        cols = key % n_nodes
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
+    key = _sorted_unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+    rows, cols = np.divmod(key, n_nodes)
 
     counts = np.bincount(rows, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # np.unique sorted the packed keys, so cols are already sorted per row.
+    # The packed keys are sorted, so cols are already sorted per row.
     return SparseGraph(
         n_nodes=n_nodes,
         indptr=indptr,
@@ -118,6 +113,17 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
         n_edges=len(cols) // 2,
         n_self_loops_dropped=n_loops,
     )
+
+
+def _sorted_unique(key: np.ndarray) -> np.ndarray:
+    """Sort the 1-d array ``key`` in place and return its distinct values."""
+    # np.unique on int64 slows down as the number of distinct values grows;
+    # one sort plus a neighbour mask costs the same at any id range.
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return key[keep]
 
 
 def degrees(g: SparseGraph) -> np.ndarray:
@@ -164,34 +170,56 @@ def density(g: SparseGraph) -> float:
 # ---------------------------------------------------------------------------
 # Edge-list files
 #
-# Format: one edge per line, two whitespace-separated integer ids; lines
-# starting with '#' and blank lines are ignored. Relabel map files carry
-# "external_id internal_id" per line.
+# Format: one edge per line, two whitespace-separated int64 ids; further
+# columns are ignored. '#' starts a comment, to the end of the line, and
+# blank lines are ignored. A line with a single id is an error. Relabel map
+# files carry "external_id internal_id" per line.
 # ---------------------------------------------------------------------------
+
+# Rows formatted per write call in write_int_rows.
+_WRITE_CHUNK_ROWS = 1 << 16
+
 
 def read_edge_list(path) -> np.ndarray:
     """Read raw (u, v) id pairs from an edge-list file."""
-    pairs = []
+    try:
+        with warnings.catch_warnings():
+            # An empty or comment-only file is an empty edge list.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            return np.loadtxt(path, dtype=np.int64, usecols=(0, 1),
+                              comments="#", ndmin=2)
+    except ValueError:
+        _raise_on_single_id_line(path)
+        raise
+
+
+def _raise_on_single_id_line(path) -> None:
+    # loadtxt reports a one-field line by column index only; name the line.
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
-    arr = np.asarray(pairs, dtype=np.int64)
-    return arr.reshape(-1, 2)
+            if len(line.split("#", 1)[0].split()) == 1:
+                raise ValueError(
+                    f"{path}:{lineno}: expected two ids, got {line.strip()!r}"
+                ) from None
+
+
+def write_int_rows(path, *columns) -> None:
+    """Write equal-length integer columns as space-separated text rows."""
+    table = np.column_stack([np.asarray(c, dtype=np.int64) for c in columns])
+    row = " ".join(["%d"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        # Formatting in chunks keeps the temporary Python ints bounded.
+        for start in range(0, len(table), _WRITE_CHUNK_ROWS):
+            chunk = table[start:start + _WRITE_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_edge_list(g: SparseGraph, path) -> None:
     """Write each undirected edge once as "u v" with u < v."""
-    with open(path, "w") as fh:
-        for i in range(g.n_nodes):
-            nbrs = g.neighbors(i)
-            for j in nbrs[nbrs > i]:
-                fh.write(f"{i} {j}\n")
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), degrees(g))
+    upper = g.indices > rows
+    write_int_rows(path, rows[upper], g.indices[upper])
 
 
 def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,15 +228,13 @@ def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (relabeled pairs, external id of each internal id). External
     ids are assigned internal ids in ascending order.
     """
-    ext = np.unique(pairs)
+    ext = _sorted_unique(np.array(pairs, dtype=np.int64).ravel())
     relabeled = np.searchsorted(ext, pairs)
     return relabeled, ext
 
 
 def write_relabel_map(ext_ids: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        for internal, external in enumerate(ext_ids):
-            fh.write(f"{external} {internal}\n")
+    write_int_rows(path, ext_ids, np.arange(len(ext_ids)))
 
 
 def graph_from_file(path, n_nodes: int | None = None) -> tuple[SparseGraph, np.ndarray | None]:
@@ -225,8 +251,8 @@ def graph_from_file(path, n_nodes: int | None = None) -> tuple[SparseGraph, np.n
     if n_nodes is not None:
         return from_edge_list(pairs, n_nodes), None
     lo, hi = pairs.min(), pairs.max()
-    n_distinct = len(np.unique(pairs))
-    if lo == 0 and n_distinct == hi + 1:
+    # Ids are dense when every value in 0..hi occurs; that needs hi < size.
+    if lo == 0 and hi < pairs.size and np.bincount(pairs.ravel()).all():
         return from_edge_list(pairs, int(hi) + 1), None
     relabeled, ext = relabel_pairs(pairs)
     return from_edge_list(relabeled, len(ext)), ext

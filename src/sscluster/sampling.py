@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph, degrees
+from .graph import SparseGraph, degrees, write_int_rows
 from .kmeans import kmeans_1d
 from .sbm import validate_labels
 
@@ -142,6 +142,4 @@ def coverage_event(sample: SampleSet, z: np.ndarray, K: int) -> bool:
 
 def write_sample(sample: SampleSet, path) -> None:
     """Write one sampled node id per line."""
-    with open(path, "w") as fh:
-        for i in sample.ids:
-            fh.write(f"{int(i)}\n")
+    write_int_rows(path, sample.ids)

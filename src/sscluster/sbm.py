@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graph import SparseGraph, from_edge_list
+from .graph import SparseGraph, from_edge_list, read_edge_list, write_int_rows
 
 POPULATION_DENSE_GUARD = 10_000
 
@@ -166,22 +166,21 @@ def population_bi_adjacency(z: np.ndarray, B: BlockMatrix, sample) -> np.ndarray
 
 def write_labels(z: np.ndarray, path) -> None:
     """Write "node_id label" lines."""
-    with open(path, "w") as fh:
-        for i, zi in enumerate(np.asarray(z)):
-            fh.write(f"{i} {int(zi)}\n")
+    write_int_rows(path, np.arange(len(z)), z)
 
 
 def read_labels(path) -> np.ndarray:
-    """Read "node_id label" lines into a dense label array."""
-    ids, labels = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b = line.split()[:2]
-            ids.append(int(a))
-            labels.append(int(b))
-    z = np.zeros(max(ids) + 1, dtype=np.int64)
+    """Read "node_id label" lines into a dense label array.
+
+    The node ids must be 0..N-1, each exactly once, in any order.
+    """
+    rows = read_edge_list(path)
+    ids, labels = rows[:, 0], rows[:, 1]
+    n = len(ids)
+    if n == 0:
+        raise ValueError(f"{path}: no labels found")
+    if ids.min() < 0 or ids.max() >= n or np.bincount(ids).max() > 1:
+        raise ValueError(f"{path}: node ids must be 0..{n - 1}, each exactly once")
+    z = np.empty(n, dtype=np.int64)
     z[ids] = labels
     return z

@@ -321,6 +321,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "misclustered rate" in out
 
+    def test_eval_bad_label_file_is_one_error_line(self, tmp_path, capsys):
+        good = tmp_path / "good.labels"
+        good.write_text("0 1\n1 2\n2 1\n")
+        bad = tmp_path / "bad.labels"
+        bad.write_text("0 1\n2 3\n")
+        rc = cli.main(["eval", str(bad), str(good)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 7),                   # the config file's seed
+        (["--seed", "0"], 0),      # 0 is a value, not "unset"
+        (["--seed", "3"], 3),
+    ])
+    def test_bench_seed_flag_overrides_config(self, tmp_path, monkeypatch,
+                                              argv, expected):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("seed = 7\n")
+        seen = []
+        monkeypatch.setitem(bench.SCENARIOS, "s4",
+                            lambda cfg: seen.append(cfg.master_seed) or [])
+        rc = cli.main(["bench", "s4", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "s4.csv"), *argv])
+        assert rc == 0 and seen == [expected]
+
+    def test_generate_default_seed_unchanged(self):
+        assert cli.build_parser().parse_args(
+            ["generate", "--nodes", "10"]).seed == 0
+
     def test_bench_subcommand_writes_csv(self, tmp_path):
         out = tmp_path / "s4.csv"
         rc = cli.main(["bench", "s4", "--nodes", "60", "--n", "10",

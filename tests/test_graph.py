@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sscluster.graph as graph_module
 from sscluster.graph import (
     bi_adjacency,
     degrees,
@@ -123,6 +126,23 @@ def edge_lists(draw):
     return pairs, n
 
 
+def reference_csr(pairs, n):
+    """Oracle: indptr/indices from an np.unique dedupe of the packed keys."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    both = np.concatenate([arr, arr[:, ::-1]])
+    key = np.unique(both[:, 0] * n + both[:, 1])
+    rows, cols = key // n, key % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols
+
+
+def reference_edge_list_text(g) -> str:
+    """Oracle: the per-edge loop writer."""
+    return "".join(f"{i} {j}\n" for i in range(g.n_nodes)
+                   for j in g.neighbors(i) if j > i)
+
+
 class TestInvariants:
     @given(edge_lists())
     @settings(max_examples=150, deadline=None)
@@ -130,6 +150,16 @@ class TestInvariants:
         pairs, n = case
         g = from_edge_list(pairs, n)
         check_graph_invariants(g)
+
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_np_unique_reference(self, case):
+        pairs, n = case
+        g = from_edge_list(pairs, n)
+        indptr, indices = reference_csr(pairs, n)
+        assert g.indptr.tolist() == indptr.tolist()
+        assert g.indices.tolist() == indices.tolist()
+        assert g.n_self_loops_dropped == sum(u == v for u, v in pairs)
 
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)
@@ -164,8 +194,67 @@ class TestFiles:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "edges.txt"
-        path.write_text("# header\n\n0 1\n 1 2 \n# trailing\n")
-        assert read_edge_list(path).tolist() == [[0, 1], [1, 2]]
+        for text in ["# header\n\n0 1\n 1 2 \n# trailing\n",
+                     "0 1 # inline\n1 2# no space\n",
+                     "0\t1\n1\t\t2\r\n",
+                     "0 1 7\n1 2 3.5 x\n"]:
+            path.write_bytes(text.encode())
+            assert read_edge_list(path).tolist() == [[0, 1], [1, 2]], text
+
+    def test_single_id_line_names_the_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# header\n0 1\n\n 2 \n3 4\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == f"{path}:4: expected two ids, got '2'"
+
+    def test_non_integer_id_rejected(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1.5 2\n")
+        with pytest.raises(ValueError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_file_is_silent(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_edge_list(path).shape == (0, 2)
+            with pytest.raises(ValueError, match="no edges found"):
+                graph_from_file(path)
+            g, ext = graph_from_file(path, n_nodes=3)
+        assert ext is None and g.n_nodes == 3 and g.n_edges == 0
+
+    def test_ids_with_gap_are_relabeled(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1 3\n")
+        g, ext = graph_from_file(path)
+        assert g.n_nodes == 3
+        assert ext.tolist() == [0, 1, 3]
+        assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+
+    def test_dense_ids_are_not_relabeled(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("2 0\n1 2\n")
+        g, ext = graph_from_file(path)
+        assert ext is None and g.n_nodes == 3 and g.n_edges == 2
+
+    @given(edge_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_writer_matches_loop_reference(self, tmp_path_factory, case):
+        pairs, n = case
+        g = from_edge_list(pairs, n)
+        path = tmp_path_factory.mktemp("w") / "edges.txt"
+        write_edge_list(g, path)
+        assert path.read_text() == reference_edge_list_text(g)
+
+    def test_writer_chunks_join_exactly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_WRITE_CHUNK_ROWS", 2)
+        g = from_edge_list([(i, j) for i in range(6) for j in range(i + 1, 6)], 7)
+        path = tmp_path / "edges.txt"
+        write_edge_list(g, path)
+        assert path.read_text() == reference_edge_list_text(g)
 
     def test_relabel_sparse_ids(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -190,7 +190,26 @@ class TestLabelFiles:
         z = np.array([1, 3, 2, 2, 1])
         path = tmp_path / "labels.txt"
         write_labels(z, path)
+        assert path.read_text() == "0 1\n1 3\n2 2\n3 2\n4 1\n"
         assert np.array_equal(read_labels(path), z)
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# node label\n2 3\n0 1\n1 2\n")
+        assert read_labels(path).tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("text", [
+        "0 1\n2 3\n",        # node 1 missing
+        "0 1\n0 2\n1 1\n",  # node 0 twice
+        "1 1\n2 2\n",        # ids start at 1
+        "-1 1\n0 2\n",
+        "# nothing\n",
+    ])
+    def test_rejects_ids_other_than_each_node_once(self, tmp_path, text):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=str(path)):
+            read_labels(path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(10, 60))
