@@ -160,17 +160,30 @@ def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K: int,
     return km.labels, emb, timings
 
 
-def run_full_sc(g: graph.SparseGraph, K: int, rng: np.random.Generator,
+def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
                 restarts: int = 10, dense_guard: int = spectral.FULL_DENSE_GUARD,
                 iterative: bool = False):
-    """Full-network spectral clustering baseline with stage timings."""
+    """Full-network spectral clustering baseline with stage timings.
+
+    ``K="auto"`` takes K from the eigengap of the full Laplacian's top
+    eigenvalues; the embedding's column count is the K chosen.
+    """
     timings = {"sampling": 0.0}
     t0 = time.perf_counter()
     lap = spectral.full_laplacian(g)
     timings["laplacian"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    emb = spectral.full_embed(lap, K, dense_guard=dense_guard, iterative=iterative)
+    if K == "auto":
+        # select_k reads at most SELECT_K_MAX + 1 eigenvalues, so one solve
+        # for that many pairs gives both K and the K vectors to cluster.
+        top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1),
+                                  dense_guard=dense_guard, iterative=iterative)
+        K = spectral.select_k(spectral.EigenSpectrum(values=top.eigenvalues))
+        emb = replace(top, matrix=top.matrix[:, :K],
+                      eigenvalues=top.eigenvalues[:K], rank=K)
+    else:
+        emb = spectral.full_embed(lap, K, dense_guard=dense_guard, iterative=iterative)
     timings["eig"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -347,6 +360,7 @@ def run_scenario4(cfg: ScenarioConfig) -> list[TrialRecord]:
     cfg = replace(cfg, scenario="s4")
     if cfg.K != 3:
         raise ValueError("the imbalance sweep is defined for K = 3")
+    _validate_common(cfg)
     grid = cfg.delta_grid or (0.0, 0.1, 0.2, 0.3)
     if max(grid) > 1 / 3 + 1e-12:
         raise ValueError("delta must satisfy 1/3 - delta >= 0")
@@ -355,8 +369,6 @@ def run_scenario4(cfg: ScenarioConfig) -> list[TrialRecord]:
               delta=d, pi=(1 / 3 - d, 1 / 3, 1 / 3 + d))
         for i, d in enumerate(grid)
     ]
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
     _check_cells(cells, cfg)
     return _finish(cfg, cells, trend_axis="delta")
 
@@ -560,14 +572,14 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     ls = spectral.subsampled_laplacian(biadj)
     t_laplacian = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    spec = None
     if k == "auto":
         spec = spectral.subsampled_spectrum(ls)
         k = spectral.select_k(spec)
     elif not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
-
-    t0 = time.perf_counter()
-    emb = spectral.embed(ls, k)
+    emb = spectral.embed(ls, k, spectrum=spec)
     t_eig = time.perf_counter() - t0
     t0 = time.perf_counter()
     km = kmeans(emb.matrix, k, restarts=kmeans_restarts, rng=rng)
@@ -615,16 +627,13 @@ def _run_full_file(g, ext_ids, k, rng, out_prefix, full_dense_guard,
                 "k='auto' with method=full needs the dense eigensolver; "
                 f"N={g.n_nodes} exceeds the guard {full_dense_guard}"
             )
-        t0 = time.perf_counter()
-        lap = spectral.full_laplacian(g)
-        w, _ = spectral.symmetric_eig(np.asarray(lap.todense()))
-        k = spectral.select_k(spectral.EigenSpectrum(values=w))
     elif not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
 
     labels, emb, timings = run_full_sc(
         g, k, rng, restarts=kmeans_restarts,
         dense_guard=full_dense_guard, iterative=iterative)
+    k = emb.matrix.shape[1]
     summary = {
         "N": g.n_nodes, "n_edges": g.n_edges, "n": g.n_nodes, "K": k,
         "method": "full", "seed": None,

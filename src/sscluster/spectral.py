@@ -22,6 +22,7 @@ GRAM_DENSE_GUARD = 4000
 FULL_DENSE_GUARD = 5000
 SYMMETRY_ATOL = 1e-8
 RANK_TOL = 1e-10
+SELECT_K_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,24 @@ class SubsampledLaplacian:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Descending eigenvalues of a Gram (PSD) matrix, tiny negatives clipped."""
+    """Descending eigenvalues of a Gram (PSD) matrix, tiny negatives clipped.
+
+    ``vectors``, when present, holds the matching eigenvectors as columns,
+    so that an embedding can reuse the solve that chose K.
+    """
 
     values: np.ndarray
+    vectors: np.ndarray | None = None
 
     @classmethod
-    def from_psd_eigenvalues(cls, values: np.ndarray) -> "EigenSpectrum":
+    def from_psd_eigenvalues(cls, values: np.ndarray,
+                             vectors: np.ndarray | None = None) -> "EigenSpectrum":
         values = np.asarray(values, dtype=np.float64)
         if np.any(np.diff(values) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         if values.size and values.min() < -1e-10 * max(1.0, abs(values).max()):
             raise ValueError("matrix is not PSD: eigenvalue below -1e-10")
-        return cls(values=np.maximum(values, 0.0))
+        return cls(values=np.maximum(values, 0.0), vectors=vectors)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -126,45 +133,62 @@ def gram(ls: SubsampledLaplacian, dense_guard: int = GRAM_DENSE_GUARD) -> np.nda
     return m.T @ m
 
 
-def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix, descending order.
+def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix, descending order.
 
     Returns (eigenvalues, eigenvectors) with eigenvector columns matching
-    the eigenvalue order. Values are returned unclipped so that
-    reconstruction M = V diag(w) V^T holds for indefinite inputs too.
+    the eigenvalue order; with ``k`` only the k largest pairs are computed.
+    Values are returned unclipped so that reconstruction
+    M = V diag(w) V^T holds for indefinite inputs too. A sparse input is
+    checked and symmetrized in sparse form and densified once, so the
+    solve holds a single dense copy of it.
     """
-    m = np.asarray(m, dtype=np.float64)
+    if sp.issparse(m):
+        m = m.astype(np.float64, copy=False)
+    else:
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
-    if not np.allclose(m, m.T, rtol=0, atol=SYMMETRY_ATOL):
+    # Written so that a NaN anywhere fails the check.
+    if not abs(m - m.T).max() <= SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    w, v = scipy.linalg.eigh((m + m.T) / 2.0)
+    sym = (m + m.T) * 0.5
+    # The symmetrized matrix equals its transpose, so the Fortran-ordered
+    # array LAPACK wants is taken without a copy and overwritten in place.
+    a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
+    n = a.shape[0]
+    subset = None if k is None else [n - k, n - 1]
+    w, v = scipy.linalg.eigh(a, subset_by_index=subset, overwrite_a=True)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def subsampled_spectrum(ls: SubsampledLaplacian,
                         dense_guard: int = GRAM_DENSE_GUARD) -> EigenSpectrum:
-    """Full descending spectrum of the Gram matrix L^T L."""
-    w, _ = symmetric_eig(gram(ls, dense_guard))
-    return EigenSpectrum.from_psd_eigenvalues(w)
+    """Full descending spectrum of the Gram matrix L^T L, with its
+    eigenvectors."""
+    w, v = symmetric_eig(gram(ls, dense_guard))
+    return EigenSpectrum.from_psd_eigenvalues(w, v)
 
 
 def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
-          dense_guard: int = GRAM_DENSE_GUARD) -> Embedding:
+          dense_guard: int = GRAM_DENSE_GUARD,
+          spectrum: EigenSpectrum | None = None) -> Embedding:
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
-    V_K and Lambda_K come from the Gram matrix of L; eigenvalues at or
-    below tol * lambda_1 are treated as zero in the pseudo-inverse, which
-    zeroes the corresponding embedding columns.
+    V_K and Lambda_K come from the Gram matrix of L: from ``spectrum`` when
+    given (it must be ``subsampled_spectrum(ls)``), else from a new solve.
+    Eigenvalues at or below tol * lambda_1 are treated as zero in the
+    pseudo-inverse, which zeroes the corresponding embedding columns.
     """
     n = ls.shape[1]
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
-    g = gram(ls, dense_guard)
-    w, v = symmetric_eig(g)
-    spec = EigenSpectrum.from_psd_eigenvalues(w)
-    top = spec.values[:K]
-    vk = v[:, :K]
+    if spectrum is None:
+        spectrum = subsampled_spectrum(ls, dense_guard)
+    elif spectrum.vectors is None or spectrum.vectors.shape != (n, n):
+        raise ValueError("spectrum must carry the n x n Gram eigenvectors of ls")
+    top = spectrum.values[:K]
+    vk = spectrum.vectors[:, :K]
 
     cutoff = tol * top[0] if top[0] > 0 else 0.0
     keep = top > cutoff
@@ -195,17 +219,15 @@ def full_embed(L, K: int, dense_guard: int = FULL_DENSE_GUARD,
                iterative: bool = False) -> Embedding:
     """Top-K eigenvectors of the full Laplacian by algebraic eigenvalue.
 
-    Dense eigendecomposition below the guard; above it an iterative
-    symmetric solver is used when ``iterative`` is set, otherwise the call
-    refuses the dense blow-up.
+    Up to the guard, a dense solve of only the top K eigenpairs; above it
+    an iterative symmetric solver is used when ``iterative`` is set,
+    otherwise the call refuses the dense blow-up.
     """
     N = L.shape[0]
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     if N <= dense_guard:
-        dense = np.asarray(L.todense()) if sp.issparse(L) else np.asarray(L)
-        w, v = symmetric_eig(dense)
-        top_w, top_v = w[:K], v[:, :K]
+        top_w, top_v = symmetric_eig(L, K)
     elif iterative:
         w, v = sp.linalg.eigsh(L.astype(np.float64), k=K, which="LA")
         order = np.argsort(w)[::-1]
@@ -227,13 +249,14 @@ def select_k(spectrum: EigenSpectrum, k_max: int | None = None) -> int:
     """Eigengap choice of the community count: argmax_k lambda_k - lambda_{k+1}.
 
     Ties break toward the smallest k; the search starts at k = 1 and runs
-    through k_max (default min(len - 1, 50)).
+    through k_max (default min(len - 1, SELECT_K_MAX)), so it reads at
+    most the top k_max + 1 eigenvalues.
     """
     vals = spectrum.values
     if len(vals) < 2:
         raise ValueError("spectrum must have at least 2 eigenvalues")
     if k_max is None:
-        k_max = min(len(vals) - 1, 50)
+        k_max = min(len(vals) - 1, SELECT_K_MAX)
     if not 1 <= k_max < len(vals):
         raise ValueError(f"need 1 <= k_max < {len(vals)}, got {k_max}")
     gaps = vals[:k_max] - vals[1:k_max + 1]

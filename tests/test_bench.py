@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sscluster import bench, cli
+from sscluster import bench, cli, spectral
 from sscluster.graph import bi_adjacency, from_edge_list, write_edge_list
 from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
 from sscluster.sampling import srs
 from sscluster.sbm import block_matrix, generate_adjacency, read_labels, sample_memberships
-from sscluster.spectral import embed, subsampled_laplacian
+from sscluster.spectral import (
+    EigenSpectrum,
+    embed,
+    full_laplacian,
+    select_k,
+    subsampled_laplacian,
+    subsampled_spectrum,
+)
 
 
 def tiny_cfg(scenario, out, **kw):
@@ -259,6 +266,37 @@ class TestRunReal:
                                  n_nodes=g.n_nodes)
         assert summary["K"] == 3
 
+    def test_auto_k_solves_the_gram_once(self, network, monkeypatch):
+        g, z, path = network
+        calls = []
+        solve = spectral.symmetric_eig
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        summary = bench.run_real(path, n=60, k="auto", method="srs", seed=3,
+                                 n_nodes=g.n_nodes, full_dense_guard=10)
+        assert len(calls) == 1
+        # Two-solve route: the spectrum for K, then a fresh solve in embed.
+        rng = np.random.default_rng(3)
+        ls = subsampled_laplacian(bi_adjacency(g, srs(g.n_nodes, 60, rng).ids))
+        K = select_k(subsampled_spectrum(ls))
+        km = kmeans(embed(ls, K).matrix, K, rng=rng)
+        assert summary["K"] == K
+        assert np.array_equal(summary["labels"], km.labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_auto_k_one_solve_matches_two_solves(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        z = sample_memberships((0.3, 0.3, 0.4), 240, rng)
+        g = generate_adjacency(z, block_matrix(0.3, 0.05, 3), rng)
+        # Two-solve route: the whole spectrum for K, then a top-K solve.
+        w = np.linalg.eigvalsh(full_laplacian(g).toarray())[::-1]
+        K = select_k(EigenSpectrum(values=w))
+        labels, emb, _ = bench.run_full_sc(g, K, np.random.default_rng(seed))
+        auto_labels, auto_emb, _ = bench.run_full_sc(g, "auto",
+                                                     np.random.default_rng(seed))
+        assert auto_emb.matrix.shape == emb.matrix.shape == (240, K)
+        assert np.array_equal(auto_labels, labels)
+
     def test_full_comparison_included_under_guard(self, network):
         g, z, path = network
         summary = bench.run_real(path, n=40, k=3, method="dcs", seed=1,
@@ -369,6 +407,18 @@ class TestCli:
         trials = {r["trial"] for r in rows if r["row_type"] == "TRIAL"}
         assert trials == {"0", "1"}  # flag overrode the file's 5
         assert {r["N"] for r in rows if r["row_type"] == "TRIAL"} == {"50"}
+
+    @pytest.mark.parametrize("scenario", ["s3", "s4"])
+    def test_bench_unknown_method_in_config_rejected(self, tmp_path, capsys,
+                                                     scenario):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("method = bogus\nnodes = 60\nn = 10\ntrials = 1\n")
+        out = tmp_path / "x.csv"
+        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: methods must be srs/dcs")
 
     def test_bench_invalid_config_exits_nonzero(self, tmp_path):
         rc = cli.main(["bench", "s4", "--nodes", "60", "--trials", "1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,6 +32,13 @@ from sscluster.spectral import (
     write_embedding_csv,
     write_spectrum,
 )
+
+
+def dense_projection_distance(a, b):
+    """|| a a^T - b b^T ||_F from the projectors themselves: exact down to
+    rounding, where ``projection_distance``'s difference of squares
+    bottoms out near sqrt(machine epsilon)."""
+    return float(np.linalg.norm(a @ a.T - b @ b.T))
 
 
 def path4():
@@ -141,6 +150,18 @@ class TestSymmetricEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             symmetric_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        with pytest.raises(ValueError):
+            symmetric_eig(np.array([[0.0, 1.0], [1.0, np.nan]]))
+
+    def test_top_k_is_head_of_full_solve(self):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(30, 30))
+        m = (a + a.T) / 2
+        w, v = symmetric_eig(m)
+        wk, vk = symmetric_eig(m, 4)
+        assert wk.shape == (4,) and vk.shape == (30, 4)
+        assert np.abs(wk - w[:4]).max() <= 1e-12
+        assert dense_projection_distance(vk, v[:, :4]) <= 1e-8
 
 
 class TestEmbed:
@@ -207,6 +228,19 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(ls, 3)
 
+    def test_given_spectrum_reused_exactly(self):
+        rng = np.random.default_rng(16)
+        z = sample_memberships((0.5, 0.5), 80, rng)
+        g = generate_adjacency(z, block_matrix(0.5, 0.1, 2), rng)
+        ls = subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng).ids))
+        spec = subsampled_spectrum(ls)
+        fresh = embed(ls, 2)
+        reused = embed(ls, 2, spectrum=spec)
+        assert np.array_equal(reused.matrix, fresh.matrix)
+        assert np.array_equal(reused.eigenvalues, fresh.eigenvalues)
+        with pytest.raises(ValueError):
+            embed(ls, 2, spectrum=EigenSpectrum(values=spec.values))
+
 
 class TestFullLaplacian:
     def test_k2(self):
@@ -267,6 +301,43 @@ class TestFullEmbed:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
             full_embed(sp.eye(3, format="csr"), 4)
+
+    @pytest.mark.parametrize("seed, K", [(30, 2), (31, 3), (32, 3), (33, 4)])
+    def test_top_k_matches_full_spectrum_oracle(self, seed, K):
+        # Oracle: every eigenpair of the dense Laplacian, then the top K.
+        rng = np.random.default_rng(seed)
+        z = sample_memberships(tuple([1.0 / K] * K), 240, rng)
+        g = generate_adjacency(z, block_matrix(0.5, 0.05, K), rng)
+        lap = full_laplacian(g)
+        w, v = np.linalg.eigh(lap.toarray())
+        w, v = w[::-1], v[:, ::-1]
+        assert w[K - 1] - w[K] > 0.1  # a clear gap at K
+        emb = full_embed(lap, K)
+        assert emb.matrix.shape == (240, K)
+        assert np.abs(emb.eigenvalues - w[:K]).max() <= 1e-12
+        assert dense_projection_distance(emb.matrix, v[:, :K]) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [
+        sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]])),     # asymmetric
+        sp.csr_matrix(np.array([[0.0, 1.0], [1.0, np.nan]])),  # NaN
+    ])
+    def test_rejects_bad_sparse_input(self, bad):
+        with pytest.raises(ValueError, match="not symmetric"):
+            full_embed(bad, 1)
+
+    def test_peak_memory_is_one_dense_copy(self):
+        # The dense path holds one N x N float64 array: no dense copy of
+        # the input, no dense symmetrized copy, no full eigenvector matrix.
+        rng = np.random.default_rng(34)
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 1200, rng)
+        lap = full_laplacian(generate_adjacency(z, block_matrix(0.1, 0.05, 3), rng))
+        tracemalloc.start()
+        try:
+            full_embed(lap, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1200 ** 2 * 8
 
 
 class TestSelectK:
