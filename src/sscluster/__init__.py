@@ -13,7 +13,8 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .kmeans import KMeansResult, kmeans, kmeans_1d
+# Not `kmeans`: re-exporting it would shadow the sscluster.kmeans module.
+from .kmeans import KMeansResult, kmeans_1d
 from .metrics import confusion, misclustered_rate
 from .sampling import (
     SampleSet,

@@ -47,6 +47,10 @@ COLUMNS = [
 ]
 TIMING_COLUMNS = ["t_sampling", "t_laplacian", "t_eig", "t_kmeans", "t_total"]
 
+# Largest N at which run_real adds the full-SC comparison by default and
+# scenario sweeps add full rows (larger cells are marked skipped).
+FULL_BASELINE_MAX_N = 5000
+
 
 def derive_seed(master: int, scenario: str, cell: int, trial: int) -> int:
     """Stable per-trial seed: no correlation across cells or trials."""
@@ -111,7 +115,6 @@ class ScenarioConfig:
     jobs: int = 1
     methods: tuple[str, ...] = ("srs", "dcs")
     full_sc: bool = False               # add full-SC baseline rows (1 per cell)
-    full_dense_guard: int = spectral.FULL_DENSE_GUARD
     kmeans_restarts: int = 10
 
     def resolved_pi(self) -> tuple[float, ...]:
@@ -161,8 +164,7 @@ def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K: int,
 
 
 def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
-                restarts: int = 10, dense_guard: int = spectral.FULL_DENSE_GUARD,
-                iterative: bool = False):
+                restarts: int = 10):
     """Full-network spectral clustering baseline with stage timings.
 
     ``K="auto"`` takes K from the eigengap of the full Laplacian's top
@@ -177,13 +179,12 @@ def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
     if K == "auto":
         # select_k reads at most SELECT_K_MAX + 1 eigenvalues, so one solve
         # for that many pairs gives both K and the K vectors to cluster.
-        top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1),
-                                  dense_guard=dense_guard, iterative=iterative)
+        top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1))
         K = spectral.select_k(spectral.EigenSpectrum(values=top.eigenvalues))
         emb = replace(top, matrix=top.matrix[:, :K],
                       eigenvalues=top.eigenvalues[:K], rank=K)
     else:
-        emb = spectral.full_embed(lap, K, dense_guard=dense_guard, iterative=iterative)
+        emb = spectral.full_embed(lap, K)
     timings["eig"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -197,8 +198,8 @@ def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
-               methods: tuple[str, ...], restarts: int, with_full: bool,
-               full_dense_guard: int) -> list[TrialRecord]:
+               methods: tuple[str, ...], restarts: int,
+               with_full: bool) -> list[TrialRecord]:
     """Run one seeded replication of a scenario cell.
 
     Draws labels and a graph, then evaluates each subsampling method (and
@@ -239,10 +240,9 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
             ))
 
     if with_full:
-        if cell.N <= full_dense_guard:
+        if cell.N <= FULL_BASELINE_MAX_N:
             try:
-                labels, _, timings = run_full_sc(
-                    g, K, rng, restarts=restarts, dense_guard=full_dense_guard)
+                labels, _, timings = run_full_sc(g, K, rng, restarts=restarts)
                 rate = metrics.misclustered_rate(labels, z, K)
                 records.append(TrialRecord(
                     **base, method="full", rate=rate,
@@ -268,7 +268,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
             seed = derive_seed(cfg.master_seed, cfg.scenario, cell.index, t)
             with_full = cfg.full_sc and t == 0
             tasks.append((cfg.scenario, cell, t, seed, cfg.K, cfg.methods,
-                          cfg.kmeans_restarts, with_full, cfg.full_dense_guard))
+                          cfg.kmeans_restarts, with_full))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -293,7 +293,17 @@ def _method_order(method: str) -> int:
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _validate_common(cfg: ScenarioConfig) -> None:
+# ScenarioConfig fields that default to None; each scenario reads a subset.
+_OPTIONAL_FIELDS = ("pi", "N_grid", "n_grid", "beta_grid", "zeta_grid", "delta_grid")
+
+
+def _validate_common(cfg: ScenarioConfig, reads: tuple[str, ...]) -> None:
+    """Shared config checks; ``reads`` names the optional fields the
+    scenario uses, and any other one that is set is rejected."""
+    unread = [f for f in _OPTIONAL_FIELDS
+              if f not in reads and getattr(cfg, f) is not None]
+    if unread:
+        raise ValueError(f"{cfg.scenario} does not use {', '.join(unread)}")
     pi = cfg.resolved_pi()
     if len(pi) != cfg.K:
         raise ValueError(f"pi must have K={cfg.K} entries, got {len(pi)}")
@@ -308,7 +318,7 @@ def _validate_common(cfg: ScenarioConfig) -> None:
 def run_scenario1(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Consistency sweep: N grows, n follows ceil(2 (log N)^2)."""
     cfg = replace(cfg, scenario="s1")
-    _validate_common(cfg)
+    _validate_common(cfg, reads=("pi", "N_grid"))
     grid = cfg.N_grid or (1000, 2000, 4000)
     if list(grid) != sorted(grid):
         raise ValueError("N grid must be ascending")
@@ -325,7 +335,7 @@ def run_scenario1(cfg: ScenarioConfig) -> list[TrialRecord]:
 def run_scenario2(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Subsample-size sweep at fixed N."""
     cfg = replace(cfg, scenario="s2")
-    _validate_common(cfg)
+    _validate_common(cfg, reads=("pi", "n_grid"))
     grid = cfg.n_grid or (100, 300, 500, 700, 900, 1100)
     pi = cfg.resolved_pi()
     cells = [
@@ -340,7 +350,7 @@ def run_scenario2(cfg: ScenarioConfig) -> list[TrialRecord]:
 def run_scenario3(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Signal-strength grid over (beta, zeta) at fixed N and n."""
     cfg = replace(cfg, scenario="s3")
-    _validate_common(cfg)
+    _validate_common(cfg, reads=("pi", "beta_grid", "zeta_grid"))
     betas = cfg.beta_grid or (0.05, 0.35, 0.65, 0.95)
     zetas = cfg.zeta_grid or (0.05, 0.35, 0.65, 0.95)
     if min(betas) < 0 or max(betas) > 1 or min(zetas) < 0 or max(zetas) > 1:
@@ -360,7 +370,7 @@ def run_scenario4(cfg: ScenarioConfig) -> list[TrialRecord]:
     cfg = replace(cfg, scenario="s4")
     if cfg.K != 3:
         raise ValueError("the imbalance sweep is defined for K = 3")
-    _validate_common(cfg)
+    _validate_common(cfg, reads=("delta_grid",))
     grid = cfg.delta_grid or (0.0, 0.1, 0.2, 0.3)
     if max(grid) > 1 / 3 + 1e-12:
         raise ValueError("delta must satisfy 1/3 - delta >= 0")
@@ -533,29 +543,26 @@ def read_records_csv(path) -> list[dict]:
 
 def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
              out_prefix: str | None = None, n_nodes: int | None = None,
-             full_dense_guard: int = spectral.FULL_DENSE_GUARD,
-             iterative_full: bool = False, kmeans_restarts: int = 10,
-             dcs_partition_k: int = 3) -> dict:
+             full_baseline_max_n: int | None = FULL_BASELINE_MAX_N,
+             kmeans_restarts: int = 10, dcs_partition_k: int = 3) -> dict:
     """Cluster a network from an edge-list file.
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
     whole-network baseline (``n`` ignored). ``k`` may be an integer or
     "auto" (eigengap selection on the subsampled spectrum, or on the full
-    spectrum under the dense guard for method="full"). Degree-corrected
+    Laplacian's top eigenvalues for method="full"). Degree-corrected
     sampling needs a community count before the eigengap is available, so
     with ``k="auto"`` its degree partition uses ``dcs_partition_k``; the
-    clustering K still comes from the eigengap. When the full baseline is
-    feasible under the dense guard (or the iterative solver is enabled),
-    subsampled runs also report the disagreement rate against full
-    spectral clustering. Nodes with no connection to the sample are
-    counted, not fatal.
+    clustering K still comes from the eigengap. When N is at most
+    ``full_baseline_max_n`` (None: any N), subsampled runs also report the
+    disagreement rate against full spectral clustering. Nodes with no
+    connection to the sample are counted, not fatal.
     """
     rng = np.random.default_rng(seed)
     g, ext_ids = graph.graph_from_file(edge_list_path, n_nodes=n_nodes)
 
     if method == "full":
-        return _run_full_file(g, ext_ids, k, rng, out_prefix,
-                              full_dense_guard, iterative_full, kmeans_restarts)
+        return _run_full_file(g, ext_ids, k, rng, out_prefix, kmeans_restarts)
 
     t0 = time.perf_counter()
     if method == "srs":
@@ -596,12 +603,9 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
         "sample": s,
     }
 
-    can_full = g.n_nodes <= full_dense_guard or iterative_full
-    if can_full:
+    if full_baseline_max_n is None or g.n_nodes <= full_baseline_max_n:
         t0 = time.perf_counter()
-        full_labels, _, _ = run_full_sc(
-            g, k, rng, restarts=kmeans_restarts,
-            dense_guard=full_dense_guard, iterative=iterative_full)
+        full_labels, _, _ = run_full_sc(g, k, rng, restarts=kmeans_restarts)
         summary["t_full_total"] = time.perf_counter() - t0
         summary["full_labels"] = full_labels
         summary["disagreement_rate"] = metrics.misclustered_rate(km.labels, full_labels, k)
@@ -614,25 +618,16 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     return summary
 
 
-def _run_full_file(g, ext_ids, k, rng, out_prefix, full_dense_guard,
-                   iterative, kmeans_restarts) -> dict:
+def _run_full_file(g, ext_ids, k, rng, out_prefix, kmeans_restarts) -> dict:
     """Full-network spectral clustering of a loaded graph (method=full).
 
-    With ``k="auto"`` the eigengap runs on the full Laplacian spectrum,
-    which needs the dense path (N within the guard).
+    With ``k="auto"`` the eigengap runs on the full Laplacian's top
+    eigenvalues.
     """
-    if k == "auto":
-        if g.n_nodes > full_dense_guard:
-            raise ValueError(
-                "k='auto' with method=full needs the dense eigensolver; "
-                f"N={g.n_nodes} exceeds the guard {full_dense_guard}"
-            )
-    elif not isinstance(k, int) or k < 1:
+    if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
 
-    labels, emb, timings = run_full_sc(
-        g, k, rng, restarts=kmeans_restarts,
-        dense_guard=full_dense_guard, iterative=iterative)
+    labels, emb, timings = run_full_sc(g, k, rng, restarts=kmeans_restarts)
     k = emb.matrix.shape[1]
     summary = {
         "N": g.n_nodes, "n_edges": g.n_edges, "n": g.n_nodes, "K": k,

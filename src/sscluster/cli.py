@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import bench, graph, metrics, sampling, sbm
+from .errors import ResourceLimitError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -58,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=str, default="auto",
                    help="community count, integer or 'auto' (eigengap)")
     c.add_argument("--iterative", action="store_true",
-                   help="allow the iterative eigensolver above the dense "
-                        "guard (full baseline and comparisons)")
+                   help="also run the full-SC comparison of a subsampled "
+                        f"run above N={bench.FULL_BASELINE_MAX_N}")
 
     b = sub.add_parser("bench", help="run a simulation sweep")
     _add_common(b)
@@ -157,9 +158,9 @@ def cmd_cluster(args) -> int:
         summary = bench.run_real(
             args.edges, n=args.n, k=k, method=args.method, seed=args.seed,
             out_prefix=out_prefix, n_nodes=args.nodes,
-            iterative_full=args.iterative,
+            full_baseline_max_n=None if args.iterative else bench.FULL_BASELINE_MAX_N,
         )
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"N={summary['N']} edges={summary['n_edges']} n={summary['n']} "

@@ -8,6 +8,7 @@ normalized Laplacian baseline is provided for comparison.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,13 @@ from .errors import DegenerateInputError, ResourceLimitError
 from .graph import BiAdjacency, SparseGraph, degrees
 
 GRAM_DENSE_GUARD = 4000
-FULL_DENSE_GUARD = 5000
 SYMMETRY_ATOL = 1e-8
 RANK_TOL = 1e-10
 SELECT_K_MAX = 50
+
+# scipy releases whose eigsh takes ``rng`` draw ARPACK's restart vectors
+# from it; older ones draw them from ARPACK's own process-wide seed.
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,21 @@ def gram(ls: SubsampledLaplacian, dense_guard: int = GRAM_DENSE_GUARD) -> np.nda
     return m.T @ m
 
 
+def _symmetrized(m):
+    """``m`` as float64, checked symmetric and symmetrized, sparse if given
+    sparse (the check then runs without densifying)."""
+    if sp.issparse(m):
+        m = m.astype(np.float64, copy=False)
+    else:
+        m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("input must be a square matrix")
+    # Written so that a NaN anywhere fails the check.
+    if not abs(m - m.T).max() <= SYMMETRY_ATOL:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
+    return (m + m.T) * 0.5
+
+
 def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, descending order.
 
@@ -143,16 +162,7 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     checked and symmetrized in sparse form and densified once, so the
     solve holds a single dense copy of it.
     """
-    if sp.issparse(m):
-        m = m.astype(np.float64, copy=False)
-    else:
-        m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("input must be a square matrix")
-    # Written so that a NaN anywhere fails the check.
-    if not abs(m - m.T).max() <= SYMMETRY_ATOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    sym = (m + m.T) * 0.5
+    sym = _symmetrized(m)
     # The symmetrized matrix equals its transpose, so the Fortran-ordered
     # array LAPACK wants is taken without a copy and overwritten in place.
     a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
@@ -215,27 +225,28 @@ def full_laplacian(g: SparseGraph) -> sp.csr_matrix:
     return (sp.diags(dinv) @ a @ sp.diags(dinv)).tocsr()
 
 
-def full_embed(L, K: int, dense_guard: int = FULL_DENSE_GUARD,
-               iterative: bool = False) -> Embedding:
+def full_embed(L, K: int) -> Embedding:
     """Top-K eigenvectors of the full Laplacian by algebraic eigenvalue.
 
-    Up to the guard, a dense solve of only the top K eigenpairs; above it
-    an iterative symmetric solver is used when ``iterative`` is set,
-    otherwise the call refuses the dense blow-up.
+    Lanczos (ARPACK ``eigsh``) on the sparse matrix, in O(|E| + N K)
+    memory. The start vector, and any restart vector ARPACK asks for, come
+    from a generator seeded with N, so a result depends on neither the
+    caller's generator nor earlier solves (restart vectors only where
+    eigsh takes ``rng``). ARPACK needs K < N; K = N takes the dense solve.
     """
     N = L.shape[0]
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    if N <= dense_guard:
+    if K == N:
         top_w, top_v = symmetric_eig(L, K)
-    elif iterative:
-        w, v = sp.linalg.eigsh(L.astype(np.float64), k=K, which="LA")
+    else:
+        start = np.random.default_rng(N)
+        v0 = start.uniform(-1.0, 1.0, N)
+        w, v = scipy.sparse.linalg.eigsh(
+            _symmetrized(L), k=K, which="LA", v0=v0,
+            **({"rng": start} if _EIGSH_TAKES_RNG else {}))
         order = np.argsort(w)[::-1]
         top_w, top_v = w[order], v[:, order]
-    else:
-        raise ResourceLimitError(
-            f"N={N} exceeds dense guard {dense_guard}; enable the iterative solver"
-        )
     return Embedding(
         matrix=top_v,
         eigenvalues=top_w,

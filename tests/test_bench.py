@@ -137,6 +137,41 @@ class TestScenario4:
             bench.run_scenario4(cfg)
 
 
+class TestUnreadConfigFields:
+    @pytest.mark.parametrize("scenario, field, value", [
+        ("s1", "n_grid", (8, 10)),
+        ("s1", "delta_grid", (0.0, 0.1)),
+        ("s2", "N_grid", (60, 90)),
+        ("s2", "beta_grid", (0.1, 0.2)),
+        ("s3", "n_grid", (8, 10)),
+        ("s3", "delta_grid", (0.0, 0.1)),
+        ("s4", "pi", (0.1, 0.2, 0.7)),
+        ("s4", "n_grid", (5, 7)),
+        ("s4", "zeta_grid", (0.1, 0.2)),
+    ])
+    def test_rejected_before_any_trial(self, tmp_path, scenario, field, value):
+        out = tmp_path / "x.csv"
+        cfg = tiny_cfg(scenario, out, **{field: value})
+        with pytest.raises(ValueError, match=f"{scenario} does not use {field}"):
+            bench.SCENARIOS[scenario](cfg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3", "s4"])
+    def test_config_file_is_one_error_line(self, tmp_path, capsys, scenario):
+        # Each scenario leaves at least one of these grids unread.
+        unread = {"s1": "n_grid = 5 7", "s2": "N_grid = 60 90",
+                  "s3": "delta_grid = 0.1", "s4": "pi = 0.1 0.2 0.7\nn_grid = 5 7"}
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(f"{unread[scenario]}\nnodes = 60\nn = 10\ntrials = 1\n")
+        out = tmp_path / "x.csv"
+        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {scenario} does not use ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestCsvContract:
     def test_reproducible_except_timing(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -273,7 +308,7 @@ class TestRunReal:
         monkeypatch.setattr(spectral, "symmetric_eig",
                             lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         summary = bench.run_real(path, n=60, k="auto", method="srs", seed=3,
-                                 n_nodes=g.n_nodes, full_dense_guard=10)
+                                 n_nodes=g.n_nodes, full_baseline_max_n=10)
         assert len(calls) == 1
         # Two-solve route: the spectrum for K, then a fresh solve in embed.
         rng = np.random.default_rng(3)
@@ -296,6 +331,17 @@ class TestRunReal:
                                                      np.random.default_rng(seed))
         assert auto_emb.matrix.shape == emb.matrix.shape == (240, K)
         assert np.array_equal(auto_labels, labels)
+
+    @pytest.mark.parametrize("K", [3, "auto"])
+    def test_full_sc_draws_only_in_kmeans(self, network, K):
+        g, z, path = network
+        rng = np.random.default_rng(5)
+        labels, emb, _ = bench.run_full_sc(g, K, rng)
+        # Replay: the same generator state goes straight into k-means.
+        replay = np.random.default_rng(5)
+        km = kmeans(emb.matrix, emb.matrix.shape[1], rng=replay)
+        assert np.array_equal(labels, km.labels)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_full_comparison_included_under_guard(self, network):
         g, z, path = network
@@ -358,6 +404,33 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "misclustered rate" in out
+
+    @pytest.fixture(scope="class")
+    def big_network(self, tmp_path_factory):
+        # N = 6000: above the full-comparison limit and, for n > 4000, the
+        # Gram guard.
+        rng = np.random.default_rng(23)
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 6000, rng)
+        path = tmp_path_factory.mktemp("big") / "net.edges"
+        write_edge_list(generate_adjacency(z, block_matrix(0.005, 0.05, 3), rng), path)
+        return path
+
+    def test_cluster_gram_guard_is_one_error_line(self, big_network, tmp_path,
+                                                   capsys):
+        rc = cli.main(["cluster", "--edges", str(big_network), "--method", "srs",
+                       "--n", "4500", "--k", "3", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Gram matrix would be 4500x4500 dense")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k", ["3", "auto"])
+    def test_cluster_method_full_at_any_n(self, big_network, tmp_path, k):
+        rc = cli.main(["cluster", "--edges", str(big_network), "--method", "full",
+                       "--k", k, "--out", str(tmp_path / "r")])
+        assert rc == 0
+        labels = read_labels(tmp_path / "r.labels")
+        assert len(labels) == 6000 and labels.min() >= 1
 
     def test_eval_bad_label_file_is_one_error_line(self, tmp_path, capsys):
         good = tmp_path / "good.labels"

@@ -151,3 +151,11 @@ def test_random_inputs_never_break_monotonicity(seed, K):
     points = rng.normal(size=(40, 2))
     res = kmeans(points, K, restarts=3, rng=rng)
     assert res.wcss >= 0
+
+
+def test_kmeans_module_not_shadowed_by_package_export():
+    import sscluster
+    import sscluster.kmeans as km
+
+    assert type(km).__name__ == "module" and km is sscluster.kmeans
+    assert callable(km.kmeans)

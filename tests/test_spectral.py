@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
+from sscluster import spectral
 from sscluster.errors import DegenerateInputError, ResourceLimitError
 from sscluster.graph import bi_adjacency, from_edge_list
 from sscluster.kmeans import kmeans
@@ -266,6 +268,24 @@ class TestFullLaplacian:
         assert w.max() <= 1 + 1e-10 and w.min() >= -1 - 1e-10
 
 
+def components_graph():
+    """Three dense random blocks (0-29, 30-69, 70-89) and ten isolated nodes
+    (90-99): eigenvalue 1 of the Laplacian has multiplicity 3 and the
+    isolated rows are zero."""
+    rng = np.random.default_rng(1)
+    edges = [(i, j)
+             for lo, hi in ((0, 30), (30, 70), (70, 90))
+             for i in range(lo, hi) for j in range(i + 1, hi)
+             if rng.random() < 0.3]
+    return from_edge_list(edges, 100)
+
+
+def dense_top(lap, K):
+    """Oracle: every eigenpair of the dense matrix, then the top K."""
+    w, v = np.linalg.eigh(lap.toarray())
+    return w[::-1][:K], v[:, ::-1][:, :K]
+
+
 class TestFullEmbed:
     def test_identity_matrix(self):
         emb = full_embed(sp.eye(5, format="csr"), 3)
@@ -285,37 +305,78 @@ class TestFullEmbed:
         rebuilt = emb.matrix @ np.diag(emb.eigenvalues) @ emb.matrix.T
         assert np.linalg.norm(rebuilt - lap.toarray()) <= 1e-8 * np.linalg.norm(lap.toarray())
 
-    def test_iterative_matches_dense_subspace(self):
-        rng = np.random.default_rng(11)
-        z = sample_memberships((0.5, 0.5), 60, rng)
-        g = generate_adjacency(z, block_matrix(0.6, 0.1, 2), rng)
-        lap = full_laplacian(g)
-        dense = full_embed(lap, 2)
-        iterative = full_embed(lap, 2, dense_guard=10, iterative=True)
-        assert projection_distance(dense.matrix, iterative.matrix) <= 1e-6
-
-    def test_guard_without_iterative(self):
-        with pytest.raises(ResourceLimitError):
-            full_embed(sp.eye(100, format="csr"), 2, dense_guard=10)
-
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
             full_embed(sp.eye(3, format="csr"), 4)
 
     @pytest.mark.parametrize("seed, K", [(30, 2), (31, 3), (32, 3), (33, 4)])
     def test_top_k_matches_full_spectrum_oracle(self, seed, K):
-        # Oracle: every eigenpair of the dense Laplacian, then the top K.
+        # The Lanczos solve against every eigenpair of the dense Laplacian.
         rng = np.random.default_rng(seed)
         z = sample_memberships(tuple([1.0 / K] * K), 240, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.05, K), rng)
         lap = full_laplacian(g)
-        w, v = np.linalg.eigh(lap.toarray())
-        w, v = w[::-1], v[:, ::-1]
+        w, v = dense_top(lap, K + 1)
         assert w[K - 1] - w[K] > 0.1  # a clear gap at K
         emb = full_embed(lap, K)
         assert emb.matrix.shape == (240, K)
         assert np.abs(emb.eigenvalues - w[:K]).max() <= 1e-12
         assert dense_projection_distance(emb.matrix, v[:, :K]) <= 1e-8
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_repeated_eigenvalue_matches_oracle(self, K):
+        # One Krylov space holds a single direction of a repeated
+        # eigenvalue; every copy must still come back.
+        lap = full_laplacian(components_graph())
+        w, v = dense_top(lap, K + 1)
+        assert np.allclose(w[:3], 1.0) and w[K - 1] - w[K] > 0.01
+        emb = full_embed(lap, K)
+        assert np.abs(emb.eigenvalues - w[:K]).max() <= 1e-12
+        assert dense_projection_distance(emb.matrix, v[:, :K]) <= 1e-8
+
+    def test_runs_at_any_n(self):
+        # No size guard: the identity at N=100, where eigenvalue 1 fills
+        # the whole space.
+        emb = full_embed(sp.eye(100, format="csr"), 2)
+        assert np.abs(emb.eigenvalues - 1.0).max() <= 1e-12
+        assert np.abs(emb.matrix.T @ emb.matrix - np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("K, dense_calls", [(50, 1), (49, 0), (48, 0)])
+    def test_dense_solve_only_where_arpack_cannot_run(self, monkeypatch,
+                                                      K, dense_calls):
+        # ARPACK needs K < N; K = N is the dense solve, K = N - 1 is not.
+        rng = np.random.default_rng(12)
+        z = sample_memberships((0.5, 0.5), 50, rng)
+        lap = full_laplacian(generate_adjacency(z, block_matrix(0.6, 0.2, 2), rng))
+        calls = []
+        solve = spectral.symmetric_eig
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        emb = full_embed(lap, K)
+        assert len(calls) == dense_calls
+        w, _ = dense_top(lap, K)
+        assert np.abs(emb.eigenvalues - w).max() <= 1e-12
+        assert np.abs(emb.matrix.T @ emb.matrix - np.eye(K)).max() <= 1e-12
+
+    @pytest.mark.parametrize("matrix", ["sbm", "components", "identity"])
+    def test_bitwise_reproducible(self, matrix):
+        # On the identity the first Krylov space is one-dimensional, so
+        # ARPACK also asks for restart vectors.
+        if matrix == "sbm":
+            rng = np.random.default_rng(35)
+            z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 300, rng)
+            lap = full_laplacian(generate_adjacency(z, block_matrix(0.3, 0.05, 3), rng))
+        elif matrix == "components":
+            lap = full_laplacian(components_graph())
+        else:
+            lap = sp.eye(100, format="csr")
+        first = full_embed(lap, 4)
+        # An unrelated ARPACK solve in between must not change the result.
+        other = sp.random(80, 80, density=0.1, random_state=0)
+        scipy.sparse.linalg.eigsh(other + other.T, k=3)
+        second = full_embed(lap, 4)
+        assert np.array_equal(first.matrix, second.matrix)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
     @pytest.mark.parametrize("bad", [
         sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]])),     # asymmetric
@@ -325,19 +386,20 @@ class TestFullEmbed:
         with pytest.raises(ValueError, match="not symmetric"):
             full_embed(bad, 1)
 
-    def test_peak_memory_is_one_dense_copy(self):
-        # The dense path holds one N x N float64 array: no dense copy of
-        # the input, no dense symmetrized copy, no full eigenvector matrix.
+    def test_peak_memory_holds_no_dense_copy(self):
+        # Lanczos works on the sparse matrix and N x ncv vectors: its peak
+        # stays far below one N x N float64 array.
         rng = np.random.default_rng(34)
-        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 1200, rng)
-        lap = full_laplacian(generate_adjacency(z, block_matrix(0.1, 0.05, 3), rng))
+        N = 3000
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), N, rng)
+        lap = full_laplacian(generate_adjacency(z, block_matrix(0.02, 0.05, 3), rng))
         tracemalloc.start()
         try:
             full_embed(lap, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 1200 ** 2 * 8
+        assert peak <= 0.1 * N ** 2 * 8
 
 
 class TestSelectK:
