@@ -8,8 +8,8 @@ Usage:
 
 The desk defaults finish in a few minutes on one core. --full-scale
 switches to the full-size parameter blocks (N up to 30,000, T=100), which
-needs patience but no extra memory: the full-network baseline stays behind
-its dense guard and is marked skipped above it.
+needs patience but no extra memory: the full-network baseline rows of s1
+run up to N = 5000 (bench.FULL_BASELINE_MAX_N) and are marked skipped above.
 """
 
 import argparse

@@ -13,12 +13,11 @@ Usage:
 """
 
 import argparse
-import time
 
 import numpy as np
 
 from sscluster import bench, sampling, sbm
-from sscluster.bench import run_full_sc, run_ssc
+from sscluster.bench import _stage, run_full_sc, run_ssc
 
 
 def main() -> int:
@@ -45,19 +44,15 @@ def main() -> int:
             rng = np.random.default_rng(seed)
             z = sbm.sample_memberships([1 / args.k] * args.k, N, rng)
             g = sbm.generate_adjacency(z, B, rng)
-            t0 = time.perf_counter()
-            if args.method == "srs":
-                s = sampling.srs(N, args.n, rng)
-            else:
-                s = sampling.dcs(g, args.n, args.k, rng)
-            t_sampling = time.perf_counter() - t0
-            _, _, timings = run_ssc(g, s, args.k, rng)
-            records.append(bench.TrialRecord(
-                scenario="scaling", cell=args.sizes.index(N), N=N, n=args.n,
-                K=args.k, beta=args.beta, zeta=args.zeta, delta=0.0,
+            times = {}
+            with _stage(times, "sampling"):
+                s = sampling.draw(args.method, g, args.n, args.k, rng)
+            _, _, pipeline_times = run_ssc(g, s, args.k, rng)
+            times.update(pipeline_times)
+            records.append(bench.TrialRecord.from_times(
+                times, scenario="scaling", cell=args.sizes.index(N), N=N,
+                n=args.n, K=args.k, beta=args.beta, zeta=args.zeta, delta=0.0,
                 method=args.method, trial=trial, seed=seed, rate=0.0,
-                t_sampling=t_sampling, t_laplacian=timings["laplacian"],
-                t_eig=timings["eig"], t_kmeans=timings["kmeans"],
             ))
             if N == max(args.sizes) and trial == 0:
                 largest_graph = g
@@ -73,9 +68,9 @@ def main() -> int:
 
     if args.with_full_baseline:
         N_max = max(args.sizes)
-        t0 = time.perf_counter()
-        run_full_sc(largest_graph, args.k, np.random.default_rng(args.seed))
-        t_full = time.perf_counter() - t0
+        _, _, times = run_full_sc(largest_graph, args.k,
+                                  np.random.default_rng(args.seed))
+        t_full = sum(times.values())
         ssc_at_max = [r.t_total for r in records if r.N == N_max]
         print(f"full SC at N={N_max}: {t_full:.2f} s; subsampled pipeline "
               f"at N={N_max}: {np.median(ssc_at_max)*1e3:.1f} ms")

@@ -1,4 +1,11 @@
-"""Benchmark harness: seeded scenario sweeps, method comparison, CSV output.
+"""Pipelines, benchmark harness and real-network runs.
+
+``run_ssc`` (subsampled spectral clustering of a drawn sample) and
+``run_full_sc`` (the full-network baseline) are the only pipeline
+definitions: the scenario sweeps, ``run_real`` (the ``cluster`` command)
+and the scripts all call them. Each returns its stage seconds in a
+``times`` dict; callers record the stages they own (sampling, and load and
+write in ``run_real``) into the same kind of dict.
 
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance. Every trial is driven by a seed derived
@@ -30,6 +37,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +58,10 @@ TIMING_COLUMNS = ["t_sampling", "t_laplacian", "t_eig", "t_kmeans", "t_total"]
 # Largest N at which run_real adds the full-SC comparison by default and
 # scenario sweeps add full rows (larger cells are marked skipped).
 FULL_BASELINE_MAX_N = 5000
+
+# Degree-partition count of dcs sampling when run_real picks K by eigengap,
+# which needs the sample first.
+DCS_AUTO_PARTITION_K = 3
 
 
 def derive_seed(master: int, scenario: str, cell: int, trial: int) -> int:
@@ -84,6 +96,11 @@ class TrialRecord:
     t_eig: float = 0.0
     t_kmeans: float = 0.0
 
+    @classmethod
+    def from_times(cls, times: dict, **fields) -> "TrialRecord":
+        """A record whose t_<stage> fields come from a stage-times dict."""
+        return cls(**fields, **{f"t_{stage}": t for stage, t in times.items()})
+
     @property
     def t_total(self) -> float:
         return self.t_sampling + self.t_laplacian + self.t_eig + self.t_kmeans
@@ -115,7 +132,6 @@ class ScenarioConfig:
     jobs: int = 1
     methods: tuple[str, ...] = ("srs", "dcs")
     full_sc: bool = False               # add full-SC baseline rows (1 per cell)
-    kmeans_restarts: int = 10
 
     def resolved_pi(self) -> tuple[float, ...]:
         if self.pi is not None:
@@ -140,57 +156,61 @@ class _Cell:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K: int,
-            rng: np.random.Generator, restarts: int = 10):
-    """Subsampled spectral clustering with per-stage wall-clock timings.
+@contextmanager
+def _stage(times: dict, name: str):
+    """Record the wall seconds of the ``with`` block as ``times[name]``."""
+    t0 = time.perf_counter()
+    yield
+    times[name] = time.perf_counter() - t0
 
-    Returns (labels, embedding, timings). An all-zero bi-adjacency (no
+
+def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K,
+            rng: np.random.Generator):
+    """Subsampled spectral clustering of ``g`` from a drawn ``sample``.
+
+    ``K="auto"`` takes K from the eigengap of the Gram spectrum and embeds
+    from that same solve. Returns (labels, embedding, times): the
+    embedding's column count is the K used, and ``times`` holds the
+    laplacian, eig and kmeans stage seconds. An all-zero bi-adjacency (no
     edges touch the sample) raises DegenerateInputError.
     """
-    timings = {}
-    t0 = time.perf_counter()
-    biadj = graph.bi_adjacency(g, sample.ids)
-    ls = spectral.subsampled_laplacian(biadj)
-    timings["laplacian"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    emb = spectral.embed(ls, K)
-    timings["eig"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    km = kmeans(emb.matrix, K, restarts=restarts, rng=rng)
-    timings["kmeans"] = time.perf_counter() - t0
-    return km.labels, emb, timings
+    times = {}
+    with _stage(times, "laplacian"):
+        ls = spectral.subsampled_laplacian(graph.bi_adjacency(g, sample.ids))
+    with _stage(times, "eig"):
+        spectrum = None
+        if K == "auto":
+            spectrum = spectral.subsampled_spectrum(ls)
+            K = spectral.select_k(spectrum)
+        emb = spectral.embed(ls, K, spectrum=spectrum)
+    with _stage(times, "kmeans"):
+        km = kmeans(emb.matrix, K, rng=rng)
+    return km.labels, emb, times
 
 
-def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
-                restarts: int = 10):
-    """Full-network spectral clustering baseline with stage timings.
+def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator):
+    """Full-network spectral clustering baseline, returning (labels,
+    embedding, times) as ``run_ssc`` does.
 
     ``K="auto"`` takes K from the eigengap of the full Laplacian's top
     eigenvalues; the embedding's column count is the K chosen.
     """
-    timings = {"sampling": 0.0}
-    t0 = time.perf_counter()
-    lap = spectral.full_laplacian(g)
-    timings["laplacian"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if K == "auto":
-        # select_k reads at most SELECT_K_MAX + 1 eigenvalues, so one solve
-        # for that many pairs gives both K and the K vectors to cluster.
-        top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1))
-        K = spectral.select_k(spectral.EigenSpectrum(values=top.eigenvalues))
-        emb = replace(top, matrix=top.matrix[:, :K],
-                      eigenvalues=top.eigenvalues[:K], rank=K)
-    else:
-        emb = spectral.full_embed(lap, K)
-    timings["eig"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    km = kmeans(emb.matrix, K, restarts=restarts, rng=rng)
-    timings["kmeans"] = time.perf_counter() - t0
-    return km.labels, emb, timings
+    times = {}
+    with _stage(times, "laplacian"):
+        lap = spectral.full_laplacian(g)
+    with _stage(times, "eig"):
+        if K == "auto":
+            # select_k reads at most SELECT_K_MAX + 1 eigenvalues, so one solve
+            # for that many pairs gives both K and the K vectors to cluster.
+            top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1))
+            K = spectral.select_k(spectral.EigenSpectrum(values=top.eigenvalues))
+            emb = replace(top, matrix=top.matrix[:, :K],
+                          eigenvalues=top.eigenvalues[:K], rank=K)
+        else:
+            emb = spectral.full_embed(lap, K)
+    with _stage(times, "kmeans"):
+        km = kmeans(emb.matrix, K, rng=rng)
+    return km.labels, emb, times
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +218,7 @@ def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
-               methods: tuple[str, ...], restarts: int,
-               with_full: bool) -> list[TrialRecord]:
+               methods: tuple[str, ...], with_full: bool) -> list[TrialRecord]:
     """Run one seeded replication of a scenario cell.
 
     Draws labels and a graph, then evaluates each subsampling method (and
@@ -215,40 +234,29 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
                 seed=seed)
     records = []
     for method in methods:
-        t0 = time.perf_counter()
-        if method == "srs":
-            s = sampling.srs(cell.N, cell.n, rng)
-        else:
-            s = sampling.dcs(g, cell.n, K, rng)
-        t_sampling = time.perf_counter() - t0
+        times = {}
+        with _stage(times, "sampling"):
+            s = sampling.draw(method, g, cell.n, K, rng)
         covered = sampling.coverage_event(s, z, K)
         try:
-            labels, _, timings = run_ssc(g, s, K, rng, restarts=restarts)
-            rate = metrics.misclustered_rate(labels, z, K)
-            records.append(TrialRecord(
-                **base, method=method, covered=covered, rate=rate,
-                t_sampling=t_sampling, t_laplacian=timings["laplacian"],
-                t_eig=timings["eig"], t_kmeans=timings["kmeans"],
-            ))
+            labels, _, pipeline_times = run_ssc(g, s, K, rng)
+            times.update(pipeline_times)
+            status = "ok"
         except DegenerateInputError:
             # No signal at all (e.g. beta = 0): score the trivial one-block
             # labeling, which sits at chance level for the given pi.
-            rate = metrics.misclustered_rate(np.ones(cell.N, dtype=np.int64), z, K)
-            records.append(TrialRecord(
-                **base, method=method, status="degenerate", covered=covered,
-                rate=rate, t_sampling=t_sampling,
-            ))
+            labels, status = np.ones(cell.N, dtype=np.int64), "degenerate"
+        records.append(TrialRecord.from_times(
+            times, **base, method=method, status=status, covered=covered,
+            rate=metrics.misclustered_rate(labels, z, K)))
 
     if with_full:
         if cell.N <= FULL_BASELINE_MAX_N:
             try:
-                labels, _, timings = run_full_sc(g, K, rng, restarts=restarts)
-                rate = metrics.misclustered_rate(labels, z, K)
-                records.append(TrialRecord(
-                    **base, method="full", rate=rate,
-                    t_laplacian=timings["laplacian"], t_eig=timings["eig"],
-                    t_kmeans=timings["kmeans"],
-                ))
+                labels, _, times = run_full_sc(g, K, rng)
+                records.append(TrialRecord.from_times(
+                    times, **base, method="full",
+                    rate=metrics.misclustered_rate(labels, z, K)))
             except DegenerateInputError:
                 records.append(TrialRecord(**base, method="full", status="degenerate"))
         else:
@@ -268,7 +276,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
             seed = derive_seed(cfg.master_seed, cfg.scenario, cell.index, t)
             with_full = cfg.full_sc and t == 0
             tasks.append((cfg.scenario, cell, t, seed, cfg.K, cfg.methods,
-                          cfg.kmeans_restarts, with_full))
+                          with_full))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -543,8 +551,7 @@ def read_records_csv(path) -> list[dict]:
 
 def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
              out_prefix: str | None = None, n_nodes: int | None = None,
-             full_baseline_max_n: int | None = FULL_BASELINE_MAX_N,
-             kmeans_restarts: int = 10, dcs_partition_k: int = 3) -> dict:
+             full_baseline_max_n: int | None = FULL_BASELINE_MAX_N) -> dict:
     """Cluster a network from an edge-list file.
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
@@ -552,97 +559,56 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     "auto" (eigengap selection on the subsampled spectrum, or on the full
     Laplacian's top eigenvalues for method="full"). Degree-corrected
     sampling needs a community count before the eigengap is available, so
-    with ``k="auto"`` its degree partition uses ``dcs_partition_k``; the
-    clustering K still comes from the eigengap. When N is at most
+    with ``k="auto"`` its degree partition uses ``DCS_AUTO_PARTITION_K``;
+    the clustering K still comes from the eigengap. When N is at most
     ``full_baseline_max_n`` (None: any N), subsampled runs also report the
     disagreement rate against full spectral clustering. Nodes with no
     connection to the sample are counted, not fatal.
-    """
-    rng = np.random.default_rng(seed)
-    g, ext_ids = graph.graph_from_file(edge_list_path, n_nodes=n_nodes)
 
-    if method == "full":
-        return _run_full_file(g, ext_ids, k, rng, out_prefix, kmeans_restarts)
-
-    t0 = time.perf_counter()
-    if method == "srs":
-        s = sampling.srs(g.n_nodes, n, rng)
-    elif method == "dcs":
-        k_for_dcs = k if isinstance(k, int) else dcs_partition_k
-        s = sampling.dcs(g, n, k_for_dcs, rng)
-    else:
-        raise ValueError(f"method must be srs, dcs or full, got {method!r}")
-    t_sampling = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    biadj = graph.bi_adjacency(g, s.ids)
-    ls = spectral.subsampled_laplacian(biadj)
-    t_laplacian = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spec = None
-    if k == "auto":
-        spec = spectral.subsampled_spectrum(ls)
-        k = spectral.select_k(spec)
-    elif not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
-    emb = spectral.embed(ls, k, spectrum=spec)
-    t_eig = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    km = kmeans(emb.matrix, k, restarts=kmeans_restarts, rng=rng)
-    t_kmeans = time.perf_counter() - t0
-
-    summary = {
-        "N": g.n_nodes, "n_edges": g.n_edges, "n": n, "K": k,
-        "method": method, "seed": seed,
-        "n_disconnected_from_sample": ls.n_zero_rows,
-        "t_sampling": t_sampling, "t_laplacian": t_laplacian,
-        "t_eig": t_eig, "t_kmeans": t_kmeans,
-        "t_ssc_total": t_sampling + t_laplacian + t_eig + t_kmeans,
-        "labels": km.labels,
-        "sample": s,
-    }
-
-    if full_baseline_max_n is None or g.n_nodes <= full_baseline_max_n:
-        t0 = time.perf_counter()
-        full_labels, _, _ = run_full_sc(g, k, rng, restarts=kmeans_restarts)
-        summary["t_full_total"] = time.perf_counter() - t0
-        summary["full_labels"] = full_labels
-        summary["disagreement_rate"] = metrics.misclustered_rate(km.labels, full_labels, k)
-
-    if out_prefix:
-        sbm.write_labels(km.labels, f"{out_prefix}.labels")
-        sampling.write_sample(s, f"{out_prefix}.sample")
-        if ext_ids is not None:
-            graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
-    return summary
-
-
-def _run_full_file(g, ext_ids, k, rng, out_prefix, kmeans_restarts) -> dict:
-    """Full-network spectral clustering of a loaded graph (method=full).
-
-    With ``k="auto"`` the eigengap runs on the full Laplacian's top
-    eigenvalues.
+    The summary's ``times`` holds the seconds of every stage: load,
+    sampling, laplacian, eig, kmeans, full_sc (when the comparison runs)
+    and write.
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
-
-    labels, emb, timings = run_full_sc(g, k, rng, restarts=kmeans_restarts)
+    rng = np.random.default_rng(seed)
+    times = {}
+    with _stage(times, "load"):
+        g, ext_ids = graph.graph_from_file(edge_list_path, n_nodes=n_nodes)
+    with _stage(times, "sampling"):
+        s = None if method == "full" else sampling.draw(
+            method, g, n, DCS_AUTO_PARTITION_K if k == "auto" else k, rng)
+    if s is None:
+        labels, emb, pipeline_times = run_full_sc(g, k, rng)
+    else:
+        labels, emb, pipeline_times = run_ssc(g, s, k, rng)
+    times.update(pipeline_times)
     k = emb.matrix.shape[1]
+
     summary = {
-        "N": g.n_nodes, "n_edges": g.n_edges, "n": g.n_nodes, "K": k,
-        "method": "full", "seed": None,
-        "n_disconnected_from_sample": 0,
-        "t_sampling": 0.0, "t_laplacian": timings["laplacian"],
-        "t_eig": timings["eig"], "t_kmeans": timings["kmeans"],
-        "t_ssc_total": timings["laplacian"] + timings["eig"] + timings["kmeans"],
+        "N": g.n_nodes, "n_edges": g.n_edges,
+        "n": g.n_nodes if s is None else n, "K": k,
+        "method": method, "seed": seed,
+        "n_disconnected_from_sample": emb.n_zero_rows,
+        "times": times,
         "labels": labels,
-        "sample": None,
+        "sample": s,
     }
-    if out_prefix:
-        sbm.write_labels(labels, f"{out_prefix}.labels")
-        if ext_ids is not None:
-            graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
+
+    if s is not None and (full_baseline_max_n is None
+                          or g.n_nodes <= full_baseline_max_n):
+        with _stage(times, "full_sc"):
+            full_labels, _, _ = run_full_sc(g, k, rng)
+        summary["full_labels"] = full_labels
+        summary["disagreement_rate"] = metrics.misclustered_rate(labels, full_labels, k)
+
+    with _stage(times, "write"):
+        if out_prefix:
+            sbm.write_labels(labels, f"{out_prefix}.labels")
+            if s is not None:
+                sampling.write_sample(s, f"{out_prefix}.sample")
+            if ext_ids is not None:
+                graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
     return summary
 
 

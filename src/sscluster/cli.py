@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bench, graph, metrics, sampling, sbm
+from . import bench, graph, metrics, sbm
 from .errors import ResourceLimitError
 
 
@@ -104,7 +104,7 @@ def _apply_config_file(cfg: bench.ScenarioConfig, path) -> bench.ScenarioConfig:
     raw = bench.read_config_file(path)
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
-            raise SystemExit(f"config: unknown key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
         if key == "nodes":
             cfg.N = int(value)
         elif key == "k":
@@ -127,9 +127,9 @@ def _apply_config_file(cfg: bench.ScenarioConfig, path) -> bench.ScenarioConfig:
 
 def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
+    B = sbm.block_matrix(args.beta, args.zeta, args.k)  # checks k >= 1 first
     pi = args.pi if args.pi else tuple([1.0 / args.k] * args.k)
     z = sbm.sample_memberships(pi, args.nodes, rng)
-    B = sbm.block_matrix(args.beta, args.zeta, args.k)
     g = sbm.generate_adjacency(z, B, rng)
     out = args.out or "network.edges"
     graph.write_edge_list(g, out)
@@ -143,48 +143,35 @@ def cmd_generate(args) -> int:
 def cmd_cluster(args) -> int:
     if args.k == "auto":
         k = "auto"
+    elif args.k.isdigit():
+        k = int(args.k)
     else:
-        try:
-            k = int(args.k)
-        except ValueError:
-            print(f"--k must be an integer or 'auto', got {args.k!r}",
-                  file=sys.stderr)
-            return 2
+        raise ValueError(f"--k must be an integer or 'auto', got {args.k!r}")
     if args.method != "full" and args.n is None:
-        print("--n is required unless --method full", file=sys.stderr)
-        return 2
+        raise ValueError("--n is required unless --method full")
     out_prefix = args.out or "cluster_out"
-    try:
-        summary = bench.run_real(
-            args.edges, n=args.n, k=k, method=args.method, seed=args.seed,
-            out_prefix=out_prefix, n_nodes=args.nodes,
-            full_baseline_max_n=None if args.iterative else bench.FULL_BASELINE_MAX_N,
-        )
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summary = bench.run_real(
+        args.edges, n=args.n, k=k, method=args.method, seed=args.seed,
+        out_prefix=out_prefix, n_nodes=args.nodes,
+        full_baseline_max_n=None if args.iterative else bench.FULL_BASELINE_MAX_N,
+    )
+    sampled = summary["sample"] is not None
     print(f"N={summary['N']} edges={summary['n_edges']} n={summary['n']} "
           f"K={summary['K']} method={summary['method']}")
-    if args.method == "full":
-        print(f"full pipeline: {summary['t_ssc_total']:.3f}s (laplacian "
-              f"{summary['t_laplacian']:.3f}s, eig {summary['t_eig']:.3f}s, "
-              f"kmeans {summary['t_kmeans']:.3f}s)")
-        print(f"labels -> {out_prefix}.labels")
-        return 0
-    print(f"nodes with no connection to the sample: "
-          f"{summary['n_disconnected_from_sample']}")
-    print(f"subsampled pipeline: {summary['t_ssc_total']:.3f}s "
-          f"(sampling {summary['t_sampling']:.3f}s, laplacian "
-          f"{summary['t_laplacian']:.3f}s, eig {summary['t_eig']:.3f}s, "
-          f"kmeans {summary['t_kmeans']:.3f}s)")
+    if sampled:
+        print(f"nodes with no connection to the sample: "
+              f"{summary['n_disconnected_from_sample']}")
+    print("stages: " + ", ".join(f"{name} {t:.3f}s"
+                                 for name, t in summary["times"].items()))
     if "disagreement_rate" in summary:
-        print(f"full SC: {summary['t_full_total']:.3f}s, disagreement rate "
-              f"vs full SC: {summary['disagreement_rate']:.4f}")
-    print(f"labels -> {out_prefix}.labels, sample -> {out_prefix}.sample")
+        print(f"disagreement rate vs full SC: {summary['disagreement_rate']:.4f}")
+    print(f"labels -> {out_prefix}.labels"
+          + (f", sample -> {out_prefix}.sample" if sampled else ""))
     return 0
 
 
-def cmd_bench(args) -> int:
+def _bench_config(args) -> bench.ScenarioConfig:
+    """The scenario's defaults, then the config file, then the flags."""
     cfg = bench.default_config(args.scenario)
     if args.config:
         cfg = _apply_config_file(cfg, args.config)
@@ -209,8 +196,12 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         cfg.master_seed = args.seed
     cfg.out = args.out or f"bench_{args.scenario}.csv"
+    return cfg
 
+
+def cmd_bench(args) -> int:
     try:
+        cfg = _bench_config(args)
         records = bench.SCENARIOS[args.scenario](cfg)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -225,23 +216,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        zhat = sbm.read_labels(args.predicted)
-        z = sbm.read_labels(args.reference)
-        if len(zhat) != len(z):
-            print("label files cover different node sets", file=sys.stderr)
-            return 2
-        k = args.k or int(max(zhat.max(), z.max()))
-        rate = metrics.misclustered_rate(zhat, z, k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    zhat = sbm.read_labels(args.predicted)
+    z = sbm.read_labels(args.reference)
+    if len(zhat) != len(z):
+        raise ValueError("label files cover different node sets")
+    k = args.k or int(max(zhat.max(), z.max()))
+    rate = metrics.misclustered_rate(zhat, z, k)
     print(f"misclustered rate: {rate:.6f}")
     return 0
 
 
 def cmd_timing(args) -> int:
     rows = bench.read_records_csv(args.records)
+    if rows and not set(bench.COLUMNS) <= rows[0].keys():
+        raise ValueError(f"{args.records} is not a bench records CSV")
     records = []
     for r in rows:
         if r["row_type"] != "TRIAL" or not r["rate"]:
@@ -277,7 +265,11 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "timing": cmd_timing,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

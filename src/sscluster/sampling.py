@@ -107,6 +107,17 @@ def dcs(g: SparseGraph, n: int, K: int,
     return SampleSet(ids=ids, method="dcs")
 
 
+def draw(method: str, g: SparseGraph, n: int, K: int,
+         rng: np.random.Generator) -> SampleSet:
+    """Draw n nodes of ``g`` by ``method``: "srs", or "dcs" with a K-way
+    degree partition."""
+    if method == "srs":
+        return srs(g.n_nodes, n, rng)
+    if method == "dcs":
+        return dcs(g, n, K, rng)
+    raise ValueError(f"method must be srs or dcs, got {method!r}")
+
+
 def srs_min_size(K: int, alpha: float, eps: float) -> int:
     """Smallest with-replacement draw count guaranteeing full community
     coverage with probability at least 1 - eps.

@@ -124,12 +124,13 @@ def subsampled_laplacian(biadj: BiAdjacency) -> SubsampledLaplacian:
     return normalize_bi_adjacency(biadj.to_csc())
 
 
-def gram(ls: SubsampledLaplacian, dense_guard: int = GRAM_DENSE_GUARD) -> np.ndarray:
-    """Dense n x n Gram matrix L^T L, accumulated column-major."""
+def gram(ls: SubsampledLaplacian) -> np.ndarray:
+    """Dense n x n Gram matrix L^T L, accumulated column-major; n above
+    ``GRAM_DENSE_GUARD`` raises ResourceLimitError."""
     n = ls.shape[1]
-    if n > dense_guard:
+    if n > GRAM_DENSE_GUARD:
         raise ResourceLimitError(
-            f"Gram matrix would be {n}x{n} dense; guard is {dense_guard}"
+            f"Gram matrix would be {n}x{n} dense; guard is {GRAM_DENSE_GUARD}"
         )
     m = ls.matrix
     if sp.issparse(m):
@@ -172,16 +173,14 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def subsampled_spectrum(ls: SubsampledLaplacian,
-                        dense_guard: int = GRAM_DENSE_GUARD) -> EigenSpectrum:
+def subsampled_spectrum(ls: SubsampledLaplacian) -> EigenSpectrum:
     """Full descending spectrum of the Gram matrix L^T L, with its
     eigenvectors."""
-    w, v = symmetric_eig(gram(ls, dense_guard))
+    w, v = symmetric_eig(gram(ls))
     return EigenSpectrum.from_psd_eigenvalues(w, v)
 
 
 def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
-          dense_guard: int = GRAM_DENSE_GUARD,
           spectrum: EigenSpectrum | None = None) -> Embedding:
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
@@ -194,7 +193,7 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     if spectrum is None:
-        spectrum = subsampled_spectrum(ls, dense_guard)
+        spectrum = subsampled_spectrum(ls)
     elif spectrum.vectors is None or spectrum.vectors.shape != (n, n):
         raise ValueError("spectrum must carry the n x n Gram eigenvectors of ls")
     top = spectrum.values[:K]

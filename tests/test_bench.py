@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sscluster import bench, cli, spectral
+from sscluster import bench, cli, sampling, spectral
 from sscluster.graph import bi_adjacency, from_edge_list, write_edge_list
 from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
@@ -121,6 +121,22 @@ class TestScenario3:
         cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.5, 1.5))
         with pytest.raises(ValueError):
             bench.run_scenario3(cfg)
+
+    def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
+        cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
+                           pi=(1 / 3, 1 / 3, 1 / 3))
+        records = bench._sbm_trial("s3", cell, 0, 11, 3, ("srs", "dcs"), False)
+        # Replay the draws: a degenerate trial runs no k-means, so the
+        # generator state after the first sample is the state dcs sees.
+        rng = np.random.default_rng(11)
+        z = sample_memberships(cell.pi, cell.N, rng)
+        g = generate_adjacency(z, block_matrix(0.0, 0.5, 3), rng)
+        for r in records:
+            s = sampling.draw(r.method, g, cell.n, 3, rng)
+            assert r.status == "degenerate"
+            assert r.covered == sampling.coverage_event(s, z, 3)
+            assert r.t_sampling > 0
+            assert r.t_laplacian == r.t_eig == r.t_kmeans == 0.0
 
 
 class TestScenario4:
@@ -349,6 +365,20 @@ class TestRunReal:
                                  n_nodes=g.n_nodes)
         assert "disagreement_rate" in summary
         assert 0.0 <= summary["disagreement_rate"] <= 1.0
+        assert summary["times"]["full_sc"] > 0
+
+    @pytest.mark.parametrize("k", [3, "auto"])
+    def test_every_method_reports_its_stages_and_seed(self, network, tmp_path, k):
+        g, z, path = network
+        for method in ("srs", "dcs", "full"):
+            summary = bench.run_real(path, n=40, k=k, method=method, seed=8,
+                                     out_prefix=str(tmp_path / method),
+                                     n_nodes=g.n_nodes, full_baseline_max_n=0)
+            assert summary["seed"] == 8
+            assert list(summary["times"]) == [
+                "load", "sampling", "laplacian", "eig", "kmeans", "write"]
+            assert all(t >= 0 for t in summary["times"].values())
+            assert summary["K"] == 3
 
     def test_method_full_clusters_whole_network(self, network, tmp_path):
         g, z, path = network
@@ -509,6 +539,26 @@ class TestCli:
         assert rc == 0
         assert "slope" in capsys.readouterr().out
         assert (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--edges", "{tmp}/missing.edges", "--n", "10"],
+        ["eval", "{tmp}/missing1", "{tmp}/missing2"],
+        ["timing", "{tmp}/missing.csv"],
+        ["timing", "{tmp}/two_columns.csv"],
+        ["bench", "s4", "--config", "{tmp}/missing.cfg"],
+        ["bench", "s4", "--config", "{tmp}/bad_trials.cfg"],
+        ["generate", "--nodes", "0", "--out", "{tmp}/g.edges"],
+        ["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
+        ["generate", "--nodes", "10", "--k", "0", "--out", "{tmp}/g.edges"],
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
+        (tmp_path / "two_columns.csv").write_text("a,b\n1,2\n")
+        (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
+        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(("error: ", "config error: "))
 
     def test_timing_subcommand_insufficient_grid(self, tmp_path, capsys):
         out = tmp_path / "s1.csv"

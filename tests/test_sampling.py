@@ -13,6 +13,7 @@ from sscluster.sampling import (
     coverage_event,
     dcs,
     dcs_min_size,
+    draw,
     regularized_degrees,
     srs,
     srs_min_size,
@@ -144,6 +145,23 @@ class TestDcs:
             dcs(g, 6, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             dcs(g, 3, 6, np.random.default_rng(0))
+
+
+class TestDraw:
+    def test_dispatches_to_the_named_sampler(self):
+        rng = np.random.default_rng(4)
+        g = generate_adjacency(sample_memberships((0.5, 0.5), 60, rng),
+                               block_matrix(0.3, 0.1, 2), rng)
+        for method, direct in (("srs", lambda r: srs(60, 12, r)),
+                               ("dcs", lambda r: dcs(g, 12, 2, r))):
+            a = draw(method, g, 12, 2, np.random.default_rng(5))
+            b = direct(np.random.default_rng(5))
+            assert a.method == method
+            assert np.array_equal(a.ids, b.ids)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="srs or dcs"):
+            draw("full", complete_graph(5), 2, 2, np.random.default_rng(0))
 
 
 class TestSrsMinSize:

@@ -120,11 +120,12 @@ class TestGram:
         m = gram(subsampled_laplacian(bi_adjacency(g, s.ids)))
         assert np.abs(m - m.T).max() <= 1e-12
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
         m = sp.eye(10, 6, format="csc")
         ls = normalize_bi_adjacency(m)
+        monkeypatch.setattr(spectral, "GRAM_DENSE_GUARD", 5)
         with pytest.raises(ResourceLimitError):
-            gram(ls, dense_guard=5)
+            gram(ls)
 
 
 class TestSymmetricEig:
