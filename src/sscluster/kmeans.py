@@ -2,7 +2,27 @@
 
 The multivariate solver clusters embedding rows; the scalar variant
 partitions degree sequences with quantile initialization so the result is
-reproducible without any randomness.
+reproducible without any randomness. Both run the one Lloyd loop,
+``_lloyd``, which advances every restart that is still running in one
+batched pass per iteration:
+
+- one stacked matmul gives the products of the N points with the K
+  centroids of each of the R running restarts, an (R, N, K) float64 block;
+  for the default 10 restarts and K=3 that is 7.2 MB at N=30k and 72 MB at
+  N=300k;
+- the squared distances are formed one cluster column at a time, each an
+  (R, N) array, and the labels come from a running strict-< minimum over
+  those columns, which keeps argmin's first-minimum rule;
+- cluster counts and coordinate sums come from ``np.bincount`` over
+  ``label + K * restart``;
+- a restart leaves the batch when its centroids stop moving.
+
+A pass holds the block and about eight (R, N) arrays at once: at N=300k,
+K=3 the allocations peak near 230 MB, where a loop over restarts needs
+about 32 MB. Each restart sees the same arithmetic, in the same order, as
+that loop, so the results are bitwise its results
+(``tests/kmeans_reference.py``) and do not depend on how many restarts
+share a pass.
 """
 
 from __future__ import annotations
@@ -27,99 +47,172 @@ class KMeansResult:
     iterations: int
     converged: bool
     n_empty: int = 0          # clusters left empty (degenerate inputs only)
+    restart: int = 0          # index of the winning restart
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 via expansion; clip tiny negatives from cancellation.
-    d = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
+def _finite(points: np.ndarray) -> np.ndarray:
+    """``points``, once checked to hold no NaN or infinity."""
+    if not np.isfinite(points).all():
+        raise ValueError("k-means input contains NaN or infinite values")
+    return points
 
 
-def _plusplus_init(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _expansion(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point terms of the distance expansion: 2 * points and the
+    squared point norms, computed once per call."""
+    return 2.0 * points, (points * points).sum(axis=1)
+
+
+def _sq_dist_columns(p2: np.ndarray, pn: np.ndarray, stack: np.ndarray):
+    """Yield, for k = 0..K-1, the (a, N) squared distances from every point
+    to centroid k of each (K, d) set of an (a, K, d) stack.
+
+    ``p2 = 2 * points`` and ``pn`` holds the squared point norms. A
+    distance is ``pn - 2 x.c + |c|^2`` with tiny negatives from
+    cancellation clipped to 0. The stacked matmul makes, per set, the BLAS
+    call a lone set gets, so no value depends on how many sets share it;
+    one wide gemm over all sets would be cheaper, but OpenBLAS computes
+    some columns of a wide product with other kernels, which round
+    differently.
+    """
+    cross = p2 @ np.swapaxes(stack, 1, 2)
+    cn = (stack * stack).sum(axis=2)
+    for k in range(stack.shape[1]):
+        dk = pn - cross[:, :, k]
+        dk += cn[:, k, None]
+        yield np.maximum(dk, 0.0, out=dk)
+
+
+def _nearest(p2: np.ndarray, pn: np.ndarray, stack: np.ndarray):
+    """Index and squared distance of each point's nearest centroid, both
+    (a, N), for each set of an (a, K, d) stack; a strict < keeps argmin's
+    lowest index on ties."""
+    columns = _sq_dist_columns(p2, pn, stack)
+    dist = next(columns)
+    labels = np.zeros(dist.shape, dtype=np.int64)
+    for k, dk in enumerate(columns, start=1):
+        np.copyto(labels, k, where=dk < dist)
+        np.minimum(dist, dk, out=dist)
+    return labels, dist
+
+
+def _plusplus_init(points: np.ndarray, p2: np.ndarray, pn: np.ndarray, K: int,
+                   rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeds (R, K, d), one restart per generator. Each restart
+    makes the same draws on its own generator as it would seeded alone."""
     n = len(points)
-    centroids = np.empty((K, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    closest = _sq_dists(points, centroids[:1]).ravel()
+    centroids = np.empty((len(rngs), K, points.shape[1]))
+    centroids[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    closest = next(_sq_dist_columns(p2, pn, centroids[:, :1]))
     for k in range(1, K):
-        total = closest.sum()
-        if total <= 0:
-            # All remaining points coincide with chosen centroids.
-            centroids[k] = points[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=closest / total)
-        centroids[k] = points[idx]
-        closest = np.minimum(closest, _sq_dists(points, centroids[k:k + 1]).ravel())
+        totals = closest.sum(axis=1)
+        for j, rng in enumerate(rngs):
+            if totals[j] <= 0:
+                # All remaining points coincide with chosen centroids.
+                centroids[j, k] = points[rng.integers(n)]
+            else:
+                centroids[j, k] = points[rng.choice(n, p=closest[j] / totals[j])]
+        closest = np.minimum(closest, next(_sq_dist_columns(p2, pn, centroids[:, k:k + 1])))
     return centroids
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
-    """Run Lloyd iterations from the given centroids.
-
-    Returns (labels0, centroids, wcss, iterations, converged). Within a
-    run, the within-cluster sum of squares is checked to be non-increasing
-    after every assignment step.
-    """
+def _repair(points, p2, pn, centroids):
+    """Reseed one restart's empty clusters at the point farthest from its
+    assigned centroid, at most K times, updating its (K, d) ``centroids``
+    in place. Returns the labels and the distances to them."""
     n, K = len(points), len(centroids)
-    prev_wcss = np.inf
-    labels = np.zeros(n, dtype=np.int64)
-    wcss = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        d = _sq_dists(points, centroids)
+    d = np.stack(list(_sq_dist_columns(p2, pn, centroids[None])), axis=-1)[0]
+    labels = d.argmin(axis=1)
+    counts = np.bincount(labels, minlength=K)
+    repairs = 0
+    while counts.min() == 0 and repairs < K:
+        empty = int(counts.argmin())
+        far = int(d[np.arange(n), labels].argmax())
+        centroids[empty] = points[far]
+        d[:, empty] = next(_sq_dist_columns(p2, pn, centroids[None, empty:empty + 1]))[0]
         labels = d.argmin(axis=1)
-
-        # Empty-cluster repair: reseed at the point farthest from its
-        # assigned centroid; bounded by K repairs per iteration.
         counts = np.bincount(labels, minlength=K)
-        repairs = 0
-        while counts.min() == 0 and repairs < K:
-            empty = int(counts.argmin())
-            assigned = d[np.arange(n), labels]
-            far = int(assigned.argmax())
-            centroids[empty] = points[far]
-            d[:, empty] = _sq_dists(points, centroids[empty:empty + 1]).ravel()
-            labels = d.argmin(axis=1)
-            counts = np.bincount(labels, minlength=K)
-            repairs += 1
+        repairs += 1
+    return labels, d[np.arange(n), labels]
 
-        wcss = float(d[np.arange(n), labels].sum())
-        if wcss > prev_wcss + 1e-9 * max(1.0, prev_wcss) and repairs == 0:
-            raise RuntimeError(
-                f"Lloyd objective increased: {prev_wcss} -> {wcss}"
-            )
-        prev_wcss = wcss
 
-        new_centroids = centroids.copy()
-        for k in range(K):
-            mask = labels == k
-            if mask.any():
-                new_centroids[k] = points[mask].mean(axis=0)
-        move = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
-        if move < MOVE_TOL:
-            converged = True
+def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
+    """Cluster sizes (a*K,) and coordinate sums (a*K, d) of the (a, N)
+    labels of a restarts, cluster k of restart j in row j*K + k."""
+    a = len(labels)
+    bins = (labels + K * np.arange(a)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=a * K)
+    if points.shape[1] == 1:
+        # numpy sums a single column pairwise, where bincount adds in index
+        # order; keep the pairwise sum so 1-D centroids stay bit-stable.
+        sums = np.array([[points[labels[j] == k, 0].sum()]
+                         for j in range(a) for k in range(K)])
+    else:
+        sums = np.stack([np.bincount(bins, weights=np.tile(x, a), minlength=a * K)
+                         for x in points.T], axis=1)
+    return counts, sums
+
+
+def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
+           centroids: np.ndarray, max_iter: int):
+    """Run Lloyd iterations from R restarts' initial (R, K, d) centroids.
+
+    Every restart still running advances in one batched pass per
+    iteration, and leaves the batch once no centroid moves by MOVE_TOL.
+    Returns (labels0 (R, N), centroids (R, K, d), wcss (R,), iterations
+    (R,), converged (R,)). Within a restart, the within-cluster sum of
+    squares is checked to be non-increasing after every assignment step
+    that needed no empty-cluster repair.
+    """
+    R, K, dim = centroids.shape
+    prev_wcss = np.full(R, np.inf)
+    iterations = np.zeros(R, dtype=np.int64)
+    converged = np.zeros(R, dtype=bool)
+    active = np.arange(R)
+    for it in range(1, max_iter + 1):
+        cents = centroids[active]
+        labels, dist = _nearest(p2, pn, cents)
+        counts, sums = _cluster_sums(points, labels, K)
+        repaired = (counts == 0).reshape(-1, K).any(axis=1)
+        if repaired.any():
+            for j in np.flatnonzero(repaired):
+                labels[j], dist[j] = _repair(points, p2, pn, cents[j])
+            counts, sums = _cluster_sums(points, labels, K)
+
+        wcss = dist.sum(axis=1)
+        prev = prev_wcss[active]
+        rising = (wcss > prev + 1e-9 * np.maximum(1.0, prev)) & ~repaired
+        if rising.any():
+            j = int(np.flatnonzero(rising)[0])
+            raise RuntimeError(f"Lloyd objective increased: {prev[j]} -> {wcss[j]}")
+        prev_wcss[active] = wcss
+
+        new = cents.copy()
+        flat = new.reshape(-1, dim)
+        filled = counts > 0
+        flat[filled] = sums[filled] / counts[filled, None]
+        move = np.sqrt(((new - cents) ** 2).sum(axis=2)).max(axis=1)
+        centroids[active] = new
+        iterations[active] = it
+        done = move < MOVE_TOL
+        converged[active[done]] = True
+        active = active[~done]
+        if not len(active):
             break
 
     # Final consistent assignment for the returned centroids.
-    d = _sq_dists(points, centroids)
-    labels = d.argmin(axis=1)
-    wcss = float(d[np.arange(n), labels].sum())
-    return labels, centroids, wcss, iterations, converged
+    labels, dist = _nearest(p2, pn, centroids)
+    return labels, centroids, dist.sum(axis=1), iterations, converged
 
 
 def kmeans(points, K: int, restarts: int = 10,
            rng: np.random.Generator | None = None) -> KMeansResult:
     """Best-of-restarts k-means with k-means++ seeding.
 
-    Each restart draws its own seed from ``rng``; the restart with the
+    Each restart draws its own seed from ``rng``; the first restart with the
     lowest within-cluster sum of squares wins. Labels are 1-based.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _finite(np.asarray(points, dtype=np.float64))
     if points.ndim == 1:
         points = points[:, None]
     n = len(points)
@@ -130,21 +223,23 @@ def kmeans(points, K: int, restarts: int = 10,
     if rng is None:
         rng = np.random.default_rng()
 
-    best = None
-    for _ in range(restarts):
-        sub = np.random.default_rng(rng.integers(2**63))
-        init = _plusplus_init(points, K, sub)
-        labels, cents, wcss, iters, conv = _lloyd(points, init, MAX_ITER)
-        if best is None or wcss < best.wcss:
-            best = KMeansResult(
-                labels=labels + 1,
-                centroids=cents,
-                wcss=wcss,
-                iterations=iters,
-                converged=conv,
-                n_empty=int((np.bincount(labels, minlength=K) == 0).sum()),
-            )
-    return best
+    p2, pn = _expansion(points)
+    seeds = [rng.integers(2**63) for _ in range(restarts)]
+    init = _plusplus_init(points, p2, pn, K, [np.random.default_rng(s) for s in seeds])
+    labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init, MAX_ITER)
+
+    r = int(np.argmin(wcss))
+    res = KMeansResult(
+        labels=labels[r] + 1,
+        centroids=cents[r].copy(),
+        wcss=float(wcss[r]),
+        iterations=int(iters[r]),
+        converged=bool(conv[r]),
+        n_empty=int((np.bincount(labels[r], minlength=K) == 0).sum()),
+        restart=r,
+    )
+    _log(res, restarts)
+    return res
 
 
 def kmeans_1d(values, K: int) -> KMeansResult:
@@ -153,13 +248,16 @@ def kmeans_1d(values, K: int) -> KMeansResult:
     Degenerate inputs (fewer distinct values than K) leave some clusters
     empty; the count is reported in ``n_empty`` and a warning logged.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
+    values = _finite(np.asarray(values, dtype=np.float64).ravel())
     n = len(values)
     if K < 1 or K > n:
         raise ValueError(f"K must be in 1..{n}, got {K}")
 
-    init = np.quantile(values, (np.arange(K) + 0.5) / K)[:, None]
-    labels, cents, wcss, iters, conv = _lloyd(values[:, None], init, MAX_ITER_1D)
+    points = values[:, None]
+    init = np.quantile(values, (np.arange(K) + 0.5) / K)[None, :, None]
+    labels, cents, wcss, iters, conv = _lloyd(
+        points, *_expansion(points), init, MAX_ITER_1D)
+    labels, cents = labels[0], cents[0]
 
     # Relabel so cluster means ascend; empty clusters sort last.
     counts = np.bincount(labels, minlength=K)
@@ -173,11 +271,20 @@ def kmeans_1d(values, K: int) -> KMeansResult:
     n_empty = int((counts == 0).sum())
     if n_empty:
         logger.warning("scalar k-means left %d of %d clusters empty", n_empty, K)
-    return KMeansResult(
+    res = KMeansResult(
         labels=labels + 1,
         centroids=cents,
-        wcss=wcss,
-        iterations=iters,
-        converged=conv,
+        wcss=float(wcss[0]),
+        iterations=int(iters[0]),
+        converged=bool(conv[0]),
         n_empty=n_empty,
     )
+    _log(res, 1)
+    return res
+
+
+def _log(res: KMeansResult, restarts: int) -> None:
+    logger.debug(
+        "k-means K=%d: restart %d of %d won, %d iterations, converged=%s, "
+        "%d empty, wcss=%.6g", len(res.centroids), res.restart, restarts,
+        res.iterations, res.converged, res.n_empty, res.wcss)

@@ -1,11 +1,17 @@
+import logging
+from dataclasses import fields
 from itertools import product
 
+import kmeans_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscluster.kmeans import kmeans, kmeans_1d
+from sscluster import bench, sbm, spectral
+from sscluster.graph import bi_adjacency
+from sscluster.kmeans import KMeansResult, kmeans, kmeans_1d
+from sscluster.sampling import srs
 
 
 def brute_force_wcss(points, K):
@@ -159,3 +165,132 @@ def test_kmeans_module_not_shadowed_by_package_export():
 
     assert type(km).__name__ == "module" and km is sscluster.kmeans
     assert callable(km.kmeans)
+
+
+# ---------------------------------------------------------------------------
+# Batched restarts against the per-restart oracle (tests/kmeans_reference.py)
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def assert_bitwise_equal(res, oracle):
+    assert [f.name for f in fields(KMeansResult)] == [f.name for f in fields(ref.KMeansResult)]
+    for f in fields(KMeansResult):
+        got, want = getattr(res, f.name), getattr(oracle, f.name)
+        assert type(got) is type(want), f.name
+        assert _bits(got) == _bits(want), f.name
+
+
+@st.composite
+def kmeans_inputs(draw):
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["spread", "duplicates", "identical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "spread":
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    elif shape == "duplicates":
+        pool = rng.normal(size=(max(1, n // 4), d))
+        points = pool[rng.integers(len(pool), size=n)]
+    else:
+        # Every point equal forces the empty-cluster repair for K > 1.
+        points = np.tile(rng.normal(size=d), (n, 1))
+    K = draw(st.one_of(st.integers(1, min(6, n)), st.just(n)))
+    restarts = draw(st.sampled_from([1, 3, 10]))
+    return points, K, restarts, draw(st.integers(0, 2**32 - 1))
+
+
+@given(kmeans_inputs())
+@settings(max_examples=150, deadline=None)
+def test_batched_restarts_match_per_restart_oracle(case):
+    points, K, restarts, seed = case
+    res = kmeans(points, K, restarts=restarts, rng=np.random.default_rng(seed))
+    oracle = ref.kmeans(points, K, restarts=restarts, rng=np.random.default_rng(seed))
+    assert_bitwise_equal(res, oracle)
+
+
+@pytest.mark.parametrize("n, d", [(3000, 1), (20000, 3), (5000, 5)])
+def test_large_inputs_match_oracle(n, d):
+    # Clusters of more than 128 points sum in several pairwise blocks.
+    rng = np.random.default_rng(n + d)
+    centers = rng.normal(scale=3.0, size=(4, d))
+    points = centers[rng.integers(4, size=n)] + rng.normal(size=(n, d))
+    for K in (2, 4):
+        assert_bitwise_equal(kmeans(points, K, rng=np.random.default_rng(K)),
+                             ref.kmeans(points, K, rng=np.random.default_rng(K)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sbm_embedding_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    z = sbm.sample_memberships((1 / 3, 1 / 3, 1 / 3), 2000, rng)
+    g = sbm.generate_adjacency(z, sbm.block_matrix(0.1, 0.05, 3), rng)
+    sample = srs(g.n_nodes, 100, rng)
+    emb = spectral.embed(spectral.subsampled_laplacian(bi_adjacency(g, sample.ids)), 3)
+    assert_bitwise_equal(kmeans(emb.matrix, 3, rng=np.random.default_rng(seed)),
+                         ref.kmeans(emb.matrix, 3, rng=np.random.default_rng(seed)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 6),
+       st.sampled_from(["degrees", "reals"]))
+@settings(max_examples=100, deadline=None)
+def test_kmeans_1d_matches_oracle(seed, n, K, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "degrees":
+        # Tied, degree-like counts: a few distinct values, many repeats.
+        values = rng.poisson(rng.uniform(0.5, 20), size=n).astype(float)
+    else:
+        values = rng.exponential(size=n)
+    K = min(K, n)
+    assert_bitwise_equal(kmeans_1d(values, K), ref.kmeans_1d(values, K))
+
+
+def test_reports_the_oracle_winning_restart():
+    winners = set()
+    for seed in range(12):
+        points = np.random.default_rng(seed).normal(size=(60, 2))
+        res = kmeans(points, 5, restarts=10, rng=np.random.default_rng(seed))
+        oracle = ref.kmeans(points, 5, restarts=10, rng=np.random.default_rng(seed))
+        assert res.restart == oracle.restart
+        winners.add(res.restart)
+    assert winners - {0}, "every case was won by restart 0"
+
+
+def test_one_debug_line_per_call(caplog):
+    points = np.random.default_rng(0).normal(size=(30, 2))
+    with caplog.at_level(logging.DEBUG, logger="sscluster.kmeans"):
+        res = kmeans(points, 3, restarts=4, rng=np.random.default_rng(1))
+        kmeans_1d(points[:, 0], 2)
+    lines = [r.getMessage() for r in caplog.records if r.name == "sscluster.kmeans"]
+    assert len(lines) == 2
+    assert f"restart {res.restart} of 4" in lines[0]
+    assert f"{res.iterations} iterations" in lines[0]
+    assert "restart 0 of 1" in lines[1]
+
+
+def test_silent_by_default(caplog):
+    points = np.random.default_rng(0).normal(size=(30, 2))
+    with caplog.at_level(logging.INFO):
+        kmeans(points, 3, rng=np.random.default_rng(1))
+    assert not [r for r in caplog.records if r.name == "sscluster.kmeans"]
+
+
+class TestNonFinite:
+    def test_inf_row(self):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        points[3] = np.inf
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kmeans(points, 2, rng=np.random.default_rng(0))
+
+    def test_nan_with_one_cluster(self):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        points[5, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kmeans(points, 1, rng=np.random.default_rng(0))
+
+    def test_nan_scalar(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kmeans_1d(np.array([1.0, np.nan, 3.0, 4.0]), 2)

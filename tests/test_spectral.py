@@ -90,6 +90,21 @@ class TestSubsampledLaplacian:
             smax = np.linalg.svd(ls.matrix.toarray(), compute_uv=False)[0]
             assert smax <= 1 + 1e-10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_general_normalizer(self, seed):
+        r = np.random.default_rng(seed)
+        z = sample_memberships((0.2, 0.3, 0.5), 900, r)
+        g = generate_adjacency(z, block_matrix(0.02, 0.05, 3), r)
+        b = bi_adjacency(g, srs(900, 60, r).ids)
+        fast, general = subsampled_laplacian(b), normalize_bi_adjacency(b.to_csc())
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(fast.matrix, attr), getattr(general.matrix, attr)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), attr
+        assert fast.row_degrees.tobytes() == general.row_degrees.tobytes()
+        assert fast.col_degrees.tobytes() == general.col_degrees.tobytes()
+        assert (fast.n_zero_rows, fast.n_zero_cols) == (general.n_zero_rows, general.n_zero_cols)
+        assert fast.n_zero_rows > 0
+
 
 class TestGram:
     def test_path_example_is_identity(self):
