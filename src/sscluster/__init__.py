@@ -7,7 +7,6 @@ from .graph import (
     SparseGraph,
     bi_adjacency,
     degrees,
-    density,
     from_edge_list,
     graph_from_file,
     read_edge_list,
@@ -29,9 +28,6 @@ from .sbm import (
     BlockMatrix,
     block_matrix,
     generate_adjacency,
-    membership_matrix,
-    population_adjacency,
-    population_bi_adjacency,
     sample_memberships,
 )
 from .spectral import (
@@ -42,9 +38,6 @@ from .spectral import (
     full_embed,
     full_laplacian,
     gram,
-    normalize_bi_adjacency,
-    procrustes_distance,
-    projection_distance,
     select_k,
     subsampled_laplacian,
     subsampled_spectrum,

@@ -487,12 +487,7 @@ def write_records_csv(records: list[TrialRecord], path,
                 "status": r.status,
                 "covered": "" if r.covered is None else int(r.covered),
                 "rate": _fmt(r.rate),
-                "rate_mean": "", "rate_se": "", "trend": "",
-                "t_sampling": _fmt_t(r.t_sampling),
-                "t_laplacian": _fmt_t(r.t_laplacian),
-                "t_eig": _fmt_t(r.t_eig),
-                "t_kmeans": _fmt_t(r.t_kmeans),
-                "t_total": _fmt_t(r.t_total),
+                **{col: _fmt_t(getattr(r, col)) for col in TIMING_COLUMNS},
             })
         for a in aggs:
             w.writerow({
@@ -500,11 +495,8 @@ def write_records_csv(records: list[TrialRecord], path,
                 "N": a["N"], "n": a["n"], "K": a["K"],
                 "beta": _fmt(a["beta"]), "zeta": _fmt(a["zeta"]),
                 "delta": _fmt(a["delta"]),
-                "method": a["method"], "trial": "", "seed": "",
-                "status": a["status"], "covered": "",
-                "rate": "", "rate_mean": _fmt(a["rate_mean"]),
-                "rate_se": _fmt(a["rate_se"]), "trend": "",
-                "t_sampling": "", "t_laplacian": "", "t_eig": "", "t_kmeans": "",
+                "method": a["method"], "status": a["status"],
+                "rate_mean": _fmt(a["rate_mean"]), "rate_se": _fmt(a["rate_se"]),
                 "t_total": _fmt_t(a["t_total_mean"]),
             })
         if trend_axis is not None:
@@ -516,13 +508,8 @@ def write_records_csv(records: list[TrialRecord], path,
                 label = _trend_label([a["rate_mean"] for a in rows])
                 w.writerow({
                     "row_type": "TREND", "scenario": rows[0]["scenario"],
-                    "cell": "", "N": "", "n": "", "K": rows[0]["K"],
-                    "beta": "", "zeta": "", "delta": "", "method": method,
-                    "trial": "", "seed": "", "status": "", "covered": "",
-                    "rate": "", "rate_mean": "", "rate_se": "",
+                    "K": rows[0]["K"], "method": method,
                     "trend": f"{trend_axis}:{label}",
-                    "t_sampling": "", "t_laplacian": "", "t_eig": "",
-                    "t_kmeans": "", "t_total": "",
                 })
 
 
@@ -641,13 +628,8 @@ def timing_summary(records: list[TrialRecord]) -> dict | None:
             rs = [r for r in ssc if r.method == method and r.n == n_fixed and r.N == N]
             if not rs:
                 continue
-            med = {
-                "t_sampling": float(np.median([r.t_sampling for r in rs])),
-                "t_laplacian": float(np.median([r.t_laplacian for r in rs])),
-                "t_eig": float(np.median([r.t_eig for r in rs])),
-                "t_kmeans": float(np.median([r.t_kmeans for r in rs])),
-                "t_total": float(np.median([r.t_total for r in rs])),
-            }
+            med = {col: float(np.median([getattr(r, col) for r in rs]))
+                   for col in TIMING_COLUMNS}
             rows.append({"method": method, "N": N, "n": n_fixed, **med})
             pts[N] = med["t_total"]
         if len(pts) >= 2:
@@ -661,17 +643,13 @@ def write_timing_csv(summary: dict, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_VERSION + "\n")
         w = csv.writer(fh)
-        w.writerow(["row_type", "method", "N", "n",
-                    "t_sampling", "t_laplacian", "t_eig", "t_kmeans",
-                    "t_total", "slope"])
+        w.writerow(["row_type", "method", "N", "n", *TIMING_COLUMNS, "slope"])
         for r in summary["rows"]:
             w.writerow(["STAGE", r["method"], r["N"], r["n"],
-                        _fmt_t(r["t_sampling"]), _fmt_t(r["t_laplacian"]),
-                        _fmt_t(r["t_eig"]), _fmt_t(r["t_kmeans"]),
-                        _fmt_t(r["t_total"]), ""])
+                        *(_fmt_t(r[col]) for col in TIMING_COLUMNS), ""])
         for method, slope in sorted(summary["slopes"].items()):
             w.writerow(["SLOPE", method, "", summary["n"],
-                        "", "", "", "", "", f"{slope:.4f}"])
+                        *[""] * len(TIMING_COLUMNS), f"{slope:.4f}"])
 
 
 # ---------------------------------------------------------------------------

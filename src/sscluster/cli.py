@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="misclustered rate between two label files")
     e.add_argument("predicted", type=str)
     e.add_argument("reference", type=str)
-    e.add_argument("--k", type=int, default=None,
-                   help="community count (default: max label seen)")
 
     t = sub.add_parser("timing", help="timing summary from a records CSV")
     t.add_argument("records", type=str)
@@ -98,6 +96,10 @@ _CONFIG_KEYS = {
     "pi": _parse_pi, "n_grid": None, "N_grid": None, "delta_grid": None,
     "beta_grid": None, "zeta_grid": None, "full_sc": None,
 }
+
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 def _apply_config_file(cfg: bench.ScenarioConfig, path) -> bench.ScenarioConfig:
@@ -119,7 +121,10 @@ def _apply_config_file(cfg: bench.ScenarioConfig, path) -> bench.ScenarioConfig:
             parse = float if key in ("delta_grid", "beta_grid", "zeta_grid") else int
             setattr(cfg, key, tuple(parse(x) for x in value.replace(",", " ").split()))
         elif key == "full_sc":
-            cfg.full_sc = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLS:
+                raise ValueError("full_sc must be one of 1/0/true/false/yes/no, "
+                                 f"got {value!r}")
+            cfg.full_sc = _BOOLS[value.lower()]
         else:
             setattr(cfg, key, _CONFIG_KEYS[key](value))
     return cfg
@@ -220,8 +225,7 @@ def cmd_eval(args) -> int:
     z = sbm.read_labels(args.reference)
     if len(zhat) != len(z):
         raise ValueError("label files cover different node sets")
-    k = args.k or int(max(zhat.max(), z.max()))
-    rate = metrics.misclustered_rate(zhat, z, k)
+    rate = metrics.misclustered_rate(zhat, z, int(max(zhat.max(), z.max())))
     print(f"misclustered rate: {rate:.6f}")
     return 0
 

@@ -33,14 +33,6 @@ class SparseGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        nbrs = self.neighbors(i)
-        pos = np.searchsorted(nbrs, j)
-        return pos < len(nbrs) and nbrs[pos] == j
-
     def to_csr(self) -> sp.csr_matrix:
         data = np.ones(len(self.indices), dtype=np.float64)
         return sp.csr_matrix(
@@ -62,12 +54,6 @@ class BiAdjacency:
     sample_ids: np.ndarray
     col_indptr: np.ndarray
     row_indices: np.ndarray
-
-    def column(self, j: int) -> np.ndarray:
-        return self.row_indices[self.col_indptr[j]:self.col_indptr[j + 1]]
-
-    def nnz(self) -> int:
-        return len(self.row_indices)
 
     def to_csc(self) -> sp.csc_matrix:
         data = np.ones(len(self.row_indices), dtype=np.float64)
@@ -158,13 +144,6 @@ def bi_adjacency(g: SparseGraph, sample) -> BiAdjacency:
         col_indptr=col_indptr,
         row_indices=row_indices,
     )
-
-
-def density(g: SparseGraph) -> float:
-    """Edge density |E| / C(N, 2)."""
-    if g.n_nodes < 2:
-        raise ValueError("density requires at least 2 nodes")
-    return g.n_edges / (g.n_nodes * (g.n_nodes - 1) / 2)
 
 
 # ---------------------------------------------------------------------------

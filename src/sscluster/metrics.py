@@ -2,18 +2,13 @@
 
 The misclustered rate is the fraction of label disagreements minimized
 over all relabelings of the estimate. It is computed from the confusion
-matrix either by brute force over permutations (small K) or by an exact
-maximum-trace linear assignment; both routes give identical results.
+matrix as an exact maximum-trace linear assignment.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-BRUTE_FORCE_MAX_K = 8
 
 
 def confusion(zhat: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
@@ -30,30 +25,18 @@ def confusion(zhat: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
     return m
 
 
-def _best_matches_brute(m: np.ndarray) -> int:
-    k = m.shape[0]
-    best = 0
-    for perm in permutations(range(k)):
-        t = int(m[list(perm), range(k)].sum())
-        if t > best:
-            best = t
-    return best
-
-
-def _best_matches_assignment(m: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(-m)
-    return int(m[rows, cols].sum())
-
-
 def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,
-                      method: str = "auto") -> float:
+                      method: str = "assignment") -> float:
     """Minimum disagreement fraction over all relabelings of zhat.
 
-    ``method`` selects the optimizer: "brute" enumerates all permutations,
-    "assignment" solves the equivalent maximum-trace assignment exactly,
-    "auto" uses brute force up to K = 8. Estimates using more than K
-    labels are handled by zero-padding the confusion matrix to square.
+    The best relabeling is the maximum-trace assignment on the confusion
+    matrix, solved exactly; "assignment" is the only ``method``. The
+    confusion matrix is zero-padded to max(K, largest label). Zero padding
+    never changes the best matching, so estimates using more than K labels
+    are handled and K itself never changes the rate.
     """
+    if method != "assignment":
+        raise ValueError(f"unknown method {method!r}")
     zhat = np.asarray(zhat, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
     if zhat.shape != z.shape or zhat.ndim != 1 or zhat.size == 0:
@@ -63,12 +46,5 @@ def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,
         raise ValueError("labels must be >= 1")
 
     m = confusion(zhat, z, k_eff)
-    if method == "auto":
-        method = "brute" if k_eff <= BRUTE_FORCE_MAX_K else "assignment"
-    if method == "brute":
-        best = _best_matches_brute(m)
-    elif method == "assignment":
-        best = _best_matches_assignment(m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return 1.0 - best / len(z)
+    rows, cols = linear_sum_assignment(-m)
+    return 1.0 - int(m[rows, cols].sum()) / len(z)

@@ -28,10 +28,6 @@ class SampleSet:
     ids: np.ndarray
     method: str  # "srs" | "dcs"
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
 
 def srs(N: int, n: int, rng: np.random.Generator) -> SampleSet:
     """Uniform sample of n distinct nodes out of N (no silent clamping)."""

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .graph import SparseGraph, from_edge_list, read_edge_list, write_int_rows
-
-POPULATION_DENSE_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,6 @@ def sample_memberships(pi, N: int, rng: np.random.Generator) -> np.ndarray:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return rng.choice(len(pi), size=N, p=pi / pi.sum()).astype(np.int64) + 1
-
-
-def membership_matrix(z: np.ndarray, K: int) -> np.ndarray:
-    """N x K 0/1 matrix with row i carrying a single 1 at column z_i."""
-    z = validate_labels(z, K)
-    Z = np.zeros((len(z), K), dtype=np.float64)
-    Z[np.arange(len(z)), z - 1] = 1.0
-    return Z
 
 
 def _tri_decode(t: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,27 +130,6 @@ def generate_adjacency(z: np.ndarray, B: BlockMatrix, rng: np.random.Generator) 
     else:
         pairs = np.empty((0, 2), dtype=np.int64)
     return from_edge_list(pairs, N)
-
-
-def population_adjacency(z: np.ndarray, B: BlockMatrix) -> np.ndarray:
-    """Expected adjacency Z B Z^T as a dense N x N matrix (diagonal kept)."""
-    z = validate_labels(z, B.K)
-    N = len(z)
-    if N > POPULATION_DENSE_GUARD:
-        raise ResourceLimitError(
-            f"population adjacency needs dense N x N storage; N={N} exceeds "
-            f"guard {POPULATION_DENSE_GUARD}"
-        )
-    return B.probs[np.ix_(z - 1, z - 1)]
-
-
-def population_bi_adjacency(z: np.ndarray, B: BlockMatrix, sample) -> np.ndarray:
-    """Expected bi-adjacency: columns of Z B Z^T at the sampled nodes."""
-    z = validate_labels(z, B.K)
-    ids = np.asarray(sample, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= len(z):
-        raise ValueError("sample id out of range")
-    return B.probs[np.ix_(z - 1, z[ids] - 1)]
 
 
 def write_labels(z: np.ndarray, path) -> None:

@@ -38,7 +38,7 @@ class SubsampledLaplacian:
     values lie in [0, 1].
     """
 
-    matrix: sp.csc_matrix | np.ndarray  # N x n
+    matrix: sp.csc_matrix               # N x n
     row_degrees: np.ndarray             # length N
     col_degrees: np.ndarray             # length n
     n_zero_rows: int
@@ -70,9 +70,6 @@ class EigenSpectrum:
             raise ValueError("matrix is not PSD: eigenvalue below -1e-10")
         return cls(values=np.maximum(values, 0.0), vectors=vectors)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -95,44 +92,12 @@ def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
         return np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
 
 
-def _laplacian(matrix, row_deg: np.ndarray, col_deg: np.ndarray) -> SubsampledLaplacian:
-    return SubsampledLaplacian(
-        matrix=matrix,
-        row_degrees=row_deg,
-        col_degrees=col_deg,
-        n_zero_rows=int((row_deg == 0).sum()),
-        n_zero_cols=int((col_deg == 0).sum()),
-    )
-
-
-def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
-    """Degree-normalize any nonnegative N x n matrix (sparse or dense)."""
-    if sp.issparse(mat):
-        mat = mat.tocsc().astype(np.float64)
-        row_deg = np.asarray(mat.sum(axis=1)).ravel()
-        col_deg = np.asarray(mat.sum(axis=0)).ravel()
-    else:
-        mat = np.asarray(mat, dtype=np.float64)
-        row_deg = mat.sum(axis=1)
-        col_deg = mat.sum(axis=0)
-    if row_deg.sum() == 0:
-        raise DegenerateInputError("bi-adjacency is all zero; nothing to normalize")
-
-    r, c = _inv_sqrt(row_deg), _inv_sqrt(col_deg)
-    if sp.issparse(mat):
-        norm = sp.diags(r) @ mat @ sp.diags(c)
-        norm = norm.tocsc()
-    else:
-        norm = r[:, None] * mat * c[None, :]
-    return _laplacian(norm, row_deg, col_deg)
-
-
 def subsampled_laplacian(biadj: BiAdjacency) -> SubsampledLaplacian:
     """Build L = D_r^{-1/2} A^s D_c^{-1/2} from a 0/1 bi-adjacency.
 
-    The entries are r_i * c_j on the bi-adjacency's own CSC layout, which
-    is what ``normalize_bi_adjacency(biadj.to_csc())`` computes, without
-    its sparse-matrix products: those cost about 2 ms at any N.
+    The entries are r_i * c_j on the bi-adjacency's own CSC layout. That
+    gives the same bits as the diagonal products done as sparse-matrix
+    multiplies, which cost about 2 ms more at any N.
     """
     row_deg = np.bincount(biadj.row_indices, minlength=biadj.n_rows).astype(np.float64)
     col_deg = np.diff(biadj.col_indptr).astype(np.float64)
@@ -142,7 +107,13 @@ def subsampled_laplacian(biadj: BiAdjacency) -> SubsampledLaplacian:
         _inv_sqrt(col_deg), np.diff(biadj.col_indptr))
     norm = sp.csc_matrix((data, biadj.row_indices, biadj.col_indptr),
                          shape=(biadj.n_rows, biadj.n_cols))
-    return _laplacian(norm, row_deg, col_deg)
+    return SubsampledLaplacian(
+        matrix=norm,
+        row_degrees=row_deg,
+        col_degrees=col_deg,
+        n_zero_rows=int((row_deg == 0).sum()),
+        n_zero_cols=int((col_deg == 0).sum()),
+    )
 
 
 def gram(ls: SubsampledLaplacian) -> np.ndarray:
@@ -153,10 +124,7 @@ def gram(ls: SubsampledLaplacian) -> np.ndarray:
         raise ResourceLimitError(
             f"Gram matrix would be {n}x{n} dense; guard is {GRAM_DENSE_GUARD}"
         )
-    m = ls.matrix
-    if sp.issparse(m):
-        return np.asarray((m.T @ m).todense())
-    return m.T @ m
+    return (ls.matrix.T @ ls.matrix).toarray()
 
 
 def _symmetrized(m):
@@ -224,8 +192,7 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     keep = top > cutoff
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
-    m = ls.matrix
-    u = np.asarray(m @ (vk * inv_sqrt[None, :]))
+    u = ls.matrix @ (vk * inv_sqrt[None, :])
     rank = int(keep.sum())
     return Embedding(
         matrix=u,
@@ -292,45 +259,3 @@ def select_k(spectrum: EigenSpectrum, k_max: int | None = None) -> int:
         raise ValueError(f"need 1 <= k_max < {len(vals)}, got {k_max}")
     gaps = vals[:k_max] - vals[1:k_max + 1]
     return int(np.argmax(gaps)) + 1
-
-
-# ---------------------------------------------------------------------------
-# Comparison helpers: sign and rotation of embedding columns are not
-# identifiable, so distances are measured on subspaces or after an
-# orthogonal (Procrustes) alignment, never entrywise.
-# ---------------------------------------------------------------------------
-
-def projection_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """|| a a^T - b b^T ||_F without forming the N x N projectors."""
-    aa = a.T @ a
-    bb = b.T @ b
-    ab = a.T @ b
-    sq = (aa * aa).sum() + (bb * bb).sum() - 2.0 * (ab * ab).sum()
-    return float(np.sqrt(max(sq, 0.0)))
-
-
-def procrustes_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over orthogonal O of || a - b O ||_F."""
-    p, _, q = np.linalg.svd(b.T @ a)
-    o = p @ q
-    return float(np.linalg.norm(a - b @ o))
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def write_embedding_csv(emb: Embedding, path) -> None:
-    """Rows "node_id,x_1,...,x_K"."""
-    with open(path, "w") as fh:
-        k = emb.matrix.shape[1]
-        fh.write("node," + ",".join(f"x{j + 1}" for j in range(k)) + "\n")
-        for i, row in enumerate(emb.matrix):
-            fh.write(f"{i}," + ",".join(f"{x:.12g}" for x in row) + "\n")
-
-
-def write_spectrum(spectrum: EigenSpectrum, path) -> None:
-    """One eigenvalue per line, descending."""
-    with open(path, "w") as fh:
-        for v in spectrum.values:
-            fh.write(f"{v:.12g}\n")

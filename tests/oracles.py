@@ -1,0 +1,110 @@
+"""Reference code the tests compare the library against.
+
+None of it is on the clustering pipeline: a degree normalizer for any
+nonnegative matrix, the population (expected) matrices of an SBM,
+subspace distances between embeddings, a brute-force misclustered rate
+and an edge lookup. Each is written as plainly as possible, so that a
+test comparing a library route with it checks the route against an
+independent statement of the same quantity.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+import numpy as np
+import scipy.sparse as sp
+
+from sscluster.errors import DegenerateInputError
+from sscluster.sbm import BlockMatrix, validate_labels
+from sscluster.spectral import SubsampledLaplacian
+
+
+def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
+    """Degree-normalize any nonnegative N x n matrix (sparse or dense),
+    by sparse diagonal products on its CSC form."""
+    mat = sp.csc_matrix(mat, dtype=np.float64)
+    row_deg = np.asarray(mat.sum(axis=1)).ravel()
+    col_deg = np.asarray(mat.sum(axis=0)).ravel()
+    if row_deg.sum() == 0:
+        raise DegenerateInputError("bi-adjacency is all zero; nothing to normalize")
+    with np.errstate(divide="ignore"):
+        r = np.where(row_deg > 0, 1.0 / np.sqrt(row_deg), 0.0)
+        c = np.where(col_deg > 0, 1.0 / np.sqrt(col_deg), 0.0)
+    return SubsampledLaplacian(
+        matrix=(sp.diags(r) @ mat @ sp.diags(c)).tocsc(),
+        row_degrees=row_deg,
+        col_degrees=col_deg,
+        n_zero_rows=int((row_deg == 0).sum()),
+        n_zero_cols=int((col_deg == 0).sum()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Population matrices of a stochastic block model
+# ---------------------------------------------------------------------------
+
+def membership_matrix(z: np.ndarray, K: int) -> np.ndarray:
+    """N x K 0/1 matrix with row i carrying a single 1 at column z_i."""
+    z = validate_labels(z, K)
+    Z = np.zeros((len(z), K), dtype=np.float64)
+    Z[np.arange(len(z)), z - 1] = 1.0
+    return Z
+
+
+def population_adjacency(z: np.ndarray, B: BlockMatrix) -> np.ndarray:
+    """Expected adjacency Z B Z^T as a dense N x N matrix (diagonal kept)."""
+    z = validate_labels(z, B.K)
+    return B.probs[np.ix_(z - 1, z - 1)]
+
+
+def population_bi_adjacency(z: np.ndarray, B: BlockMatrix, sample) -> np.ndarray:
+    """Expected bi-adjacency: columns of Z B Z^T at the sampled nodes."""
+    z = validate_labels(z, B.K)
+    ids = np.asarray(sample, dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= len(z):
+        raise ValueError("sample id out of range")
+    return B.probs[np.ix_(z - 1, z[ids] - 1)]
+
+
+# ---------------------------------------------------------------------------
+# Embedding distances: sign and rotation of embedding columns are not
+# identifiable, so distances are measured on subspaces or after an
+# orthogonal (Procrustes) alignment, never entrywise.
+# ---------------------------------------------------------------------------
+
+def projection_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """|| a a^T - b b^T ||_F without forming the N x N projectors."""
+    aa = a.T @ a
+    bb = b.T @ b
+    ab = a.T @ b
+    sq = (aa * aa).sum() + (bb * bb).sum() - 2.0 * (ab * ab).sum()
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def procrustes_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min over orthogonal O of || a - b O ||_F."""
+    p, _, q = np.linalg.svd(b.T @ a)
+    o = p @ q
+    return float(np.linalg.norm(a - b @ o))
+
+
+# ---------------------------------------------------------------------------
+# Labels and graphs
+# ---------------------------------------------------------------------------
+
+def brute_rate(zhat: np.ndarray, z: np.ndarray, K: int) -> float:
+    """Misclustered rate by trying every relabeling of 1..k, where k is
+    the largest of K and both label vectors' maxima."""
+    zhat = np.asarray(zhat, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    k = int(max(K, zhat.max(), z.max()))
+    m = np.zeros((k, k), dtype=np.int64)
+    np.add.at(m, (zhat - 1, z - 1), 1)
+    best = max(int(m[list(perm), range(k)].sum()) for perm in permutations(range(k)))
+    return 1.0 - best / len(z)
+
+
+def has_edge(g, i: int, j: int) -> bool:
+    """Whether j is among the neighbors of i in the SparseGraph g."""
+    return bool(np.any(g.neighbors(i) == j))

@@ -550,6 +550,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: methods must be srs/dcs")
 
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("Yes", True), ("FALSE", False), ("no", False),
+    ])
+    def test_bench_full_sc_in_config_any_case(self, tmp_path, monkeypatch,
+                                              value, expected):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(f"full_sc = {value}\n")
+        seen = []
+        monkeypatch.setitem(bench.SCENARIOS, "s1",
+                            lambda cfg: seen.append(cfg.full_sc) or [])
+        rc = cli.main(["bench", "s1", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "s1.csv")])
+        assert rc == 0 and seen == [expected]
+
+    def test_eval_has_no_k_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["eval", "a", "b", "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
     def test_bench_invalid_config_exits_nonzero(self, tmp_path):
         rc = cli.main(["bench", "s4", "--nodes", "60", "--trials", "1",
                        "--out", str(tmp_path / "x.csv"), "--beta", "1.5"])
@@ -574,6 +594,7 @@ class TestCli:
         ["timing", "{tmp}/two_columns.csv"],
         ["bench", "s4", "--config", "{tmp}/missing.cfg"],
         ["bench", "s4", "--config", "{tmp}/bad_trials.cfg"],
+        ["bench", "s1", "--config", "{tmp}/bad_full_sc.cfg"],
         ["generate", "--nodes", "0", "--out", "{tmp}/g.edges"],
         ["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
         ["generate", "--nodes", "10", "--k", "0", "--out", "{tmp}/g.edges"],
@@ -581,6 +602,7 @@ class TestCli:
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "two_columns.csv").write_text("a,b\n1,2\n")
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
+        (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sscluster.metrics import confusion, misclustered_rate
 
+from oracles import brute_rate
+
 
 class TestConfusion:
     def test_identical_labelings(self):
@@ -52,9 +54,7 @@ class TestMisclusteredRate:
             N = int(rng.integers(K, 60))
             zhat = rng.integers(1, K + 1, size=N)
             z = rng.integers(1, K + 1, size=N)
-            a = misclustered_rate(zhat, z, K, method="brute")
-            b = misclustered_rate(zhat, z, K, method="assignment")
-            assert a == b
+            assert brute_rate(zhat, z, K) == misclustered_rate(zhat, z, K)
 
     def test_large_k_uses_assignment(self):
         rng = np.random.default_rng(2)
@@ -68,11 +68,28 @@ class TestMisclusteredRate:
         z = np.array([1, 1, 2, 2])
         assert misclustered_rate(zhat, z, 2) == pytest.approx(0.25)
 
+    def test_k_never_changes_the_rate(self):
+        # The confusion matrix is padded to max(K, largest label) with
+        # zeros, which no best matching uses.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            N = int(rng.integers(1, 60))
+            zhat = rng.integers(1, k + 1, size=N)
+            z = rng.integers(1, k + 1, size=N)
+            top = int(max(zhat.max(), z.max()))
+            rates = {misclustered_rate(zhat, z, K) for K in (1, top, top + 4)}
+            assert rates == {brute_rate(zhat, z, top)}
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             misclustered_rate(np.array([1, 2]), np.array([1]), 2)
         with pytest.raises(ValueError):
             misclustered_rate(np.array([0, 1]), np.array([1, 1]), 2)
+        # "assignment" is the only route left.
+        for method in ("brute", "auto"):
+            with pytest.raises(ValueError, match="unknown method"):
+                misclustered_rate(np.array([1, 2]), np.array([1, 2]), 2, method=method)
 
 
 label_pairs = st.integers(2, 5).flatmap(

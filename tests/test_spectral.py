@@ -11,12 +11,7 @@ from sscluster.errors import DegenerateInputError, ResourceLimitError
 from sscluster.graph import bi_adjacency, from_edge_list
 from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
-from sscluster.sbm import (
-    block_matrix,
-    generate_adjacency,
-    population_bi_adjacency,
-    sample_memberships,
-)
+from sscluster.sbm import block_matrix, generate_adjacency, sample_memberships
 from sscluster.sampling import srs
 from sscluster.spectral import (
     EigenSpectrum,
@@ -24,15 +19,17 @@ from sscluster.spectral import (
     full_embed,
     full_laplacian,
     gram,
-    normalize_bi_adjacency,
-    procrustes_distance,
-    projection_distance,
     select_k,
     subsampled_laplacian,
     subsampled_spectrum,
     symmetric_eig,
-    write_embedding_csv,
-    write_spectrum,
+)
+
+from oracles import (
+    normalize_bi_adjacency,
+    population_bi_adjacency,
+    procrustes_distance,
+    projection_distance,
 )
 
 
@@ -464,29 +461,6 @@ class TestSpectrumClipping:
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):
             EigenSpectrum.from_psd_eigenvalues(np.array([1.0, -1e-6]))
-
-
-class TestCsvWriters:
-    def test_embedding_csv(self, tmp_path):
-        g = path4()
-        emb = embed(subsampled_laplacian(bi_adjacency(g, [1, 2])), 2)
-        out = tmp_path / "emb.csv"
-        write_embedding_csv(emb, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "node,x1,x2"
-        assert len(lines) == 5
-        parsed = np.array([[float(v) for v in line.split(",")[1:]]
-                           for line in lines[1:]])
-        assert np.allclose(parsed, emb.matrix, atol=1e-10)
-
-    def test_spectrum_file(self, tmp_path):
-        g = path4()
-        spec = subsampled_spectrum(subsampled_laplacian(bi_adjacency(g, [1, 2])))
-        out = tmp_path / "spec.txt"
-        write_spectrum(spec, out)
-        values = [float(x) for x in out.read_text().split()]
-        assert np.allclose(values, spec.values, atol=1e-10)
-        assert values == sorted(values, reverse=True)
 
 
 class TestEmbeddingConvergence:
