@@ -61,7 +61,7 @@ def main() -> int:
         print(f"== {scenario}: trials={cfg.trials} seed={cfg.master_seed} "
               f"jobs={cfg.jobs} -> {cfg.out}")
         t0 = time.perf_counter()
-        records = bench.SCENARIOS[scenario](cfg)
+        records = bench.run_scenario(cfg)
         print(f"   {len(records)} trial rows in {time.perf_counter() - t0:.1f}s")
         for a in bench.aggregate(records):
             print(f"   cell {a['cell']:>3} {a['method']:>4} N={a['N']} "

@@ -38,7 +38,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,19 +108,21 @@ class TrialRecord:
 
 @dataclass
 class ScenarioConfig:
-    """Parameters for one scenario sweep; unused grids stay at None.
+    """Parameters for one scenario sweep.
 
-    Desk defaults keep every sweep runnable in minutes on one core; the
-    full-size settings (N up to 30,000, T=100) go through the grids.
+    The sweep settings (N through delta_grid) stay None unless given:
+    ``run_scenario`` fills in the scenario's desk defaults from ``SWEEPS``
+    and rejects a setting the scenario does not read. The full-size
+    settings (N up to 30,000, T=100) go through the same fields.
     """
 
     scenario: str                       # s1 | s2 | s3 | s4
     K: int = 3
+    N: int | None = None
+    n: int | None = None
+    beta: float | None = None
+    zeta: float | None = None
     pi: tuple[float, ...] | None = None
-    beta: float = 0.1
-    zeta: float = 0.05
-    N: int = 2000
-    n: int = 100
     N_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
     beta_grid: tuple[float, ...] | None = None
@@ -132,11 +134,6 @@ class ScenarioConfig:
     jobs: int = 1
     methods: tuple[str, ...] = ("srs", "dcs")
     full_sc: bool = False               # add full-SC baseline rows (1 per cell)
-
-    def resolved_pi(self) -> tuple[float, ...]:
-        if self.pi is not None:
-            return tuple(self.pi)
-        return tuple([1.0 / self.K] * self.K)
 
 
 @dataclass(frozen=True)
@@ -298,121 +295,101 @@ def _method_order(method: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Scenario sweeps
 # ---------------------------------------------------------------------------
 
-# ScenarioConfig fields that default to None; each scenario reads a subset.
-_OPTIONAL_FIELDS = ("pi", "N_grid", "n_grid", "beta_grid", "zeta_grid", "delta_grid")
-
-
-def _validate_common(cfg: ScenarioConfig, reads: tuple[str, ...]) -> None:
-    """Shared config checks; ``reads`` names the optional fields the
-    scenario uses, and any other one that is set is rejected."""
-    unread = [f for f in _OPTIONAL_FIELDS
-              if f not in reads and getattr(cfg, f) is not None]
-    if unread:
-        raise ValueError(f"{cfg.scenario} does not use {', '.join(unread)}")
-    pi = cfg.resolved_pi()
-    if len(pi) != cfg.K:
-        raise ValueError(f"pi must have K={cfg.K} entries, got {len(pi)}")
-    if any(p < 0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
-        raise ValueError("pi entries must be >= 0 and sum to 1")
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not all(m in ("srs", "dcs") for m in cfg.methods):
-        raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
-
-
-def run_scenario1(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Consistency sweep: N grows, n follows ceil(2 (log N)^2)."""
-    cfg = replace(cfg, scenario="s1")
-    _validate_common(cfg, reads=("pi", "N_grid"))
-    grid = cfg.N_grid or (1000, 2000, 4000)
-    if list(grid) != sorted(grid):
-        raise ValueError("N grid must be ascending")
-    pi = cfg.resolved_pi()
-    cells = [
-        _Cell(index=i, N=N, n=subsample_size_rule(N), beta=cfg.beta,
-              zeta=cfg.zeta, delta=0.0, pi=pi)
-        for i, N in enumerate(grid)
-    ]
-    _check_cells(cells, cfg)
-    return _finish(cfg, cells, trend_axis="N")
-
-
-def run_scenario2(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Subsample-size sweep at fixed N."""
-    cfg = replace(cfg, scenario="s2")
-    _validate_common(cfg, reads=("pi", "n_grid"))
-    grid = cfg.n_grid or (100, 300, 500, 700, 900, 1100)
-    pi = cfg.resolved_pi()
-    cells = [
-        _Cell(index=i, N=cfg.N, n=n, beta=cfg.beta, zeta=cfg.zeta,
-              delta=0.0, pi=pi)
-        for i, n in enumerate(grid)
-    ]
-    _check_cells(cells, cfg)
-    return _finish(cfg, cells, trend_axis="n")
-
-
-def run_scenario3(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Signal-strength grid over (beta, zeta) at fixed N and n."""
-    cfg = replace(cfg, scenario="s3")
-    _validate_common(cfg, reads=("pi", "beta_grid", "zeta_grid"))
-    betas = cfg.beta_grid or (0.05, 0.35, 0.65, 0.95)
-    zetas = cfg.zeta_grid or (0.05, 0.35, 0.65, 0.95)
-    if min(betas) < 0 or max(betas) > 1 or min(zetas) < 0 or max(zetas) > 1:
-        raise ValueError("beta and zeta grids must lie in [0, 1]")
-    pi = cfg.resolved_pi()
-    cells = []
-    for i, b in enumerate(betas):
-        for j, zt in enumerate(zetas):
-            cells.append(_Cell(index=i * len(zetas) + j, N=cfg.N, n=cfg.n,
-                               beta=b, zeta=zt, delta=0.0, pi=pi))
-    _check_cells(cells, cfg)
-    return _finish(cfg, cells, trend_axis=None)
-
-
-def run_scenario4(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Imbalance sweep: pi = (1/3 - d, 1/3, 1/3 + d) over a delta grid."""
-    cfg = replace(cfg, scenario="s4")
-    if cfg.K != 3:
-        raise ValueError("the imbalance sweep is defined for K = 3")
-    _validate_common(cfg, reads=("delta_grid",))
-    grid = cfg.delta_grid or (0.0, 0.1, 0.2, 0.3)
-    if max(grid) > 1 / 3 + 1e-12:
-        raise ValueError("delta must satisfy 1/3 - delta >= 0")
-    cells = [
-        _Cell(index=i, N=cfg.N, n=cfg.n, beta=cfg.beta, zeta=cfg.zeta,
-              delta=d, pi=(1 / 3 - d, 1 / 3, 1 / 3 + d))
-        for i, d in enumerate(grid)
-    ]
-    _check_cells(cells, cfg)
-    return _finish(cfg, cells, trend_axis="delta")
-
-
-SCENARIOS = {
-    "s1": run_scenario1,
-    "s2": run_scenario2,
-    "s3": run_scenario3,
-    "s4": run_scenario4,
+# The sweep settings each scenario reads, with their desk defaults (pi None:
+# uniform over the K communities). Every other sweep setting is rejected.
+SWEEPS = {
+    "s1": {"N_grid": (1000, 2000, 4000), "beta": 0.1, "zeta": 0.05, "pi": None},
+    "s2": {"N": 2000, "n_grid": (100, 300, 500, 700, 900, 1100),
+           "beta": 0.03, "zeta": 0.05, "pi": None},
+    "s3": {"N": 2000, "n": 100, "beta_grid": (0.05, 0.35, 0.65, 0.95),
+           "zeta_grid": (0.05, 0.35, 0.65, 0.95), "pi": None},
+    "s4": {"N": 2000, "n": 100, "beta": 0.1, "zeta": 0.05,
+           "delta_grid": (0.0, 0.1, 0.2, 0.3)},
 }
 
 
 def default_config(scenario: str) -> ScenarioConfig:
-    """Desk-scale defaults per scenario; beta/zeta follow each sweep's
-    standard parameter block."""
-    if scenario == "s1":
-        return ScenarioConfig(scenario="s1", beta=0.1, zeta=0.05,
-                              N_grid=(1000, 2000, 4000), full_sc=True)
-    if scenario == "s2":
-        return ScenarioConfig(scenario="s2", beta=0.03, zeta=0.05, N=2000,
-                              n_grid=(100, 300, 500, 700, 900, 1100))
-    if scenario == "s3":
-        return ScenarioConfig(scenario="s3", N=2000, n=100)
-    if scenario == "s4":
-        return ScenarioConfig(scenario="s4", beta=0.1, zeta=0.05, N=2000, n=100)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """Desk-scale defaults: s1 adds the full-SC baseline rows."""
+    return ScenarioConfig(scenario=scenario, full_sc=scenario == "s1")
+
+
+def _s1_cells(cfg: ScenarioConfig) -> list[_Cell]:
+    """Consistency sweep: N grows, n follows ceil(2 (log N)^2)."""
+    if list(cfg.N_grid) != sorted(cfg.N_grid):
+        raise ValueError("N grid must be ascending")
+    return [_Cell(index=i, N=N, n=subsample_size_rule(N), beta=cfg.beta,
+                  zeta=cfg.zeta, delta=0.0, pi=cfg.pi)
+            for i, N in enumerate(cfg.N_grid)]
+
+
+def _s2_cells(cfg: ScenarioConfig) -> list[_Cell]:
+    """Subsample-size sweep at fixed N."""
+    return [_Cell(index=i, N=cfg.N, n=n, beta=cfg.beta, zeta=cfg.zeta,
+                  delta=0.0, pi=cfg.pi)
+            for i, n in enumerate(cfg.n_grid)]
+
+
+def _s3_cells(cfg: ScenarioConfig) -> list[_Cell]:
+    """Signal-strength grid over (beta, zeta) at fixed N and n."""
+    betas, zetas = cfg.beta_grid, cfg.zeta_grid
+    if min(betas) < 0 or max(betas) > 1 or min(zetas) < 0 or max(zetas) > 1:
+        raise ValueError("beta and zeta grids must lie in [0, 1]")
+    return [_Cell(index=i * len(zetas) + j, N=cfg.N, n=cfg.n, beta=b, zeta=zt,
+                  delta=0.0, pi=cfg.pi)
+            for i, b in enumerate(betas) for j, zt in enumerate(zetas)]
+
+
+def _s4_cells(cfg: ScenarioConfig) -> list[_Cell]:
+    """Imbalance sweep: pi = (1/3 - d, 1/3, 1/3 + d) over a delta grid."""
+    if cfg.K != 3:
+        raise ValueError("the imbalance sweep is defined for K = 3")
+    if max(cfg.delta_grid) > 1 / 3 + 1e-12:
+        raise ValueError("delta must satisfy 1/3 - delta >= 0")
+    return [_Cell(index=i, N=cfg.N, n=cfg.n, beta=cfg.beta, zeta=cfg.zeta,
+                  delta=d, pi=(1 / 3 - d, 1 / 3, 1 / 3 + d))
+            for i, d in enumerate(cfg.delta_grid)]
+
+
+# Each scenario's cell builder and the axis its TREND rows follow.
+_SWEEP_CELLS = {"s1": (_s1_cells, "N"), "s2": (_s2_cells, "n"),
+                "s3": (_s3_cells, None), "s4": (_s4_cells, "delta")}
+
+
+def run_scenario(cfg: ScenarioConfig) -> list[TrialRecord]:
+    """Run ``cfg.scenario``'s sweep and write its CSV to ``cfg.out`` (if set).
+
+    Unset sweep settings take the scenario's defaults from ``SWEEPS``. A
+    sweep setting the scenario does not read, or any invalid setting,
+    raises ValueError before any trial runs, so no partial CSV is written.
+    """
+    if cfg.scenario not in SWEEPS:
+        raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    reads = SWEEPS[cfg.scenario]
+    unread = [f.name for f in fields(cfg) if f.default is None
+              and f.name not in reads and getattr(cfg, f.name) is not None]
+    if unread:
+        raise ValueError(f"{cfg.scenario} does not use {', '.join(unread)}")
+    cfg = replace(cfg, **{key: value for key, value in reads.items()
+                          if getattr(cfg, key) is None})
+    if "pi" in reads:
+        cfg.pi = sbm.community_probs(cfg.pi, cfg.K)
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if cfg.jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if not all(m in ("srs", "dcs") for m in cfg.methods):
+        raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
+
+    build_cells, trend_axis = _SWEEP_CELLS[cfg.scenario]
+    cells = build_cells(cfg)
+    _check_cells(cells, cfg)
+    records = _run_sweep(cfg, cells)
+    if cfg.out:
+        write_records_csv(records, cfg.out, trend_axis=trend_axis)
+    return records
 
 
 def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
@@ -425,13 +402,6 @@ def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
             raise ValueError(f"cell {c.index}: K={cfg.K} exceeds subsample size {c.n}")
         if any(p < 0 for p in c.pi):
             raise ValueError(f"cell {c.index}: negative pi entry")
-
-
-def _finish(cfg: ScenarioConfig, cells: list[_Cell], trend_axis: str | None):
-    records = _run_sweep(cfg, cells)
-    if cfg.out:
-        write_records_csv(records, cfg.out, trend_axis=trend_axis)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +508,7 @@ def read_records_csv(path) -> list[dict]:
 
 def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
              out_prefix: str | None = None, n_nodes: int | None = None,
-             full_baseline_max_n: int | None = FULL_BASELINE_MAX_N) -> dict:
+             full_baseline_max_n: int = FULL_BASELINE_MAX_N) -> dict:
     """Cluster a network from an edge-list file.
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
@@ -548,7 +518,7 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     sampling needs a community count before the eigengap is available, so
     with ``k="auto"`` its degree partition uses ``DCS_AUTO_PARTITION_K``;
     the clustering K still comes from the eigengap. When N is at most
-    ``full_baseline_max_n`` (None: any N), subsampled runs also report the
+    ``full_baseline_max_n``, subsampled runs also report the
     disagreement rate against full spectral clustering. Nodes with no
     connection to the sample are counted, not fatal.
 
@@ -582,8 +552,7 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
         "sample": s,
     }
 
-    if s is not None and (full_baseline_max_n is None
-                          or g.n_nodes <= full_baseline_max_n):
+    if s is not None and g.n_nodes <= full_baseline_max_n:
         with _stage(times, "full_sc"):
             full_labels, _, _ = run_full_sc(g, k, rng)
         summary["full_labels"] = full_labels

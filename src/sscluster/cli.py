@@ -30,6 +30,53 @@ def _parse_pi(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
+def _grid(parse):
+    """Parser of a comma- or space-separated list of at least one value."""
+    def parse_grid(text: str) -> tuple:
+        values = tuple(parse(x) for x in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+    return parse_grid
+
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"must be one of 1/0/true/false/yes/no, got {text!r}")
+    return _BOOLS[text.lower()]
+
+
+def _parse_methods(text: str) -> tuple[str, ...]:
+    return ("srs", "dcs") if text == "both" else (text,)
+
+
+# bench settings: config-file key -> (ScenarioConfig field, value parser).
+_BENCH_KEYS = {
+    "nodes": ("N", int), "n": ("n", int), "k": ("K", int),
+    "beta": ("beta", float), "zeta": ("zeta", float), "pi": ("pi", _parse_pi),
+    "trials": ("trials", int), "jobs": ("jobs", int), "seed": ("master_seed", int),
+    "out": ("out", str), "method": ("methods", _parse_methods),
+    "N_grid": ("N_grid", _grid(int)), "n_grid": ("n_grid", _grid(int)),
+    "beta_grid": ("beta_grid", _grid(float)),
+    "zeta_grid": ("zeta_grid", _grid(float)),
+    "delta_grid": ("delta_grid", _grid(float)),
+    "full_sc": ("full_sc", _parse_bool),
+}
+
+# The bench keys that are also flags, with their help; a flag overrides the
+# config file.
+_BENCH_FLAGS = {
+    "seed": "master seed", "out": "output path", "trials": None, "jobs": None,
+    "method": "srs, dcs or both", "n": "fixed subsample size",
+    "nodes": "fixed network size", "k": None, "beta": None, "zeta": None,
+    "pi": "community probabilities, e.g. '0.3,0.3,0.4'",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sscluster",
                                  description="Subsampled spectral clustering toolkit")
@@ -58,26 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subsample size (required unless --method full)")
     c.add_argument("--k", type=str, default="auto",
                    help="community count, integer or 'auto' (eigengap)")
-    c.add_argument("--iterative", action="store_true",
-                   help="also run the full-SC comparison of a subsampled "
-                        f"run above N={bench.FULL_BASELINE_MAX_N}")
 
     b = sub.add_parser("bench", help="run a simulation sweep")
-    _add_common(b)
-    # Unset unless given, so that --seed 0 still overrides a config file.
-    b.set_defaults(seed=None)
-    b.add_argument("scenario", choices=("s1", "s2", "s3", "s4"))
+    b.add_argument("scenario", choices=tuple(bench.SWEEPS))
     b.add_argument("--config", type=str, default=None,
                    help="'key = value' config file; flags override it")
-    b.add_argument("--trials", type=int, default=None)
-    b.add_argument("--jobs", type=int, default=None)
-    b.add_argument("--method", choices=("srs", "dcs", "both"), default=None)
-    b.add_argument("--n", type=int, default=None, help="fixed subsample size")
-    b.add_argument("--nodes", type=int, default=None, help="fixed network size")
-    b.add_argument("--k", type=int, default=None)
-    b.add_argument("--beta", type=float, default=None)
-    b.add_argument("--zeta", type=float, default=None)
-    b.add_argument("--pi", type=_parse_pi, default=None)
+    # Values stay text until _bench_config parses them with the file's.
+    for key, help_text in _BENCH_FLAGS.items():
+        b.add_argument(f"--{key}", default=None, help=help_text)
 
     e = sub.add_parser("eval", help="misclustered rate between two label files")
     e.add_argument("predicted", type=str)
@@ -90,50 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {
-    "trials": int, "jobs": int, "n": int, "nodes": int, "k": int,
-    "beta": float, "zeta": float, "seed": int, "out": str, "method": str,
-    "pi": _parse_pi, "n_grid": None, "N_grid": None, "delta_grid": None,
-    "beta_grid": None, "zeta_grid": None, "full_sc": None,
-}
-
-
-_BOOLS = {"1": True, "true": True, "yes": True,
-          "0": False, "false": False, "no": False}
-
-
-def _apply_config_file(cfg: bench.ScenarioConfig, path) -> bench.ScenarioConfig:
-    raw = bench.read_config_file(path)
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        if key == "nodes":
-            cfg.N = int(value)
-        elif key == "k":
-            cfg.K = int(value)
-        elif key == "seed":
-            cfg.master_seed = int(value)
-        elif key == "method":
-            cfg.methods = ("srs", "dcs") if value == "both" else (value,)
-        elif key == "pi":
-            cfg.pi = _parse_pi(value)
-        elif key in ("n_grid", "N_grid", "delta_grid", "beta_grid", "zeta_grid"):
-            parse = float if key in ("delta_grid", "beta_grid", "zeta_grid") else int
-            setattr(cfg, key, tuple(parse(x) for x in value.replace(",", " ").split()))
-        elif key == "full_sc":
-            if value.lower() not in _BOOLS:
-                raise ValueError("full_sc must be one of 1/0/true/false/yes/no, "
-                                 f"got {value!r}")
-            cfg.full_sc = _BOOLS[value.lower()]
-        else:
-            setattr(cfg, key, _CONFIG_KEYS[key](value))
-    return cfg
-
-
 def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     B = sbm.block_matrix(args.beta, args.zeta, args.k)  # checks k >= 1 first
-    pi = args.pi if args.pi else tuple([1.0 / args.k] * args.k)
+    pi = sbm.community_probs(args.pi, args.k)
     z = sbm.sample_memberships(pi, args.nodes, rng)
     g = sbm.generate_adjacency(z, B, rng)
     out = args.out or "network.edges"
@@ -154,12 +149,12 @@ def cmd_cluster(args) -> int:
         raise ValueError(f"--k must be an integer or 'auto', got {args.k!r}")
     if args.method != "full" and args.n is None:
         raise ValueError("--n is required unless --method full")
+    if args.method == "full" and args.n is not None:
+        raise ValueError("--n does not apply to --method full")
     out_prefix = args.out or "cluster_out"
     summary = bench.run_real(
         args.edges, n=args.n, k=k, method=args.method, seed=args.seed,
-        out_prefix=out_prefix, n_nodes=args.nodes,
-        full_baseline_max_n=None if args.iterative else bench.FULL_BASELINE_MAX_N,
-    )
+        out_prefix=out_prefix, n_nodes=args.nodes)
     sampled = summary["sample"] is not None
     print(f"N={summary['N']} edges={summary['n_edges']} n={summary['n']} "
           f"K={summary['K']} method={summary['method']}")
@@ -178,36 +173,25 @@ def cmd_cluster(args) -> int:
 def _bench_config(args) -> bench.ScenarioConfig:
     """The scenario's defaults, then the config file, then the flags."""
     cfg = bench.default_config(args.scenario)
-    if args.config:
-        cfg = _apply_config_file(cfg, args.config)
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.method is not None:
-        cfg.methods = ("srs", "dcs") if args.method == "both" else (args.method,)
-    if args.n is not None:
-        cfg.n = args.n
-    if args.nodes is not None:
-        cfg.N = args.nodes
-    if args.k is not None:
-        cfg.K = args.k
-    if args.beta is not None:
-        cfg.beta = args.beta
-    if args.zeta is not None:
-        cfg.zeta = args.zeta
-    if args.pi is not None:
-        cfg.pi = args.pi
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    cfg.out = args.out or f"bench_{args.scenario}.csv"
+    cfg.out = f"bench_{args.scenario}.csv"
+    settings = list(bench.read_config_file(args.config).items()) if args.config else []
+    settings += [(key, getattr(args, key)) for key in _BENCH_FLAGS
+                 if getattr(args, key) is not None]
+    for key, text in settings:
+        if key not in _BENCH_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        field, parse = _BENCH_KEYS[key]
+        try:
+            setattr(cfg, field, parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return cfg
 
 
 def cmd_bench(args) -> int:
     try:
         cfg = _bench_config(args)
-        records = bench.SCENARIOS[args.scenario](cfg)
+        records = bench.run_scenario(cfg)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -57,6 +57,18 @@ def validate_labels(z: np.ndarray, K: int) -> np.ndarray:
     return z
 
 
+def community_probs(pi, K: int) -> tuple[float, ...]:
+    """The K community probabilities: ``pi`` checked against K, or uniform
+    when ``pi`` is None."""
+    if pi is None:
+        return (1.0 / K,) * K
+    if len(pi) != K:
+        raise ValueError(f"pi must have K={K} entries, got {len(pi)}")
+    if any(p < 0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
+        raise ValueError("pi entries must be >= 0 and sum to 1")
+    return tuple(pi)
+
+
 def sample_memberships(pi, N: int, rng: np.random.Generator) -> np.ndarray:
     """Draw N i.i.d. community labels from the distribution pi (1-based)."""
     pi = np.asarray(pi, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Reference code the tests compare the library against.
 
 None of it is on the clustering pipeline: a degree normalizer for any
-nonnegative matrix, the population (expected) matrices of an SBM,
+nonnegative matrix, an all-dense top-K embedding, the population (expected) matrices of an SBM,
 subspace distances between embeddings, a brute-force misclustered rate
 and an edge lookup. Each is written as plainly as possible, so that a
 test comparing a library route with it checks the route against an
@@ -38,6 +38,24 @@ def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
         n_zero_rows=int((row_deg == 0).sum()),
         n_zero_cols=int((col_deg == 0).sum()),
     )
+
+
+def population_embedding(P: np.ndarray, K: int, tol: float = 1e-10) -> np.ndarray:
+    """Top-K embedding L V_K pinv(Lambda_K^{1/2}) of a dense N x n matrix,
+    all in dense arithmetic: degree-normalize, form the Gram matrix L^T L,
+    solve it with ``np.linalg.eigh`` and lift. Eigenvalues at or below
+    tol * lambda_1 zero their column, as in the library's ``embed``."""
+    P = np.asarray(P, dtype=np.float64)
+    row_deg, col_deg = P.sum(axis=1), P.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        r = np.where(row_deg > 0, 1.0 / np.sqrt(row_deg), 0.0)
+        c = np.where(col_deg > 0, 1.0 / np.sqrt(col_deg), 0.0)
+    L = r[:, None] * P * c[None, :]
+    w, v = np.linalg.eigh(L.T @ L)
+    top, vk = w[::-1][:K], v[:, ::-1][:, :K]
+    keep = top > (tol * top[0] if top[0] > 0 else 0.0)
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
+    return L @ (vk * inv_sqrt[None, :])
 
 
 # ---------------------------------------------------------------------------

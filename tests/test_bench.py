@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -25,8 +26,10 @@ from sscluster.spectral import (
 
 def tiny_cfg(scenario, out, **kw):
     cfg = bench.default_config(scenario)
-    cfg.N = 60
-    cfg.n = 10
+    if "N" in bench.SWEEPS[scenario]:
+        cfg.N = 60
+    if "n" in bench.SWEEPS[scenario]:
+        cfg.n = 10
     cfg.trials = 2
     cfg.out = str(out)
     for k, v in kw.items():
@@ -58,7 +61,7 @@ class TestSubsampleSizeRule:
 class TestScenario1:
     def test_record_counts(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=True)
-        records = bench.run_scenario1(cfg)
+        records = bench.run_scenario(cfg)
         trial_srs_dcs = [r for r in records if r.method in ("srs", "dcs")]
         assert len(trial_srs_dcs) == 2 * 2 * 2  # cells x trials x methods
         full_rows = [r for r in records if r.method == "full"]
@@ -66,25 +69,25 @@ class TestScenario1:
 
     def test_n_follows_rule(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=False)
-        records = bench.run_scenario1(cfg)
+        records = bench.run_scenario(cfg)
         for r in records:
             assert r.n == bench.subsample_size_rule(r.N)
 
     def test_single_point_grid_valid(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80,), full_sc=False)
-        records = bench.run_scenario1(cfg)
+        records = bench.run_scenario(cfg)
         assert {r.N for r in records} == {80}
 
     def test_rejects_descending_grid(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80, 60))
         with pytest.raises(ValueError):
-            bench.run_scenario1(cfg)
+            bench.run_scenario(cfg)
 
     def test_no_partial_csv_on_invalid_config(self, tmp_path):
         out = tmp_path / "s1.csv"
         cfg = tiny_cfg("s1", out, N_grid=(40,), K=50)  # K > n
         with pytest.raises(ValueError):
-            bench.run_scenario1(cfg)
+            bench.run_scenario(cfg)
         assert not out.exists()
 
 
@@ -92,7 +95,7 @@ class TestScenario2:
     def test_grid_echo_and_trend_column(self, tmp_path):
         out = tmp_path / "s2.csv"
         cfg = tiny_cfg("s2", out, n_grid=(8, 16))
-        records = bench.run_scenario2(cfg)
+        records = bench.run_scenario(cfg)
         assert len(records) == 2 * 2 * 2  # cells x trials x methods
         assert sorted({r.n for r in records}) == [8, 16]
         rows = bench.read_records_csv(out)
@@ -106,7 +109,7 @@ class TestScenario3:
     def test_table_layout(self, tmp_path):
         out = tmp_path / "s3.csv"
         cfg = tiny_cfg("s3", out, beta_grid=(0.3, 0.6), zeta_grid=(0.05, 0.5))
-        records = bench.run_scenario3(cfg)
+        records = bench.run_scenario(cfg)
         aggs = bench.aggregate(records)
         assert len(aggs) == 2 * 2 * 2  # beta x zeta x method
         cells = {(a["beta"], a["zeta"]) for a in aggs}
@@ -115,7 +118,7 @@ class TestScenario3:
     def test_beta_zero_cell_degenerate_at_chance(self, tmp_path):
         cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.0,),
                        zeta_grid=(0.5,), N=90, trials=3)
-        records = bench.run_scenario3(cfg)
+        records = bench.run_scenario(cfg)
         assert all(r.status == "degenerate" for r in records)
         # The trivial labeling scores at chance level for uniform pi.
         for r in records:
@@ -124,7 +127,7 @@ class TestScenario3:
     def test_rejects_out_of_range_grid(self, tmp_path):
         cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.5, 1.5))
         with pytest.raises(ValueError):
-            bench.run_scenario3(cfg)
+            bench.run_scenario(cfg)
 
     def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
         cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
@@ -146,7 +149,7 @@ class TestScenario3:
 class TestScenario4:
     def test_delta_grid_echo(self, tmp_path):
         cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.0, 0.2))
-        records = bench.run_scenario4(cfg)
+        records = bench.run_scenario(cfg)
         assert sorted({r.delta for r in records}) == [0.0, 0.2]
         balanced = [r for r in records if r.delta == 0.0]
         assert balanced  # delta = 0 reduces to the balanced setting
@@ -154,7 +157,7 @@ class TestScenario4:
     def test_rejects_delta_above_third(self, tmp_path):
         cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.4,))
         with pytest.raises(ValueError):
-            bench.run_scenario4(cfg)
+            bench.run_scenario(cfg)
 
 
 class TestUnreadConfigFields:
@@ -168,12 +171,17 @@ class TestUnreadConfigFields:
         ("s4", "pi", (0.1, 0.2, 0.7)),
         ("s4", "n_grid", (5, 7)),
         ("s4", "zeta_grid", (0.1, 0.2)),
+        ("s1", "N", 60),
+        ("s1", "n", 10),
+        ("s2", "n", 10),
+        ("s3", "beta", 0.2),
+        ("s3", "zeta", 0.2),
     ])
     def test_rejected_before_any_trial(self, tmp_path, scenario, field, value):
         out = tmp_path / "x.csv"
         cfg = tiny_cfg(scenario, out, **{field: value})
         with pytest.raises(ValueError, match=f"{scenario} does not use {field}"):
-            bench.SCENARIOS[scenario](cfg)
+            bench.run_scenario(cfg)
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["s1", "s2", "s3", "s4"])
@@ -191,12 +199,30 @@ class TestUnreadConfigFields:
         assert err.startswith(f"config error: {scenario} does not use ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("scenario, key, field", [
+        ("s1", "nodes", "N"), ("s1", "n", "n"), ("s2", "n", "n"),
+        ("s3", "beta", "beta"), ("s3", "zeta", "zeta"),
+    ])
+    def test_fixed_setting_of_a_swept_axis(self, tmp_path, capsys, scenario,
+                                           key, field, via):
+        value = "0.2" if field in ("beta", "zeta") else "60"
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("trials = 1\n" + (f"{key} = {value}\n" if via == "file" else ""))
+        out = tmp_path / "x.csv"
+        flags = [f"--{key}", value] if via == "flag" else []
+        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
+                       "--out", str(out), *flags])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {scenario} does not use {field}"]
+
 
 class TestCsvContract:
     def test_reproducible_except_timing(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        records1 = bench.run_scenario2(tiny_cfg("s2", out1, n_grid=(8, 12)))
-        records2 = bench.run_scenario2(tiny_cfg("s2", out2, n_grid=(8, 12)))
+        records1 = bench.run_scenario(tiny_cfg("s2", out1, n_grid=(8, 12)))
+        records2 = bench.run_scenario(tiny_cfg("s2", out2, n_grid=(8, 12)))
         rows1 = bench.read_records_csv(out1)
         rows2 = bench.read_records_csv(out2)
         assert len(rows1) == len(rows2)
@@ -208,12 +234,12 @@ class TestCsvContract:
 
     def test_version_header(self, tmp_path):
         out = tmp_path / "s2.csv"
-        bench.run_scenario2(tiny_cfg("s2", out, n_grid=(8,)))
+        bench.run_scenario(tiny_cfg("s2", out, n_grid=(8,)))
         assert out.read_text().splitlines()[0] == bench.CSV_VERSION
 
     def test_agg_recomputable_from_trials(self, tmp_path):
         out = tmp_path / "s2.csv"
-        bench.run_scenario2(tiny_cfg("s2", out, n_grid=(8, 12), trials=4))
+        bench.run_scenario(tiny_cfg("s2", out, n_grid=(8, 12), trials=4))
         rows = bench.read_records_csv(out)
         trials = [r for r in rows if r["row_type"] == "TRIAL"]
         aggs = [r for r in rows if r["row_type"] == "AGG"]
@@ -229,8 +255,8 @@ class TestCsvContract:
 
     def test_parallel_matches_serial(self, tmp_path):
         out1, out2 = tmp_path / "ser.csv", tmp_path / "par.csv"
-        bench.run_scenario2(tiny_cfg("s2", out1, n_grid=(8,), trials=3))
-        bench.run_scenario2(tiny_cfg("s2", out2, n_grid=(8,), trials=3, jobs=2))
+        bench.run_scenario(tiny_cfg("s2", out1, n_grid=(8,), trials=3))
+        bench.run_scenario(tiny_cfg("s2", out2, n_grid=(8,), trials=3, jobs=2))
         rows1 = bench.read_records_csv(out1)
         rows2 = bench.read_records_csv(out2)
         for r1, r2 in zip(rows1, rows2):
@@ -510,7 +536,7 @@ class TestCli:
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text("seed = 7\n")
         seen = []
-        monkeypatch.setitem(bench.SCENARIOS, "s4",
+        monkeypatch.setattr(bench, "run_scenario",
                             lambda cfg: seen.append(cfg.master_seed) or [])
         rc = cli.main(["bench", "s4", "--config", str(cfgfile),
                        "--out", str(tmp_path / "s4.csv"), *argv])
@@ -558,11 +584,59 @@ class TestCli:
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text(f"full_sc = {value}\n")
         seen = []
-        monkeypatch.setitem(bench.SCENARIOS, "s1",
+        monkeypatch.setattr(bench, "run_scenario",
                             lambda cfg: seen.append(cfg.full_sc) or [])
         rc = cli.main(["bench", "s1", "--config", str(cfgfile),
                        "--out", str(tmp_path / "s1.csv")])
         assert rc == 0 and seen == [expected]
+
+    def test_bench_config_out_honoured_and_flag_overrides(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("out = mine.csv\nnodes = 60\nn = 10\ntrials = 1\n")
+        assert cli.main(["bench", "s4", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "mine.csv").exists()
+        assert not (tmp_path / "bench_s4.csv").exists()
+        assert cli.main(["bench", "s4", "--config", str(cfgfile),
+                         "--out", "flag.csv"]) == 0
+        assert (tmp_path / "flag.csv").exists()
+
+    def test_every_scenario_field_has_one_config_key(self):
+        targets = [field for field, _ in cli._BENCH_KEYS.values()]
+        config_fields = [f.name for f in dataclasses.fields(bench.ScenarioConfig)]
+        assert sorted(targets) == sorted(config_fields[1:])
+        assert config_fields[0] == "scenario"
+        assert set(cli._BENCH_FLAGS) <= set(cli._BENCH_KEYS)
+
+    def test_sweeps_read_exactly_the_sweep_fields(self):
+        # The sweep fields are the ones that stay None until run_scenario
+        # fills in a scenario's defaults.
+        sweep_fields = {f.name for f in dataclasses.fields(bench.ScenarioConfig)
+                        if f.default is None}
+        assert set().union(*bench.SWEEPS.values()) == sweep_fields
+
+    @pytest.mark.parametrize("line, key", [
+        ("trials = x", "trials"), ("N_grid = 10 abc", "N_grid"), ("N_grid =", "N_grid"),
+    ])
+    def test_unparsable_config_value_names_its_key(self, tmp_path, capsys,
+                                                   line, key):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(line + "\n")
+        rc = cli.main(["bench", "s1", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("pi", ["0.5,0.5", "0.2,0.2,0.3,0.3"])
+    def test_generate_pi_must_match_k(self, tmp_path, capsys, pi):
+        rc = cli.main(["generate", "--nodes", "50", "--k", "3", "--pi", pi,
+                       "--out", str(tmp_path / "g.edges")])
+        assert rc == 2 and not (tmp_path / "g.edges").exists()
+        n_entries = len(pi.split(","))
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: pi must have K=3 entries, got {n_entries}"]
 
     def test_eval_has_no_k_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -598,6 +672,12 @@ class TestCli:
         ["generate", "--nodes", "0", "--out", "{tmp}/g.edges"],
         ["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
         ["generate", "--nodes", "10", "--k", "0", "--out", "{tmp}/g.edges"],
+        ["generate", "--nodes", "10", "--k", "3", "--pi", "0.5,0.5",
+         "--out", "{tmp}/g.edges"],
+        ["generate", "--nodes", "10", "--k", "3", "--pi", "0.2,0.2,0.3,0.3",
+         "--out", "{tmp}/g.edges"],
+        ["bench", "s4", "--jobs", "0", "--out", "{tmp}/x.csv"],
+        ["cluster", "--edges", "{tmp}/missing.edges", "--method", "full", "--n", "5"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "two_columns.csv").write_text("a,b\n1,2\n")
@@ -612,7 +692,7 @@ class TestCli:
     def test_timing_subcommand_insufficient_grid(self, tmp_path, capsys):
         out = tmp_path / "s1.csv"
         cfg = tiny_cfg("s1", out, N_grid=(60, 90), full_sc=False)
-        bench.run_scenario1(cfg)  # n varies with N, so no fixed-n grid
+        bench.run_scenario(cfg)  # n varies with N, so no fixed-n grid
         rc = cli.main(["timing", str(out)])
         assert rc == 0
         assert "omitted" in capsys.readouterr().out
