@@ -69,6 +69,11 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     Pairs may repeat, appear in either orientation, or be self-loops; the
     result is deduplicated and symmetrized, self-loops dropped (counted in
     ``n_self_loops_dropped``). Node ids must lie in [0, n_nodes).
+
+    Both orientations of every edge go into one packed key array
+    ``i * n_nodes + j``, sorted once in place. The distinct sorted keys are
+    the adjacency in row-major order: ``indices`` is their remainder by
+    ``n_nodes`` and row i starts at the first key >= i * n_nodes.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be nonnegative, got {n_nodes}")
@@ -80,24 +85,26 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     if arr.size and (arr.min() < 0 or arr.max() >= n_nodes):
         raise ValueError("node id out of range [0, n_nodes)")
 
-    loops = arr[:, 0] == arr[:, 1]
-    n_loops = int(np.count_nonzero(loops))
-    u, v = arr[~loops].T
+    u, v = arr[:, 0], arr[:, 1]
+    keep = u != v
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept < len(keep):
+        u, v = u[keep], v[keep]
 
-    # Symmetrize, then dedupe on a packed (i, j) key.
-    key = _sorted_unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
-    rows, cols = np.divmod(key, n_nodes)
-
-    counts = np.bincount(rows, minlength=n_nodes)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # The packed keys are sorted, so cols are already sorted per row.
+    key = np.empty(2 * n_kept, dtype=np.int64)
+    fwd, rev = key[:n_kept], key[n_kept:]
+    np.multiply(u, n_nodes, out=fwd)
+    fwd += v
+    np.multiply(v, n_nodes, out=rev)
+    rev += u
+    key = _sorted_unique(key)
+    starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
     return SparseGraph(
         n_nodes=n_nodes,
-        indptr=indptr,
-        indices=cols,
-        n_edges=len(cols) // 2,
-        n_self_loops_dropped=n_loops,
+        indptr=np.searchsorted(key, starts).astype(np.int64, copy=False),
+        indices=key % n_nodes,
+        n_edges=len(key) // 2,
+        n_self_loops_dropped=len(keep) - n_kept,
     )
 
 

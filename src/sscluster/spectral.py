@@ -128,18 +128,33 @@ def gram(ls: SubsampledLaplacian) -> np.ndarray:
 
 
 def _symmetrized(m):
-    """``m`` as float64, checked symmetric and symmetrized, sparse if given
-    sparse (the check then runs without densifying)."""
-    if sp.issparse(m):
+    """``m`` as float64, checked symmetric within ``SYMMETRY_ATOL`` and
+    symmetrized to ``(m + m.T) / 2``.
+
+    A sparse input stays sparse (the check runs without densifying). It is
+    returned as is when it is a canonical CSR matrix (sorted indices, no
+    duplicates) and exactly symmetric, since symmetrizing would give back
+    the same entries. A dense input always gives a fresh array, which
+    ``symmetric_eig`` overwrites.
+    """
+    sparse = sp.issparse(m)
+    if sparse:
         m = m.astype(np.float64, copy=False)
     else:
         m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
+    # One transpose in the input's own format serves every test and the sum.
+    mt = m.T.asformat(m.format) if sparse else m.T
+    if sparse and m.format == "csr" and m.has_canonical_format and all(
+            np.array_equal(a, b) for a, b in ((m.indptr, mt.indptr),
+                                              (m.indices, mt.indices),
+                                              (m.data, mt.data))):
+        return m
     # Written so that a NaN anywhere fails the check.
-    if not abs(m - m.T).max() <= SYMMETRY_ATOL:
+    if not abs(m - mt).max() <= SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    return (m + m.T) * 0.5
+    return (m + mt) * 0.5
 
 
 def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +219,17 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
 
 
 def full_laplacian(g: SparseGraph) -> sp.csr_matrix:
-    """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2} (sparse N x N)."""
-    d = degrees(g).astype(np.float64)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(d > 0, 1.0 / np.sqrt(d), 0.0)
-    a = g.to_csr()
-    return (sp.diags(dinv) @ a @ sp.diags(dinv)).tocsr()
+    """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2} (sparse N x N).
+
+    The entries are d_i^{-1/2} d_j^{-1/2} on the graph's own ``indptr`` /
+    ``indices``, with 0 for isolated nodes. That gives the same bits as the
+    diagonal products done as sparse-matrix multiplies, and the result is
+    exactly symmetric.
+    """
+    deg = degrees(g)
+    dinv = _inv_sqrt(deg.astype(np.float64))
+    data = np.repeat(dinv, deg) * dinv[g.indices]
+    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n_nodes, g.n_nodes))
 
 
 def full_embed(L, K: int) -> Embedding:

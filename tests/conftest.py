@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sscluster.graph import SparseGraph, from_edge_list
 
@@ -17,6 +18,17 @@ def check_graph_invariants(g: SparseGraph) -> None:
             assert has_edge(g, j, i), "asymmetric edge"
         total += len(nbrs)
     assert total == 2 * g.n_edges
+
+
+@st.composite
+def edge_lists(draw):
+    """Raw (u, v) pairs on n <= 30 nodes, repeats and self-loops allowed."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    m = draw(st.integers(min_value=0, max_value=80))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=m, max_size=m))
+    return pairs, n
 
 
 @pytest.fixture

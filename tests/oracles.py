@@ -1,7 +1,8 @@
 """Reference code the tests compare the library against.
 
 None of it is on the clustering pipeline: a degree normalizer for any
-nonnegative matrix, an all-dense top-K embedding, the population (expected) matrices of an SBM,
+nonnegative matrix, the full Laplacian by sparse diagonal products, an
+all-dense top-K embedding, the population (expected) matrices of an SBM,
 subspace distances between embeddings, a brute-force misclustered rate
 and an edge lookup. Each is written as plainly as possible, so that a
 test comparing a library route with it checks the route against an
@@ -38,6 +39,15 @@ def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
         n_zero_rows=int((row_deg == 0).sum()),
         n_zero_cols=int((col_deg == 0).sum()),
     )
+
+
+def full_laplacian_by_diagonal_products(g) -> sp.csr_matrix:
+    """D^{-1/2} A D^{-1/2} of the SparseGraph g as two sparse diagonal
+    products, with 0 in place of d^{-1/2} for isolated nodes."""
+    d = np.diff(g.indptr).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        dinv = np.where(d > 0, 1.0 / np.sqrt(d), 0.0)
+    return (sp.diags(dinv) @ g.to_csr() @ sp.diags(dinv)).tocsr()
 
 
 def population_embedding(P: np.ndarray, K: int, tol: float = 1e-10) -> np.ndarray:

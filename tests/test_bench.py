@@ -265,27 +265,31 @@ class TestCsvContract:
                     assert r1[col] == r2[col]
 
     def test_blas_threads_do_not_change_results(self, tmp_path):
-        # k-means multiplies all restarts' centroids in one stacked matmul;
-        # the results must not depend on how OpenBLAS splits that work.
+        # k-means multiplies all restarts' centroids in one stacked matmul,
+        # and the full-SC rows of s1 run full_laplacian and eigsh; the
+        # results must not depend on how OpenBLAS splits that work.
         root = Path(__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        rows = []
-        for name, threads in (("one.csv", {"OPENBLAS_NUM_THREADS": "1"}), ("default.csv", {})):
-            out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "sscluster.cli", "bench", "s4", "--trials", "2",
-                 "--jobs", "1", "--out", str(out)],
-                env={**env, **threads}, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            rows.append(bench.read_records_csv(out))
-        assert len(rows[0]) == len(rows[1]) > 0
-        for r1, r2 in zip(*rows):
-            for col in bench.COLUMNS:
-                if col not in bench.TIMING_COLUMNS:
-                    assert r1[col] == r2[col], col
+        for scenario, trials in (("s4", "2"), ("s1", "1")):
+            rows = []
+            for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+                out = tmp_path / f"{scenario}-{name}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sscluster.cli", "bench", scenario,
+                     "--trials", trials, "--jobs", "1", "--out", str(out)],
+                    env={**env, **threads}, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                rows.append(bench.read_records_csv(out))
+            assert len(rows[0]) == len(rows[1]) > 0
+            if scenario == "s1":
+                assert any(r["method"] == "full" for r in rows[0])
+            for r1, r2 in zip(*rows):
+                for col in bench.COLUMNS:
+                    if col not in bench.TIMING_COLUMNS:
+                        assert r1[col] == r2[col], (scenario, col)
 
 
 class TestTimingSummary:

@@ -2,8 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 import sscluster.graph as graph_module
 from sscluster.graph import (
@@ -17,7 +16,7 @@ from sscluster.graph import (
     write_relabel_map,
 )
 
-from conftest import check_graph_invariants
+from conftest import check_graph_invariants, edge_lists
 from oracles import has_edge
 
 
@@ -97,16 +96,6 @@ class TestBiAdjacency:
             bi_adjacency(triangle, [5])
 
 
-@st.composite
-def edge_lists(draw):
-    n = draw(st.integers(min_value=1, max_value=30))
-    m = draw(st.integers(min_value=0, max_value=80))
-    pairs = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        min_size=m, max_size=m))
-    return pairs, n
-
-
 def reference_csr(pairs, n):
     """Oracle: indptr/indices from an np.unique dedupe of the packed keys."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -133,11 +122,15 @@ class TestInvariants:
         check_graph_invariants(g)
 
     @given(edge_lists())
+    @example(([], 0))                           # no nodes at all
+    @example(([(0, 0), (2, 2), (2, 2)], 3))     # self-loops only
+    @example(([(1, 0), (2, 1), (0, 1)], 6))     # trailing isolated nodes
     @settings(max_examples=150, deadline=None)
     def test_matches_np_unique_reference(self, case):
         pairs, n = case
         g = from_edge_list(pairs, n)
         indptr, indices = reference_csr(pairs, n)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
         assert g.indptr.tolist() == indptr.tolist()
         assert g.indices.tolist() == indices.tolist()
         assert g.n_self_loops_dropped == sum(u == v for u, v in pairs)

@@ -1,7 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
@@ -25,7 +27,9 @@ from sscluster.spectral import (
     symmetric_eig,
 )
 
+from conftest import edge_lists
 from oracles import (
+    full_laplacian_by_diagonal_products,
     normalize_bi_adjacency,
     population_bi_adjacency,
     procrustes_distance,
@@ -168,6 +172,20 @@ class TestSymmetricEig:
         with pytest.raises(ValueError):
             symmetric_eig(np.array([[0.0, 1.0], [1.0, np.nan]]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("skew", [0.0, 1e-10])
+    def test_never_writes_into_the_callers_array(self, order, skew):
+        # The solve overwrites the array it is given; that must be a copy,
+        # whether or not the input needed symmetrizing.
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(12, 12))
+        m = np.array((a + a.T) / 2, order=order)
+        m[0, 1] += skew
+        before = m.copy(order="A")
+        symmetric_eig(m)
+        symmetric_eig(m, 3)
+        assert np.array_equal(m, before)
+
     def test_top_k_is_head_of_full_solve(self):
         rng = np.random.default_rng(15)
         a = rng.normal(size=(30, 30))
@@ -273,12 +291,72 @@ class TestFullLaplacian:
         g = from_edge_list([], 4)
         assert np.all(full_laplacian(g).toarray() == 0)
 
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_diagonal_product_oracle(self, case):
+        pairs, n = case
+        g = from_edge_list(pairs, n + 2)  # the last two nodes are isolated
+        got = full_laplacian(g)
+        want = full_laplacian_by_diagonal_products(g)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_eigenvalues_in_unit_interval(self):
         rng = np.random.default_rng(9)
         z = sample_memberships((0.5, 0.5), 40, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.3, 2), rng)
         w, _ = symmetric_eig(full_laplacian(g).toarray())
         assert w.max() <= 1 + 1e-10 and w.min() >= -1 - 1e-10
+
+
+class TestSymmetryCheck:
+    MESSAGE = f"matrix is not symmetric within {spectral.SYMMETRY_ATOL}"
+
+    def test_exactly_symmetric_csr_passes_through(self):
+        lap = full_laplacian(components_graph())
+        assert spectral._symmetrized(lap) is lap
+
+    def test_asymmetry_within_tolerance_is_averaged(self):
+        d = np.array([[0.0, 1.0, 0.0], [1.0 + 1e-10, 0.0, 2.0], [0.0, 2.0, 1.0]])
+        m = sp.csr_matrix(d)
+        out = spectral._symmetrized(m)
+        assert out is not m
+        assert np.array_equal(out.toarray(), (d + d.T) / 2)
+        assert np.array_equal(m.toarray(), d)
+
+    @pytest.mark.parametrize("d", [
+        [[0.0, 1.0], [1.0 + 2e-8, 0.0]],     # past the tolerance
+        [[0.0, 1.0], [1.0, np.nan]],         # NaN on the diagonal
+        [[0.0, np.nan], [np.nan, 0.0]],      # NaN in a symmetric pair
+    ])
+    @pytest.mark.parametrize("kind", ["csr", "csc", "dense"])
+    def test_rejection_message(self, d, kind):
+        m = np.array(d) if kind == "dense" else sp.csr_matrix(d).asformat(kind)
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            spectral._symmetrized(m)
+
+    @pytest.mark.parametrize("data, indices, indptr", [
+        # Duplicates in row 0 and unsorted indices in row 1; symmetric
+        # once the duplicates are summed.
+        ([0.25, 0.25, 0.3, 0.5, 0.3], [1, 1, 2, 0, 1], [0, 2, 4, 5]),
+        # Duplicates mirrored entry by entry: the stored arrays equal
+        # those of the transpose.
+        ([0.25, 0.5, 0.25, 0.5], [1, 1, 0, 0], [0, 2, 4]),
+    ])
+    def test_non_canonical_csr_is_symmetrized_as_before(self, data, indices, indptr):
+        n = len(indptr) - 1
+        m = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)),
+                          shape=(n, n))
+        assert not m.has_canonical_format
+        indices = m.indices.copy()
+        out = spectral._symmetrized(m)
+        want = (m + m.T) * 0.5
+        assert out is not m
+        assert np.array_equal(out.indptr, want.indptr)
+        assert np.array_equal(out.indices, want.indices)
+        assert out.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(m.indices, indices)
 
 
 def components_graph():
