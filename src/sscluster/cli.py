@@ -151,6 +151,9 @@ def cmd_cluster(args) -> int:
         raise ValueError("--n is required unless --method full")
     if args.method == "full" and args.n is not None:
         raise ValueError("--n does not apply to --method full")
+    if k == "auto" and args.n is not None and args.n < 2:
+        # The eigengap compares two eigenvalues of the n x n Gram matrix.
+        raise ValueError(f"--k auto needs --n >= 2, got --n {args.n}")
     out_prefix = args.out or "cluster_out"
     summary = bench.run_real(
         args.edges, n=args.n, k=k, method=args.method, seed=args.seed,

@@ -71,9 +71,11 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     ``n_self_loops_dropped``). Node ids must lie in [0, n_nodes).
 
     Both orientations of every edge go into one packed key array
-    ``i * n_nodes + j``, sorted once in place. The distinct sorted keys are
-    the adjacency in row-major order: ``indices`` is their remainder by
-    ``n_nodes`` and row i starts at the first key >= i * n_nodes.
+    ``i * n_nodes + j``, sorted once in place. The keys are ``uint32`` when
+    ``n_nodes**2 < 2**32`` (up to 65,535 nodes) and int64 above that. The
+    distinct sorted keys are the adjacency in row-major order: ``indices``
+    is their remainder by ``n_nodes`` and row i starts at the first key
+    >= i * n_nodes. ``indptr`` and ``indices`` are int64 at any width.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be nonnegative, got {n_nodes}")
@@ -91,18 +93,24 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     if n_kept < len(keep):
         u, v = u[keep], v[keep]
 
-    key = np.empty(2 * n_kept, dtype=np.int64)
+    # Every key, and the end mark n_nodes**2 of the last row, fits 32 bits
+    # when n_nodes**2 < 2**32; sorting 4-byte keys moves half the bytes.
+    # The int64 ids are written straight into the key type: every product
+    # and sum is a key, so the unsafe cast never truncates.
+    key_type = np.uint32 if n_nodes**2 < 2**32 else np.int64
+    width = key_type(n_nodes)
+    key = np.empty(2 * n_kept, dtype=key_type)
     fwd, rev = key[:n_kept], key[n_kept:]
-    np.multiply(u, n_nodes, out=fwd)
-    fwd += v
-    np.multiply(v, n_nodes, out=rev)
-    rev += u
+    np.multiply(u, n_nodes, out=fwd, casting="unsafe")
+    np.add(fwd, v, out=fwd, casting="unsafe")
+    np.multiply(v, n_nodes, out=rev, casting="unsafe")
+    np.add(rev, u, out=rev, casting="unsafe")
     key = _sorted_unique(key)
-    starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
+    starts = np.arange(n_nodes + 1, dtype=key_type) * width
     return SparseGraph(
         n_nodes=n_nodes,
         indptr=np.searchsorted(key, starts).astype(np.int64, copy=False),
-        indices=key % n_nodes,
+        indices=np.remainder(key, width, out=np.empty(len(key), dtype=np.int64)),
         n_edges=len(key) // 2,
         n_self_loops_dropped=len(keep) - n_kept,
     )
@@ -141,9 +149,9 @@ def bi_adjacency(g: SparseGraph, sample) -> BiAdjacency:
     lengths = g.indptr[ids + 1] - g.indptr[ids]
     col_indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lengths, out=col_indptr[1:])
-    row_indices = np.empty(col_indptr[-1], dtype=np.int64)
-    for j, s in enumerate(ids):
-        row_indices[col_indptr[j]:col_indptr[j + 1]] = g.neighbors(s)
+    # Entry t of column j sits at g.indptr[ids[j]] + (t - col_indptr[j]).
+    offsets = np.repeat(g.indptr[ids] - col_indptr[:-1], lengths)
+    row_indices = g.indices[offsets + np.arange(col_indptr[-1])]
     return BiAdjacency(
         n_rows=g.n_nodes,
         n_cols=len(ids),

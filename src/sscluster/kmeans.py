@@ -12,14 +12,16 @@ batched pass per iteration:
   N=300k;
 - the squared distances are formed one cluster column at a time, each an
   (R, N) array, and the labels come from a running strict-< minimum over
-  those columns, which keeps argmin's first-minimum rule;
+  those columns, which keeps argmin's first-minimum rule; the labels are
+  one byte each up to K = 256;
 - cluster counts and coordinate sums come from ``np.bincount`` over
   ``label + K * restart``;
 - a restart leaves the batch when its centroids stop moving.
 
-A pass holds the block and about eight (R, N) arrays at once: at N=300k,
-K=3 the allocations peak near 230 MB, where a loop over restarts needs
-about 32 MB. Each restart sees the same arithmetic, in the same order, as
+A pass holds the block and a few (R, N) float64 arrays at once: at
+N=300k, K=3 a call raises the peak RSS (``getrusage``) by about 176 MB
+(215 MB with 8-byte labels), where a loop over restarts needs about
+32 MB. Each restart sees the same arithmetic, in the same order, as
 that loop, so the results are bitwise its results
 (``tests/kmeans_reference.py``) and do not depend on how many restarts
 share a pass.
@@ -86,12 +88,15 @@ def _sq_dist_columns(p2: np.ndarray, pn: np.ndarray, stack: np.ndarray):
 def _nearest(p2: np.ndarray, pn: np.ndarray, stack: np.ndarray):
     """Index and squared distance of each point's nearest centroid, both
     (a, N), for each set of an (a, K, d) stack; a strict < keeps argmin's
-    lowest index on ties."""
+    lowest index on ties. The indices have the smallest unsigned dtype
+    that holds K - 1 (one byte up to K = 256)."""
     columns = _sq_dist_columns(p2, pn, stack)
     dist = next(columns)
-    labels = np.zeros(dist.shape, dtype=np.int64)
+    labels = np.zeros(dist.shape, dtype=np.min_scalar_type(stack.shape[1] - 1))
     for k, dk in enumerate(columns, start=1):
-        np.copyto(labels, k, where=dk < dist)
+        # Every label is below k here, so the maximum sets k exactly where
+        # dk < dist: a branch-free stand-in for a masked write.
+        np.maximum(labels, np.multiply(dk < dist, labels.dtype.type(k)), out=labels)
         np.minimum(dist, dk, out=dist)
     return labels, dist
 
@@ -106,12 +111,19 @@ def _plusplus_init(points: np.ndarray, p2: np.ndarray, pn: np.ndarray, K: int,
     closest = next(_sq_dist_columns(p2, pn, centroids[:, :1]))
     for k in range(1, K):
         totals = closest.sum(axis=1)
+        # rng.choice(n, p=closest[j] / totals[j]) for every restart at once:
+        # numpy draws it as the count of normalized cumulative sums at or
+        # below one rng.random(). The oracle in tests/kmeans_reference.py
+        # calls rng.choice itself, so the tests hold the two draws equal.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cdf = np.cumsum(closest / totals[:, None], axis=1)
+            cdf /= cdf[:, -1:]
         for j, rng in enumerate(rngs):
             if totals[j] <= 0:
                 # All remaining points coincide with chosen centroids.
                 centroids[j, k] = points[rng.integers(n)]
             else:
-                centroids[j, k] = points[rng.choice(n, p=closest[j] / totals[j])]
+                centroids[j, k] = points[np.count_nonzero(cdf[j] <= rng.random())]
         closest = np.minimum(closest, next(_sq_dist_columns(p2, pn, centroids[:, k:k + 1])))
     return centroids
 
@@ -139,8 +151,8 @@ def _repair(points, p2, pn, centroids):
 def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
     """Cluster sizes (a*K,) and coordinate sums (a*K, d) of the (a, N)
     labels of a restarts, cluster k of restart j in row j*K + k."""
-    a = len(labels)
-    bins = (labels + K * np.arange(a)[:, None]).ravel()
+    a, n = labels.shape
+    bins = (labels + np.arange(0, a * K, K)[:, None]).ravel()
     counts = np.bincount(bins, minlength=a * K)
     if points.shape[1] == 1:
         # numpy sums a single column pairwise, where bincount adds in index
@@ -148,8 +160,11 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
         sums = np.array([[points[labels[j] == k, 0].sum()]
                          for j in range(a) for k in range(K)])
     else:
-        sums = np.stack([np.bincount(bins, weights=np.tile(x, a), minlength=a * K)
-                         for x in points.T], axis=1)
+        sums = np.empty((a * K, points.shape[1]))
+        weights = np.empty((a, n))
+        for c, x in enumerate(points.T):
+            weights[:] = x      # one copy of the column per restart, as in bins
+            sums[:, c] = np.bincount(bins, weights=weights.ravel(), minlength=a * K)
     return counts, sums
 
 
@@ -187,10 +202,9 @@ def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
             raise RuntimeError(f"Lloyd objective increased: {prev[j]} -> {wcss[j]}")
         prev_wcss[active] = wcss
 
-        new = cents.copy()
-        flat = new.reshape(-1, dim)
-        filled = counts > 0
-        flat[filled] = sums[filled] / counts[filled, None]
+        # An empty cluster (left only by a failed repair) keeps its centroid.
+        new = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
+                       cents.reshape(-1, dim)).reshape(cents.shape)
         move = np.sqrt(((new - cents) ** 2).sum(axis=2)).max(axis=1)
         centroids[active] = new
         iterations[active] = it
@@ -224,13 +238,13 @@ def kmeans(points, K: int, restarts: int = 10,
         rng = np.random.default_rng()
 
     p2, pn = _expansion(points)
-    seeds = [rng.integers(2**63) for _ in range(restarts)]
+    seeds = rng.integers(2**63, size=restarts).tolist()
     init = _plusplus_init(points, p2, pn, K, [np.random.default_rng(s) for s in seeds])
     labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init, MAX_ITER)
 
     r = int(np.argmin(wcss))
     res = KMeansResult(
-        labels=labels[r] + 1,
+        labels=labels[r].astype(np.int64) + 1,
         centroids=cents[r].copy(),
         wcss=float(wcss[r]),
         iterations=int(iters[r]),

@@ -1,8 +1,8 @@
 """Reference code the tests compare the library against.
 
-None of it is on the clustering pipeline: a degree normalizer for any
-nonnegative matrix, the full Laplacian by sparse diagonal products, an
-all-dense top-K embedding, the population (expected) matrices of an SBM,
+None of it is on the clustering pipeline: the graph build on int64 keys
+at every node count, a degree normalizer for any nonnegative matrix, the
+full Laplacian by sparse diagonal products, an all-dense top-K embedding, the population (expected) matrices of an SBM,
 subspace distances between embeddings, a brute-force misclustered rate
 and an edge lookup. Each is written as plainly as possible, so that a
 test comparing a library route with it checks the route against an
@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sscluster.errors import DegenerateInputError
+from sscluster.graph import SparseGraph
 from sscluster.sbm import BlockMatrix, validate_labels
 from sscluster.spectral import SubsampledLaplacian
 
@@ -136,3 +137,21 @@ def brute_rate(zhat: np.ndarray, z: np.ndarray, K: int) -> float:
 def has_edge(g, i: int, j: int) -> bool:
     """Whether j is among the neighbors of i in the SparseGraph g."""
     return bool(np.any(g.neighbors(i) == j))
+
+
+def from_edge_list_int64_keys(pairs, n_nodes: int) -> SparseGraph:
+    """``graph.from_edge_list`` with int64 keys at every node count: both
+    orientations of each non-loop pair packed as ``i * n_nodes + j``,
+    sorted and deduplicated, with rows found by ``searchsorted``."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    loops = arr[:, 0] == arr[:, 1]
+    u, v = arr[~loops, 0], arr[~loops, 1]
+    key = np.unique(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+    starts = np.arange(n_nodes + 1, dtype=np.int64) * n_nodes
+    return SparseGraph(
+        n_nodes=n_nodes,
+        indptr=np.searchsorted(key, starts).astype(np.int64),
+        indices=key % n_nodes,
+        n_edges=len(key) // 2,
+        n_self_loops_dropped=int(loops.sum()),
+    )

@@ -273,15 +273,21 @@ class TestCsvContract:
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+
+        def run(args, name):
+            """Run the CLI on one BLAS thread ("one") or on the default."""
+            threads = {"OPENBLAS_NUM_THREADS": "1"} if name == "one" else {}
+            proc = subprocess.run([sys.executable, "-m", "sscluster.cli", *args],
+                                  env={**env, **threads}, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+
         for scenario, trials in (("s4", "2"), ("s1", "1")):
             rows = []
-            for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            for name in ("one", "default"):
                 out = tmp_path / f"{scenario}-{name}.csv"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "sscluster.cli", "bench", scenario,
-                     "--trials", trials, "--jobs", "1", "--out", str(out)],
-                    env={**env, **threads}, capture_output=True, text=True, timeout=300)
-                assert proc.returncode == 0, proc.stderr
+                run(["bench", scenario, "--trials", trials, "--jobs", "1",
+                     "--out", str(out)], name)
                 rows.append(bench.read_records_csv(out))
             assert len(rows[0]) == len(rows[1]) > 0
             if scenario == "s1":
@@ -290,6 +296,23 @@ class TestCsvContract:
                 for col in bench.COLUMNS:
                     if col not in bench.TIMING_COLUMNS:
                         assert r1[col] == r2[col], (scenario, col)
+
+        # The cluster command with K by eigengap (the Gram solve) at an N
+        # that also runs the full-SC comparison: labels and sample files.
+        rng = np.random.default_rng(31)
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 3000, rng)
+        edges = tmp_path / "net.edges"
+        write_edge_list(generate_adjacency(z, block_matrix(0.05, 0.02, 3), rng), edges)
+        for method in ("srs", "dcs"):
+            outputs = []
+            for name in ("one", "default"):
+                prefix = tmp_path / f"{method}-{name}"
+                run(["cluster", "--edges", str(edges), "--method", method,
+                     "--n", "150", "--k", "auto", "--seed", "1",
+                     "--out", str(prefix)], name)
+                outputs.append([Path(f"{prefix}.{ext}").read_bytes()
+                                for ext in ("labels", "sample")])
+            assert outputs[0] == outputs[1], method
 
 
 class TestTimingSummary:
@@ -518,6 +541,18 @@ class TestCli:
         assert rc == 0
         labels = read_labels(tmp_path / "r.labels")
         assert len(labels) == 6000 and labels.min() >= 1
+
+    @pytest.mark.parametrize("method", ["srs", "dcs"])
+    def test_k_auto_needs_two_sample_nodes(self, tmp_path, capsys, method):
+        # The eigengap compares two eigenvalues of the n x n Gram matrix.
+        edges = tmp_path / "net.edges"
+        write_edge_list(from_edge_list([(0, 1), (1, 2), (2, 3)], 4), edges)
+        rc = cli.main(["cluster", "--edges", str(edges), "--method", method,
+                       "--n", "1", "--k", "auto", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --k auto needs --n >= 2, got --n 1"]
+        assert not list(tmp_path.glob("r.*"))
 
     def test_eval_bad_label_file_is_one_error_line(self, tmp_path, capsys):
         good = tmp_path / "good.labels"

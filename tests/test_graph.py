@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sscluster.graph as graph_module
 from sscluster.graph import (
@@ -17,7 +18,7 @@ from sscluster.graph import (
 )
 
 from conftest import check_graph_invariants, edge_lists
-from oracles import has_edge
+from oracles import from_edge_list_int64_keys, has_edge
 
 
 class TestFromEdgeList:
@@ -134,6 +135,23 @@ class TestInvariants:
         assert g.indptr.tolist() == indptr.tolist()
         assert g.indices.tolist() == indices.tolist()
         assert g.n_self_loops_dropped == sum(u == v for u, v in pairs)
+
+    @given(edge_lists(), st.sampled_from([0, 1, 65535, 65536]))
+    @settings(max_examples=100, deadline=None)
+    def test_key_widths_match_int64_oracle(self, case, n_nodes):
+        # 65535 nodes take uint32 keys, 65536 int64. The drawn ids fold onto
+        # the top of the id range, where the keys are largest.
+        pairs, n = case
+        pairs = [(n_nodes - 1 - u % n_nodes, n_nodes - 1 - v % n_nodes)
+                 for u, v in pairs] if n_nodes else []
+        g = from_edge_list(pairs, n_nodes)
+        want = from_edge_list_int64_keys(pairs, n_nodes)
+        for name in ("indptr", "indices"):
+            got = getattr(g, name)
+            assert got.dtype == np.int64, name
+            assert np.array_equal(got, getattr(want, name)), name
+        assert (g.n_edges, g.n_self_loops_dropped) == (
+            want.n_edges, want.n_self_loops_dropped)
 
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)

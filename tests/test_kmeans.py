@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sscluster import bench, sbm, spectral
 from sscluster.graph import bi_adjacency
-from sscluster.kmeans import KMeansResult, kmeans, kmeans_1d
+from sscluster.kmeans import KMeansResult, _expansion, _nearest, kmeans, kmeans_1d
 from sscluster.sampling import srs
 
 
@@ -221,6 +221,20 @@ def test_large_inputs_match_oracle(n, d):
     for K in (2, 4):
         assert_bitwise_equal(kmeans(points, K, rng=np.random.default_rng(K)),
                              ref.kmeans(points, K, rng=np.random.default_rng(K)))
+
+
+@pytest.mark.parametrize("K, label_type", [(1, np.uint8), (300, np.uint16)])
+def test_label_widths_match_oracle(K, label_type):
+    # Assignments are kept in the narrowest unsigned type holding K - 1;
+    # the returned labels are int64 either way.
+    points = np.random.default_rng(K).normal(size=(900, 2))
+    p2, pn = _expansion(points)
+    assert _nearest(p2, pn, points[None, :K])[0].dtype == label_type
+    res = kmeans(points, K, restarts=3, rng=np.random.default_rng(5))
+    assert_bitwise_equal(res, ref.kmeans(points, K, restarts=3,
+                                         rng=np.random.default_rng(5)))
+    assert res.labels.dtype == np.int64
+    assert res.labels.max() == K
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
