@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import blas, graph, metrics, sampling, sbm, spectral
+from . import graph, metrics, sampling, sbm, spectral
 from .errors import DegenerateInputError
 from .kmeans import kmeans
 
@@ -276,10 +276,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
                           with_full))
 
     if cfg.jobs > 1:
-        # One BLAS thread per worker, so the pool does not oversubscribe
-        # the cores with a thread pool per process.
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=blas.set_threads,
-                                 initargs=(1,)) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             chunks = list(pool.map(_trial_star, tasks))
     else:
         chunks = [_trial_star(t) for t in tasks]

@@ -4,8 +4,7 @@ The numpy and scipy wheels each ship their own OpenBLAS beside the package
 (``numpy.libs``, ``scipy.libs``), and each exports a thread-count getter
 and setter: ``scipy_openblas_{get,set}_num_threads`` in scipy's and the
 same names with a ``64_`` suffix in numpy's 64-bit-integer build. Small
-dense solves run faster and far more evenly on one thread, and worker
-processes that share the cores should not each start a full thread pool.
+dense solves run as fast and far more evenly on one thread.
 
 Where a library or its symbols are missing (another BLAS, a source build)
 the limits are a no-op, reported by one debug line per library.
@@ -49,22 +48,16 @@ def _controls() -> tuple:
     return tuple(found)
 
 
-def set_threads(n: int) -> list[int]:
-    """Put every bundled OpenBLAS on ``n`` threads; return the counts they
-    had before, in ``_controls()`` order."""
-    previous = [get() for get, _ in _controls()]
-    for _, set_ in _controls():
-        set_(n)
-    return previous
-
-
 @contextmanager
 def threads(n: int):
     """Run the body with every bundled OpenBLAS on ``n`` threads, restoring
     each library's previous count on the way out, also on an exception."""
-    previous = set_threads(n)
+    controls = _controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(n)
     try:
         yield
     finally:
-        for (_, set_), count in zip(_controls(), previous):
+        for (_, set_), count in zip(controls, previous):
             set_(count)

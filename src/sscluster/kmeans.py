@@ -111,19 +111,12 @@ def _plusplus_init(points: np.ndarray, p2: np.ndarray, pn: np.ndarray, K: int,
     closest = next(_sq_dist_columns(p2, pn, centroids[:, :1]))
     for k in range(1, K):
         totals = closest.sum(axis=1)
-        # rng.choice(n, p=closest[j] / totals[j]) for every restart at once:
-        # numpy draws it as the count of normalized cumulative sums at or
-        # below one rng.random(). The oracle in tests/kmeans_reference.py
-        # calls rng.choice itself, so the tests hold the two draws equal.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cdf = np.cumsum(closest / totals[:, None], axis=1)
-            cdf /= cdf[:, -1:]
         for j, rng in enumerate(rngs):
             if totals[j] <= 0:
                 # All remaining points coincide with chosen centroids.
                 centroids[j, k] = points[rng.integers(n)]
             else:
-                centroids[j, k] = points[np.count_nonzero(cdf[j] <= rng.random())]
+                centroids[j, k] = points[rng.choice(n, p=closest[j] / totals[j])]
         closest = np.minimum(closest, next(_sq_dist_columns(p2, pn, centroids[:, k:k + 1])))
     return centroids
 
@@ -151,8 +144,8 @@ def _repair(points, p2, pn, centroids):
 def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
     """Cluster sizes (a*K,) and coordinate sums (a*K, d) of the (a, N)
     labels of a restarts, cluster k of restart j in row j*K + k."""
-    a, n = labels.shape
-    bins = (labels + np.arange(0, a * K, K)[:, None]).ravel()
+    a = len(labels)
+    bins = (labels + K * np.arange(a)[:, None]).ravel()
     counts = np.bincount(bins, minlength=a * K)
     if points.shape[1] == 1:
         # numpy sums a single column pairwise, where bincount adds in index
@@ -160,11 +153,8 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
         sums = np.array([[points[labels[j] == k, 0].sum()]
                          for j in range(a) for k in range(K)])
     else:
-        sums = np.empty((a * K, points.shape[1]))
-        weights = np.empty((a, n))
-        for c, x in enumerate(points.T):
-            weights[:] = x      # one copy of the column per restart, as in bins
-            sums[:, c] = np.bincount(bins, weights=weights.ravel(), minlength=a * K)
+        sums = np.stack([np.bincount(bins, weights=np.tile(x, a), minlength=a * K)
+                         for x in points.T], axis=1)
     return counts, sums
 
 
@@ -202,9 +192,10 @@ def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
             raise RuntimeError(f"Lloyd objective increased: {prev[j]} -> {wcss[j]}")
         prev_wcss[active] = wcss
 
-        # An empty cluster (left only by a failed repair) keeps its centroid.
-        new = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
-                       cents.reshape(-1, dim)).reshape(cents.shape)
+        new = cents.copy()
+        flat = new.reshape(-1, dim)
+        filled = counts > 0
+        flat[filled] = sums[filled] / counts[filled, None]
         move = np.sqrt(((new - cents) ** 2).sum(axis=2)).max(axis=1)
         centroids[active] = new
         iterations[active] = it
@@ -238,7 +229,7 @@ def kmeans(points, K: int, restarts: int = 10,
         rng = np.random.default_rng()
 
     p2, pn = _expansion(points)
-    seeds = rng.integers(2**63, size=restarts).tolist()
+    seeds = [rng.integers(2**63) for _ in range(restarts)]
     init = _plusplus_init(points, p2, pn, K, [np.random.default_rng(s) for s in seeds])
     labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init, MAX_ITER)
 

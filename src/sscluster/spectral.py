@@ -8,6 +8,7 @@ normalized Laplacian baseline is provided for comparison.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ GRAM_DENSE_GUARD = 4000
 SYMMETRY_ATOL = 1e-8
 RANK_TOL = 1e-10
 SELECT_K_MAX = 50
+# Dense solves up to this many rows run on one BLAS thread (symmetric_eig).
+SERIAL_EIG_MAX = 300
 
 # scipy releases whose eigsh takes ``rng`` draw ARPACK's restart vectors
 # from it; older ones draw them from ARPACK's own process-wide seed.
@@ -168,11 +171,12 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     checked and symmetrized in sparse form and densified once, so the
     solve holds a single dense copy of it.
 
-    The solve runs on one BLAS thread. Up to a few hundred rows that is
-    about as fast as threading and far steadier: on 2 cores, threaded
-    solves of 100 x 100 to 500 x 500 stalled for 0.15-1 s now and then.
-    From about 800 rows on, threading is faster (2000 x 2000: 1.5 s
-    threaded, 1.9 s on one thread).
+    A matrix of up to ``SERIAL_EIG_MAX`` rows is solved on one BLAS
+    thread. On 2 cores that is as fast as threading there (200 x 200: 6.1
+    ms against 6.3 ms in the median) and far steadier: threaded solves of
+    100 x 100 to 500 x 500 stalled for 0.1-1 s now and then. Larger
+    matrices keep the threaded BLAS, which is faster from about 400 rows
+    (800 x 800: 129 ms threaded, 145 ms on one thread).
     """
     sym = _symmetrized(m)
     # The symmetrized matrix equals its transpose, so the Fortran-ordered
@@ -180,7 +184,7 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
     n = a.shape[0]
     subset = None if k is None else [n - k, n - 1]
-    with blas.threads(1):
+    with blas.threads(1) if n <= SERIAL_EIG_MAX else contextlib.nullcontext():
         w, v = scipy.linalg.eigh(a, subset_by_index=subset, overwrite_a=True)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -197,7 +201,9 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
     V_K and Lambda_K come from the Gram matrix of L: from ``spectrum`` when
-    given (it must be ``subsampled_spectrum(ls)``), else from a new solve.
+    given (it must be ``subsampled_spectrum(ls)``), else from a solve for
+    the top K pairs only (100 x 100, K=3: about 0.4 ms, against 1.8 ms for
+    the full spectrum). The two agree to rounding, not bit for bit.
     Eigenvalues at or below tol * lambda_1 are treated as zero in the
     pseudo-inverse, which zeroes the corresponding embedding columns.
     """
@@ -205,7 +211,7 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     if spectrum is None:
-        spectrum = subsampled_spectrum(ls)
+        spectrum = EigenSpectrum.from_psd_eigenvalues(*symmetric_eig(gram(ls), K))
     elif spectrum.vectors is None or spectrum.vectors.shape != (n, n):
         raise ValueError("spectrum must carry the n x n Gram eigenvectors of ls")
     top = spectrum.values[:K]

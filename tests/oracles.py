@@ -2,9 +2,10 @@
 
 None of it is on the clustering pipeline: the graph build on int64 keys
 at every node count, a degree normalizer for any nonnegative matrix, the
-full Laplacian by sparse diagonal products, an all-dense top-K embedding, the population (expected) matrices of an SBM,
-subspace distances between embeddings, a brute-force misclustered rate
-and an edge lookup. Each is written as plainly as possible, so that a
+full Laplacian by sparse diagonal products, an all-dense top-K
+embedding, the population (expected) matrices of an SBM, subspace
+distances between embeddings, a brute-force misclustered rate and an
+edge lookup. Each is written as plainly as possible, so that a
 test comparing a library route with it checks the route against an
 independent statement of the same quantity.
 """

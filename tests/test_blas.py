@@ -15,7 +15,9 @@ def two_threads():
     of 1 shows whatever the machine's default is; restored afterwards."""
     if not blas._controls():
         pytest.skip("no bundled OpenBLAS thread control in this install")
-    before = blas.set_threads(2)
+    before = counts()
+    for _, set_ in blas._controls():
+        set_(2)
     yield
     for (_, set_), count in zip(blas._controls(), before):
         set_(count)
@@ -34,11 +36,6 @@ def test_restored_after_an_exception(two_threads):
     assert counts() == [2] * len(counts())
 
 
-def test_set_threads_returns_the_previous_counts(two_threads):
-    assert blas.set_threads(1) == [2] * len(counts())
-    assert counts() == [1] * len(counts())
-
-
 @pytest.mark.parametrize("library", [("scipy", "_no_such_suffix"),
                                      ("no_such_package", "")])
 def test_missing_control_is_a_logged_no_op(monkeypatch, caplog, library):
@@ -49,7 +46,6 @@ def test_missing_control_is_a_logged_no_op(monkeypatch, caplog, library):
         with caplog.at_level(logging.DEBUG, logger="sscluster.blas"):
             with blas.threads(1):
                 pass
-            assert blas.set_threads(1) == []
         lines = [r for r in caplog.records if r.name == "sscluster.blas"]
         assert len(lines) == 1 and lines[0].levelno == logging.DEBUG
         assert library[0] in lines[0].getMessage()

@@ -196,6 +196,17 @@ class TestSymmetricEig:
         assert np.abs(wk - w[:4]).max() <= 1e-12
         assert dense_projection_distance(vk, v[:, :4]) <= 1e-8
 
+    def test_one_blas_thread_only_up_to_the_cut_off(self, monkeypatch):
+        limits = []
+        real = spectral.blas.threads
+        monkeypatch.setattr(spectral.blas, "threads",
+                            lambda n: limits.append(n) or real(n))
+        monkeypatch.setattr(spectral, "SERIAL_EIG_MAX", 4)
+        symmetric_eig(np.eye(4))
+        assert limits == [1]
+        symmetric_eig(np.eye(5), 2)
+        assert limits == [1]
+
 
 class TestEmbed:
     def test_full_sample_matches_full_sc_subspace(self):
@@ -261,18 +272,38 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(ls, 3)
 
-    def test_given_spectrum_reused_exactly(self):
+    @staticmethod
+    def _two_block_laplacian():
         rng = np.random.default_rng(16)
         z = sample_memberships((0.5, 0.5), 80, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.1, 2), rng)
-        ls = subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng).ids))
+        return subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng).ids))
+
+    def test_given_spectrum_reused_exactly(self, monkeypatch):
+        ls = self._two_block_laplacian()
         spec = subsampled_spectrum(ls)
-        fresh = embed(ls, 2)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("embed solved again despite a given spectrum")
+
+        monkeypatch.setattr(spectral, "symmetric_eig", no_solve)
         reused = embed(ls, 2, spectrum=spec)
-        assert np.array_equal(reused.matrix, fresh.matrix)
-        assert np.array_equal(reused.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(reused.eigenvalues, spec.values[:2])
+        lift = spec.vectors[:, :2] * (1.0 / np.sqrt(spec.values[:2]))
+        assert np.array_equal(reused.matrix, ls.matrix @ lift)
         with pytest.raises(ValueError):
             embed(ls, 2, spectrum=EigenSpectrum(values=spec.values))
+
+    def test_fixed_k_solves_only_the_top_pairs(self, monkeypatch):
+        ls = self._two_block_laplacian()
+        full = embed(ls, 2, spectrum=subsampled_spectrum(ls))
+        solve, asked = spectral.symmetric_eig, []
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda m, k=None: asked.append(k) or solve(m, k))
+        fresh = embed(ls, 2)
+        assert asked == [2]
+        assert np.abs(fresh.eigenvalues - full.eigenvalues).max() <= 1e-12
+        assert projection_distance(fresh.matrix, full.matrix) <= 1e-10
 
 
 class TestFullLaplacian:
