@@ -2,10 +2,12 @@
 
 ``run_ssc`` (subsampled spectral clustering of a drawn sample) and
 ``run_full_sc`` (the full-network baseline) are the only pipeline
-definitions: the scenario sweeps, ``run_real`` (the ``cluster`` command)
-and the scripts all call them. Each returns its stage seconds in a
-``times`` dict; callers record the stages they own (sampling, and load and
-write in ``run_real``) into the same kind of dict.
+definitions: the scenario sweeps and ``run_real`` (the ``cluster``
+command) call them. Each returns its stage seconds in a ``times`` dict;
+callers record the stages they own (sampling, and load and write in
+``run_real``) into the same kind of dict. No other module of the package
+knows the records CSV schema below: this one writes the per-trial stage
+seconds and reads rows back as text with ``read_records_csv``.
 
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance. Every trial is driven by a seed derived
@@ -507,8 +509,7 @@ def read_records_csv(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
-             out_prefix: str | None = None, n_nodes: int | None = None,
-             full_baseline_max_n: int = FULL_BASELINE_MAX_N) -> dict:
+             out_prefix: str | None = None, n_nodes: int | None = None) -> dict:
     """Cluster a network from an edge-list file.
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
@@ -518,13 +519,13 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     sampling needs a community count before the eigengap is available, so
     with ``k="auto"`` its degree partition uses ``DCS_AUTO_PARTITION_K``;
     the clustering K still comes from the eigengap. When N is at most
-    ``full_baseline_max_n``, subsampled runs also report the
-    disagreement rate against full spectral clustering. Nodes with no
-    connection to the sample are counted, not fatal.
+    ``FULL_BASELINE_MAX_N``, subsampled runs also report the disagreement
+    rate against full spectral clustering. Nodes with no connection to the
+    sample are counted, not fatal.
 
-    The summary's ``times`` holds the seconds of every stage: load,
-    sampling, laplacian, eig, kmeans, full_sc (when the comparison runs)
-    and write.
+    The summary's ``times`` holds the seconds of every stage that ran:
+    load, sampling (subsampled runs only), laplacian, eig, kmeans, full_sc
+    (when the comparison runs) and write.
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
@@ -532,12 +533,13 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     times = {}
     with _stage(times, "load"):
         g, ext_ids = graph.graph_from_file(edge_list_path, n_nodes=n_nodes)
-    with _stage(times, "sampling"):
-        s = None if method == "full" else sampling.draw(
-            method, g, n, DCS_AUTO_PARTITION_K if k == "auto" else k, rng)
-    if s is None:
+    if method == "full":
+        s = None
         labels, emb, pipeline_times = run_full_sc(g, k, rng)
     else:
+        with _stage(times, "sampling"):
+            s = sampling.draw(
+                method, g, n, DCS_AUTO_PARTITION_K if k == "auto" else k, rng)
         labels, emb, pipeline_times = run_ssc(g, s, k, rng)
     times.update(pipeline_times)
     k = emb.matrix.shape[1]
@@ -552,7 +554,7 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
         "sample": s,
     }
 
-    if s is not None and g.n_nodes <= full_baseline_max_n:
+    if s is not None and g.n_nodes <= FULL_BASELINE_MAX_N:
         with _stage(times, "full_sc"):
             full_labels, _, _ = run_full_sc(g, k, rng)
         summary["full_labels"] = full_labels
@@ -566,59 +568,6 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
             if ext_ids is not None:
                 graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
     return summary
-
-
-# ---------------------------------------------------------------------------
-# Timing analysis
-# ---------------------------------------------------------------------------
-
-def timing_summary(records: list[TrialRecord]) -> dict | None:
-    """Per-stage medians by (method, N) and a log-log slope of total
-    subsampled-pipeline time versus N at fixed n.
-
-    Returns None (summary omitted) when fewer than two distinct N are
-    present at a common n.
-    """
-    ssc = [r for r in records if r.method in ("srs", "dcs") and r.status == "ok"]
-    if not ssc:
-        return None
-    by_n: dict[int, set[int]] = {}
-    for r in ssc:
-        by_n.setdefault(r.n, set()).add(r.N)
-    n_fixed = max(by_n, key=lambda n: len(by_n[n]))
-    if len(by_n[n_fixed]) < 2:
-        return None
-
-    rows = []
-    slopes = {}
-    for method in ("srs", "dcs"):
-        pts = {}
-        for N in sorted(by_n[n_fixed]):
-            rs = [r for r in ssc if r.method == method and r.n == n_fixed and r.N == N]
-            if not rs:
-                continue
-            med = {col: float(np.median([getattr(r, col) for r in rs]))
-                   for col in TIMING_COLUMNS}
-            rows.append({"method": method, "N": N, "n": n_fixed, **med})
-            pts[N] = med["t_total"]
-        if len(pts) >= 2:
-            xs = np.log([float(N) for N in sorted(pts)])
-            ys = np.log([max(pts[N], 1e-9) for N in sorted(pts)])
-            slopes[method] = float(np.polyfit(xs, ys, 1)[0])
-    return {"n": n_fixed, "rows": rows, "slopes": slopes}
-
-
-def write_timing_csv(summary: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_VERSION + "\n")
-        w = csv.writer(fh)
-        w.writerow(["row_type", "method", "N", "n", *TIMING_COLUMNS, "slope"])
-        for r in summary["rows"]:
-            w.writerow(["STAGE", r["method"], r["N"], r["n"],
-                        *(_fmt_t(r[col]) for col in TIMING_COLUMNS), ""])
-        for method, slope in sorted(summary["slopes"].items()):
-            w.writerow(["SLOPE", method, "", summary["n"],
-                        *[""] * len(TIMING_COLUMNS), f"{slope:.4f}"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ Subcommands:
     cluster    subsampled spectral clustering of an edge-list file
     bench      run a simulation sweep (s1..s4) and write the records CSV
     eval       misclustered rate between two label files
-    timing     per-stage medians and a log-log slope from a records CSV
 
 Flags override values from an optional "key = value" config file.
 """
@@ -118,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("predicted", type=str)
     e.add_argument("reference", type=str)
 
-    t = sub.add_parser("timing", help="timing summary from a records CSV")
-    t.add_argument("records", type=str)
-    t.add_argument("--out", type=str, default=None)
-
     return ap
 
 
@@ -217,36 +212,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_timing(args) -> int:
-    rows = bench.read_records_csv(args.records)
-    if rows and not set(bench.COLUMNS) <= rows[0].keys():
-        raise ValueError(f"{args.records} is not a bench records CSV")
-    records = []
-    for r in rows:
-        if r["row_type"] != "TRIAL" or not r["rate"]:
-            continue
-        records.append(bench.TrialRecord(
-            scenario=r["scenario"], cell=int(r["cell"]), N=int(r["N"]),
-            n=int(r["n"]), K=int(r["K"]), beta=float(r["beta"]),
-            zeta=float(r["zeta"]), delta=float(r["delta"]), method=r["method"],
-            trial=int(r["trial"]), seed=int(r["seed"]), status=r["status"],
-            rate=float(r["rate"]), t_sampling=float(r["t_sampling"]),
-            t_laplacian=float(r["t_laplacian"]), t_eig=float(r["t_eig"]),
-            t_kmeans=float(r["t_kmeans"]),
-        ))
-    summary = bench.timing_summary(records)
-    if summary is None:
-        print("timing summary omitted: need >= 2 distinct N at a fixed n")
-        return 0
-    for method, slope in sorted(summary["slopes"].items()):
-        print(f"{method}: log-log slope of total time vs N = {slope:.3f} "
-              f"(n = {summary['n']})")
-    if args.out:
-        bench.write_timing_csv(summary, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -254,7 +219,6 @@ def main(argv=None) -> int:
         "cluster": cmd_cluster,
         "bench": cmd_bench,
         "eval": cmd_eval,
-        "timing": cmd_timing,
     }
     try:
         return handlers[args.command](args)

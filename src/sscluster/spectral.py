@@ -196,7 +196,7 @@ def subsampled_spectrum(ls: SubsampledLaplacian) -> EigenSpectrum:
     return EigenSpectrum.from_psd_eigenvalues(w, v)
 
 
-def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
+def embed(ls: SubsampledLaplacian, K: int,
           spectrum: EigenSpectrum | None = None) -> Embedding:
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
@@ -204,7 +204,7 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     given (it must be ``subsampled_spectrum(ls)``), else from a solve for
     the top K pairs only (100 x 100, K=3: about 0.4 ms, against 1.8 ms for
     the full spectrum). The two agree to rounding, not bit for bit.
-    Eigenvalues at or below tol * lambda_1 are treated as zero in the
+    Eigenvalues at or below RANK_TOL * lambda_1 are treated as zero in the
     pseudo-inverse, which zeroes the corresponding embedding columns.
     """
     n = ls.shape[1]
@@ -217,7 +217,7 @@ def embed(ls: SubsampledLaplacian, K: int, tol: float = RANK_TOL,
     top = spectrum.values[:K]
     vk = spectrum.vectors[:, :K]
 
-    cutoff = tol * top[0] if top[0] > 0 else 0.0
+    cutoff = RANK_TOL * top[0] if top[0] > 0 else 0.0
     keep = top > cutoff
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
@@ -277,19 +277,16 @@ def full_embed(L, K: int) -> Embedding:
     )
 
 
-def select_k(spectrum: EigenSpectrum, k_max: int | None = None) -> int:
+def select_k(spectrum: EigenSpectrum) -> int:
     """Eigengap choice of the community count: argmax_k lambda_k - lambda_{k+1}.
 
     Ties break toward the smallest k; the search starts at k = 1 and runs
-    through k_max (default min(len - 1, SELECT_K_MAX)), so it reads at
-    most the top k_max + 1 eigenvalues.
+    through k_max = min(len - 1, SELECT_K_MAX), so it reads at most the
+    top k_max + 1 eigenvalues.
     """
     vals = spectrum.values
     if len(vals) < 2:
         raise ValueError("spectrum must have at least 2 eigenvalues")
-    if k_max is None:
-        k_max = min(len(vals) - 1, SELECT_K_MAX)
-    if not 1 <= k_max < len(vals):
-        raise ValueError(f"need 1 <= k_max < {len(vals)}, got {k_max}")
+    k_max = min(len(vals) - 1, SELECT_K_MAX)
     gaps = vals[:k_max] - vals[1:k_max + 1]
     return int(np.argmax(gaps)) + 1

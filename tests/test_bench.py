@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -315,54 +317,6 @@ class TestCsvContract:
             assert outputs[0] == outputs[1], method
 
 
-class TestTimingSummary:
-    @staticmethod
-    def fake_record(N, n, t_total, trial=0, method="srs"):
-        return bench.TrialRecord(
-            scenario="s1", cell=0, N=N, n=n, K=3, beta=0.1, zeta=0.05,
-            delta=0.0, method=method, trial=trial, seed=0, rate=0.0,
-            t_sampling=0.001, t_laplacian=t_total - 0.001,
-            t_eig=0.0, t_kmeans=0.0,
-        )
-
-    def test_linear_slope_recovered(self):
-        records = []
-        for N in (1000, 2000, 4000, 8000):
-            for t in range(5):
-                records.extend([
-                    self.fake_record(N, 100, 1e-4 * N, trial=t, method=m)
-                    for m in ("srs", "dcs")
-                ])
-        summary = bench.timing_summary(records)
-        assert summary is not None
-        for slope in summary["slopes"].values():
-            assert abs(slope - 1.0) <= 0.05
-
-    def test_two_point_slope_arithmetic(self):
-        records = [self.fake_record(1000, 50, 0.1), self.fake_record(2000, 50, 0.2)]
-        summary = bench.timing_summary(records)
-        slope = summary["slopes"]["srs"]
-        assert slope == pytest.approx(math.log(2) / math.log(2), abs=1e-9)
-
-    def test_constant_time_gives_zero_slope(self):
-        records = [self.fake_record(N, 50, 0.05) for N in (1000, 2000, 4000)]
-        summary = bench.timing_summary(records)
-        assert abs(summary["slopes"]["srs"]) <= 1e-9
-
-    def test_insufficient_grid_omitted(self):
-        records = [self.fake_record(1000, 50, 0.1)]
-        assert bench.timing_summary(records) is None
-
-    def test_csv_written(self, tmp_path):
-        records = [self.fake_record(N, 50, 1e-4 * N, trial=t)
-                   for N in (1000, 2000) for t in range(3)]
-        summary = bench.timing_summary(records)
-        out = tmp_path / "timing.csv"
-        bench.write_timing_csv(summary, out)
-        text = out.read_text()
-        assert "SLOPE" in text and "STAGE" in text
-
-
 class TestRunReal:
     @pytest.fixture
     def network(self, tmp_path):
@@ -403,8 +357,9 @@ class TestRunReal:
         solve = spectral.symmetric_eig
         monkeypatch.setattr(spectral, "symmetric_eig",
                             lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        monkeypatch.setattr(bench, "FULL_BASELINE_MAX_N", 10)
         summary = bench.run_real(path, n=60, k="auto", method="srs", seed=3,
-                                 n_nodes=g.n_nodes, full_baseline_max_n=10)
+                                 n_nodes=g.n_nodes)
         assert len(calls) == 1
         # Two-solve route: the spectrum for K, then a fresh solve in embed.
         rng = np.random.default_rng(3)
@@ -448,15 +403,20 @@ class TestRunReal:
         assert summary["times"]["full_sc"] > 0
 
     @pytest.mark.parametrize("k", [3, "auto"])
-    def test_every_method_reports_its_stages_and_seed(self, network, tmp_path, k):
+    def test_every_method_reports_its_stages_and_seed(self, network, tmp_path,
+                                                      monkeypatch, k):
         g, z, path = network
+        monkeypatch.setattr(bench, "FULL_BASELINE_MAX_N", 0)
         for method in ("srs", "dcs", "full"):
             summary = bench.run_real(path, n=40, k=k, method=method, seed=8,
                                      out_prefix=str(tmp_path / method),
-                                     n_nodes=g.n_nodes, full_baseline_max_n=0)
+                                     n_nodes=g.n_nodes)
             assert summary["seed"] == 8
+            # Only a subsampled run draws a sample, so only it has a
+            # sampling stage.
+            sampled = ["sampling"] if method != "full" else []
             assert list(summary["times"]) == [
-                "load", "sampling", "laplacian", "eig", "kmeans", "write"]
+                "load", *sampled, "laplacian", "eig", "kmeans", "write"]
             assert all(t >= 0 for t in summary["times"].values())
             assert summary["K"] == 3
 
@@ -677,6 +637,21 @@ class TestCli:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"error: pi must have K=3 entries, got {n_entries}"]
 
+    def test_readme_commands_parse(self):
+        # The CLI examples in the README must not name a removed subcommand
+        # or flag.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
+        commands = [shlex.split(line, comments=True)
+                    for line in script.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in commands if argv[:1] == ["sscluster"]]
+        assert commands
+        for argv in commands:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: sscluster {shlex.join(argv)}")
+
     def test_eval_has_no_k_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["eval", "a", "b", "--k", "3"])
@@ -688,23 +663,9 @@ class TestCli:
                        "--out", str(tmp_path / "x.csv"), "--beta", "1.5"])
         assert rc == 2
 
-    def test_timing_subcommand(self, tmp_path, capsys):
-        # Fixed-n records across several N, written through the normal CSV
-        # path, then summarized by the CLI.
-        records = [TestTimingSummary.fake_record(N, 50, 1e-4 * N, trial=t)
-                   for N in (1000, 2000, 4000) for t in range(3)]
-        out = tmp_path / "records.csv"
-        bench.write_records_csv(records, out)
-        rc = cli.main(["timing", str(out), "--out", str(tmp_path / "t.csv")])
-        assert rc == 0
-        assert "slope" in capsys.readouterr().out
-        assert (tmp_path / "t.csv").exists()
-
     @pytest.mark.parametrize("argv", [
         ["cluster", "--edges", "{tmp}/missing.edges", "--n", "10"],
         ["eval", "{tmp}/missing1", "{tmp}/missing2"],
-        ["timing", "{tmp}/missing.csv"],
-        ["timing", "{tmp}/two_columns.csv"],
         ["bench", "s4", "--config", "{tmp}/missing.cfg"],
         ["bench", "s4", "--config", "{tmp}/bad_trials.cfg"],
         ["bench", "s1", "--config", "{tmp}/bad_full_sc.cfg"],
@@ -719,7 +680,6 @@ class TestCli:
         ["cluster", "--edges", "{tmp}/missing.edges", "--method", "full", "--n", "5"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
-        (tmp_path / "two_columns.csv").write_text("a,b\n1,2\n")
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
         (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
@@ -727,11 +687,3 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(("error: ", "config error: "))
-
-    def test_timing_subcommand_insufficient_grid(self, tmp_path, capsys):
-        out = tmp_path / "s1.csv"
-        cfg = tiny_cfg("s1", out, N_grid=(60, 90), full_sc=False)
-        bench.run_scenario(cfg)  # n varies with N, so no fixed-n grid
-        rc = cli.main(["timing", str(out)])
-        assert rc == 0
-        assert "omitted" in capsys.readouterr().out

@@ -527,15 +527,15 @@ class TestFullEmbed:
 class TestSelectK:
     def test_gap_by_inspection(self):
         spec = EigenSpectrum(values=np.array([0.9, 0.8, 0.75, 0.2, 0.1]))
-        assert select_k(spec, 4) == 3
+        assert select_k(spec) == 3
 
     def test_first_gap_dominates(self):
         spec = EigenSpectrum(values=np.array([1.0, 0.2, 0.19, 0.18]))
-        assert select_k(spec, 3) == 1
+        assert select_k(spec) == 1
 
     def test_tie_breaks_to_smallest_k(self):
         spec = EigenSpectrum(values=np.array([1.0, 0.5, 0.0]))
-        assert select_k(spec, 2) == 1
+        assert select_k(spec) == 1
 
     def test_planted_k_on_population_spectrum(self):
         rng = np.random.default_rng(12)
@@ -557,9 +557,17 @@ class TestSelectK:
         spec = EigenSpectrum(values=np.array([1.0]))
         with pytest.raises(ValueError):
             select_k(spec)
-        spec2 = EigenSpectrum(values=np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            select_k(spec2, 2)
+
+    @pytest.mark.parametrize("k_big, expected", [
+        (spectral.SELECT_K_MAX, spectral.SELECT_K_MAX),
+        (spectral.SELECT_K_MAX + 1, 1),  # past the window: ignored
+    ])
+    def test_window_ends_at_select_k_max(self, k_big, expected):
+        # Even gaps, a larger one at k = 1 and the largest at k = k_big.
+        values = np.linspace(1.0, 0.5, spectral.SELECT_K_MAX + 5)
+        values[1:] -= 0.01
+        values[k_big:] -= 0.1
+        assert select_k(EigenSpectrum(values=values)) == expected
 
 
 class TestSpectrumClipping:
