@@ -678,6 +678,8 @@ class TestCli:
          "--out", "{tmp}/g.edges"],
         ["bench", "s4", "--jobs", "0", "--out", "{tmp}/x.csv"],
         ["cluster", "--edges", "{tmp}/missing.edges", "--method", "full", "--n", "5"],
+        ["cluster", "--edges", "{tmp}/missing.edges", "--k", "two", "--n", "5"],
+        ["cluster", "--edges", "{tmp}/missing.edges", "--method", "dcs"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
