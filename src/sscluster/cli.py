@@ -7,6 +7,9 @@ Subcommands:
     eval       misclustered rate between two label files
 
 Flags override values from an optional "key = value" config file.
+
+``bench`` and ``metrics`` are imported by the handlers that use them, so
+``generate`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import bench, graph, metrics, sbm
+from . import graph, sbm
 from .errors import ResourceLimitError
 
 
@@ -52,6 +55,10 @@ def _parse_bool(text: str) -> bool:
 def _parse_methods(text: str) -> tuple[str, ...]:
     return ("srs", "dcs") if text == "both" else (text,)
 
+
+# The bench scenarios: bench.SWEEPS's keys, stated here so that building
+# the parser does not import bench.
+_SCENARIOS = ("s1", "s2", "s3", "s4")
 
 # bench settings: config-file key -> (ScenarioConfig field, value parser).
 _BENCH_KEYS = {
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="community count, integer or 'auto' (eigengap)")
 
     b = sub.add_parser("bench", help="run a simulation sweep")
-    b.add_argument("scenario", choices=tuple(bench.SWEEPS))
+    b.add_argument("scenario", choices=_SCENARIOS)
     b.add_argument("--config", type=str, default=None,
                    help="'key = value' config file; flags override it")
     # Values stay text until _bench_config parses them with the file's.
@@ -136,6 +143,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import bench
+
     if args.k == "auto":
         k = "auto"
     elif args.k.isdigit():
@@ -168,8 +177,11 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _bench_config(args) -> bench.ScenarioConfig:
-    """The scenario's defaults, then the config file, then the flags."""
+def _bench_config(args):
+    """The scenario's ``bench.ScenarioConfig``: its defaults, then the
+    config file, then the flags."""
+    from . import bench
+
     cfg = bench.default_config(args.scenario)
     cfg.out = f"bench_{args.scenario}.csv"
     settings = list(bench.read_config_file(args.config).items()) if args.config else []
@@ -187,6 +199,8 @@ def _bench_config(args) -> bench.ScenarioConfig:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     try:
         cfg = _bench_config(args)
         records = bench.run_scenario(cfg)
@@ -203,6 +217,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
+
     zhat = sbm.read_labels(args.predicted)
     z = sbm.read_labels(args.reference)
     if len(zhat) != len(z):

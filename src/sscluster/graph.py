@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,6 @@ class SparseGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def to_csr(self) -> sp.csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
-        )
-
 
 @dataclass(frozen=True)
 class BiAdjacency:
@@ -54,13 +47,6 @@ class BiAdjacency:
     sample_ids: np.ndarray
     col_indptr: np.ndarray
     row_indices: np.ndarray
-
-    def to_csc(self) -> sp.csc_matrix:
-        data = np.ones(len(self.row_indices), dtype=np.float64)
-        return sp.csc_matrix(
-            (data, self.row_indices, self.col_indptr),
-            shape=(self.n_rows, self.n_cols),
-        )
 
 
 def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
@@ -199,14 +185,51 @@ def _raise_on_single_id_line(path) -> None:
 
 
 def write_int_rows(path, *columns) -> None:
-    """Write equal-length integer columns as space-separated text rows."""
-    table = np.column_stack([np.asarray(c, dtype=np.int64) for c in columns])
-    row = " ".join(["%d"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        # Formatting in chunks keeps the temporary Python ints bounded.
-        for start in range(0, len(table), _WRITE_CHUNK_ROWS):
-            chunk = table[start:start + _WRITE_CHUNK_ROWS]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    """Write equal-length integer columns as space-separated text rows.
+
+    Each value is written as ``"%d"`` writes it, for any int64.
+    """
+    columns = [np.asarray(c, dtype=np.int64).ravel() for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns must have equal length")
+    with open(path, "wb") as fh:
+        # Formatting in chunks keeps the work arrays bounded.
+        for start in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
+            stop = start + _WRITE_CHUNK_ROWS
+            fh.write(_format_rows([c[start:stop] for c in columns]))
+
+
+def _format_rows(columns: list[np.ndarray]) -> bytes:
+    """Rows of equal-length, nonempty int64 columns as text bytes.
+
+    Every row is laid out in the same byte slots: per column a sign slot
+    (only when the column has a negative value), one slot per digit of the
+    column's largest magnitude, and a separator slot. Slots a value does
+    not use hold NUL, and dropping every NUL leaves the text.
+    """
+    slots = []
+    for c, col in enumerate(columns):
+        # abs wraps int64 min onto itself, whose uint64 view is its magnitude.
+        mag = np.abs(col).view(np.uint64)
+        top = int(mag.max())
+        if top < 2**32:
+            mag = mag.astype(np.uint32)  # 32-bit division is faster
+        if col.min() < 0:
+            slots.append((col < 0) * np.uint8(ord("-")))
+        # Digit p (counted from the units) shows when the quotient by 10**p
+        # is nonzero; the units digit always shows. (np.divmod takes about
+        # ten times as long as // by a constant.)
+        digits, quotient = [], mag
+        for p in range(len(str(top))):
+            shown = quotient != 0 if p else True
+            higher = quotient // 10
+            digit = quotient - higher * 10 + shown * np.uint8(ord("0"))
+            digits.append(digit.astype(np.uint8))
+            quotient = higher
+        slots += digits[::-1]
+        sep = "\n" if c == len(columns) - 1 else " "
+        slots.append(np.full(len(col), ord(sep), dtype=np.uint8))
+    return np.column_stack(slots).tobytes().translate(None, b"\0")
 
 
 def write_edge_list(g: SparseGraph, path) -> None:

@@ -3,12 +3,14 @@
 The misclustered rate is the fraction of label disagreements minimized
 over all relabelings of the estimate. It is computed from the confusion
 matrix as an exact maximum-trace linear assignment.
+
+``misclustered_rate`` imports scipy.optimize when it first runs, so a
+command that scores nothing never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def confusion(zhat: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
@@ -44,6 +46,8 @@ def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,
     k_eff = int(max(K, zhat.max(), z.max()))
     if zhat.min() < 1 or z.min() < 1:
         raise ValueError("labels must be >= 1")
+
+    from scipy.optimize import linear_sum_assignment
 
     m = confusion(zhat, z, k_eff)
     rows, cols = linear_sum_assignment(-m)

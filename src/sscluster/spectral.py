@@ -4,6 +4,10 @@ The subsampled pipeline normalizes an N x n bi-adjacency slice by row and
 column degrees, eigendecomposes its n x n Gram matrix, and lifts the right
 eigenvectors back to embedding coordinates for every node. A full-network
 normalized Laplacian baseline is provided for comparison.
+
+The module loads scipy.sparse and scipy.linalg. ``full_embed`` imports
+scipy.sparse.linalg (ARPACK) when it first runs, so a subsampled run never
+loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from . import blas
 from .errors import DegenerateInputError, ResourceLimitError
@@ -27,10 +30,6 @@ RANK_TOL = 1e-10
 SELECT_K_MAX = 50
 # Dense solves up to this many rows run on one BLAS thread (symmetric_eig).
 SERIAL_EIG_MAX = 300
-
-# scipy releases whose eigsh takes ``rng`` draw ARPACK's restart vectors
-# from it; older ones draw them from ARPACK's own process-wide seed.
-_EIGSH_TAKES_RNG = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
 
 
 @dataclass(frozen=True)
@@ -261,11 +260,16 @@ def full_embed(L, K: int) -> Embedding:
     if K == N:
         top_w, top_v = symmetric_eig(L, K)
     else:
+        from scipy.sparse.linalg import eigsh
+
+        # scipy releases whose eigsh takes ``rng`` draw ARPACK's restart
+        # vectors from it; older ones draw them from ARPACK's own
+        # process-wide seed.
+        takes_rng = "rng" in inspect.signature(eigsh).parameters
         start = np.random.default_rng(N)
         v0 = start.uniform(-1.0, 1.0, N)
-        w, v = scipy.sparse.linalg.eigsh(
-            _symmetrized(L), k=K, which="LA", v0=v0,
-            **({"rng": start} if _EIGSH_TAKES_RNG else {}))
+        w, v = eigsh(_symmetrized(L), k=K, which="LA", v0=v0,
+                     **({"rng": start} if takes_rng else {}))
         order = np.argsort(w)[::-1]
         top_w, top_v = w[order], v[:, order]
     return Embedding(

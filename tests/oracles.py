@@ -1,7 +1,8 @@
 """Reference code the tests compare the library against.
 
-None of it is on the clustering pipeline: the graph build on int64 keys
-at every node count, a degree normalizer for any nonnegative matrix, the
+None of it is on the clustering pipeline: scipy sparse matrices of a
+graph and of a bi-adjacency, the graph build on int64 keys at every node
+count, a degree normalizer for any nonnegative matrix, the
 full Laplacian by sparse diagonal products, an all-dense top-K
 embedding, the population (expected) matrices of an SBM, subspace
 distances between embeddings, a brute-force misclustered rate and an
@@ -18,9 +19,22 @@ import numpy as np
 import scipy.sparse as sp
 
 from sscluster.errors import DegenerateInputError
-from sscluster.graph import SparseGraph
+from sscluster.graph import BiAdjacency, SparseGraph
 from sscluster.sbm import BlockMatrix, validate_labels
 from sscluster.spectral import SubsampledLaplacian
+
+
+def to_csr(g: SparseGraph) -> sp.csr_matrix:
+    """The N x N 0/1 adjacency matrix of ``g`` on its own arrays."""
+    data = np.ones(len(g.indices), dtype=np.float64)
+    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n_nodes, g.n_nodes))
+
+
+def to_csc(ba: BiAdjacency) -> sp.csc_matrix:
+    """The N x n 0/1 bi-adjacency matrix of ``ba`` on its own arrays."""
+    data = np.ones(len(ba.row_indices), dtype=np.float64)
+    return sp.csc_matrix((data, ba.row_indices, ba.col_indptr),
+                         shape=(ba.n_rows, ba.n_cols))
 
 
 def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
@@ -49,7 +63,7 @@ def full_laplacian_by_diagonal_products(g) -> sp.csr_matrix:
     d = np.diff(g.indptr).astype(np.float64)
     with np.errstate(divide="ignore"):
         dinv = np.where(d > 0, 1.0 / np.sqrt(d), 0.0)
-    return (sp.diags(dinv) @ g.to_csr() @ sp.diags(dinv)).tocsr()
+    return (sp.diags(dinv) @ to_csr(g) @ sp.diags(dinv)).tocsr()
 
 
 def population_embedding(P: np.ndarray, K: int, tol: float = 1e-10) -> np.ndarray:

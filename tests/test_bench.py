@@ -475,6 +475,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "misclustered rate" in out
 
+    def test_cluster_id_map_keeps_negative_and_wide_ids(self, tmp_path):
+        # Two 4-cliques joined by one edge, on ids below 0 and above 2**32.
+        ids = [-2**63, -2**40, -12, -1, 0, 7, 2**32, 2**63 - 1]
+        pairs = [(a, b) for half in (ids[:4], ids[4:])
+                 for i, a in enumerate(half) for b in half[i + 1:]] + [(ids[3], ids[4])]
+        edges = tmp_path / "net.edges"
+        edges.write_text("".join(f"{b} {a}\n" for a, b in pairs))
+        rc = cli.main(["cluster", "--edges", str(edges), "--method", "full",
+                       "--k", "2", "--out", str(tmp_path / "result")])
+        assert rc == 0
+        assert (tmp_path / "result.idmap").read_bytes() == "".join(
+            f"{e} {i}\n" for i, e in enumerate(ids)).encode()
+
     @pytest.fixture(scope="class")
     def big_network(self, tmp_path_factory):
         # N = 6000: above the full-comparison limit and, for n > 4000, the
@@ -526,9 +539,9 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv, expected", [
-        ([], 7),                   # the config file's seed
-        (["--seed", "0"], 0),      # 0 is a value, not "unset"
-        (["--seed", "3"], 3),
+        pytest.param([], 7, id="argv0-7"),                # the config file's seed
+        pytest.param(["--seed", "0"], 0, id="argv1-0"),   # 0 is a value, not "unset"
+        pytest.param(["--seed", "3"], 3, id="argv2-3"),
     ])
     def test_bench_seed_flag_overrides_config(self, tmp_path, monkeypatch,
                                               argv, expected):
@@ -663,23 +676,30 @@ class TestCli:
                        "--out", str(tmp_path / "x.csv"), "--beta", "1.5"])
         assert rc == 2
 
+    # Explicit ids: deleting a row leaves the names of the others alone.
     @pytest.mark.parametrize("argv", [
-        ["cluster", "--edges", "{tmp}/missing.edges", "--n", "10"],
-        ["eval", "{tmp}/missing1", "{tmp}/missing2"],
-        ["bench", "s4", "--config", "{tmp}/missing.cfg"],
-        ["bench", "s4", "--config", "{tmp}/bad_trials.cfg"],
-        ["bench", "s1", "--config", "{tmp}/bad_full_sc.cfg"],
-        ["generate", "--nodes", "0", "--out", "{tmp}/g.edges"],
-        ["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
-        ["generate", "--nodes", "10", "--k", "0", "--out", "{tmp}/g.edges"],
-        ["generate", "--nodes", "10", "--k", "3", "--pi", "0.5,0.5",
-         "--out", "{tmp}/g.edges"],
-        ["generate", "--nodes", "10", "--k", "3", "--pi", "0.2,0.2,0.3,0.3",
-         "--out", "{tmp}/g.edges"],
-        ["bench", "s4", "--jobs", "0", "--out", "{tmp}/x.csv"],
-        ["cluster", "--edges", "{tmp}/missing.edges", "--method", "full", "--n", "5"],
-        ["cluster", "--edges", "{tmp}/missing.edges", "--k", "two", "--n", "5"],
-        ["cluster", "--edges", "{tmp}/missing.edges", "--method", "dcs"],
+        pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--n", "10"],
+                     id="argv0"),
+        pytest.param(["eval", "{tmp}/missing1", "{tmp}/missing2"], id="argv1"),
+        pytest.param(["bench", "s4", "--config", "{tmp}/missing.cfg"], id="argv2"),
+        pytest.param(["bench", "s4", "--config", "{tmp}/bad_trials.cfg"], id="argv3"),
+        pytest.param(["bench", "s1", "--config", "{tmp}/bad_full_sc.cfg"], id="argv4"),
+        pytest.param(["generate", "--nodes", "0", "--out", "{tmp}/g.edges"], id="argv5"),
+        pytest.param(["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
+                     id="argv6"),
+        pytest.param(["generate", "--nodes", "10", "--k", "0", "--out", "{tmp}/g.edges"],
+                     id="argv7"),
+        pytest.param(["generate", "--nodes", "10", "--k", "3", "--pi", "0.5,0.5",
+                      "--out", "{tmp}/g.edges"], id="argv8"),
+        pytest.param(["generate", "--nodes", "10", "--k", "3", "--pi", "0.2,0.2,0.3,0.3",
+                      "--out", "{tmp}/g.edges"], id="argv9"),
+        pytest.param(["bench", "s4", "--jobs", "0", "--out", "{tmp}/x.csv"], id="argv10"),
+        pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--method", "full",
+                      "--n", "5"], id="argv11"),
+        pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--k", "two", "--n", "5"],
+                     id="argv12"),
+        pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--method", "dcs"],
+                     id="argv13"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")

@@ -14,11 +14,12 @@ from sscluster.graph import (
     read_edge_list,
     relabel_pairs,
     write_edge_list,
+    write_int_rows,
     write_relabel_map,
 )
 
 from conftest import check_graph_invariants, edge_lists
-from oracles import from_edge_list_int64_keys, has_edge
+from oracles import from_edge_list_int64_keys, has_edge, to_csc, to_csr
 
 
 class TestFromEdgeList:
@@ -60,13 +61,13 @@ class TestDegrees:
 class TestBiAdjacency:
     def test_identity_sample_reconstructs_adjacency(self, path4):
         ba = bi_adjacency(path4, [0, 1, 2, 3])
-        dense = ba.to_csc().toarray()
-        full = path4.to_csr().toarray()
+        dense = to_csc(ba).toarray()
+        full = to_csr(path4).toarray()
         assert np.array_equal(dense, full)
 
     def test_triangle_single_column(self, triangle):
         ba = bi_adjacency(triangle, [0])
-        assert ba.to_csc().toarray().ravel().tolist() == [0, 1, 1]
+        assert to_csc(ba).toarray().ravel().tolist() == [0, 1, 1]
 
     def test_two_community_toy_graph_entries(self):
         # Ten nodes, two dense communities {0..4} and {5..9} plus one
@@ -77,7 +78,7 @@ class TestBiAdjacency:
         g = from_edge_list(edges, 10)
         sample = [0, 3, 5, 8]
         ba = bi_adjacency(g, sample)
-        dense = ba.to_csc().toarray()
+        dense = to_csc(ba).toarray()
         for j, s in enumerate(sample):
             for i in range(10):
                 assert dense[i, j] == (1.0 if has_edge(g, i, s) else 0.0)
@@ -87,7 +88,7 @@ class TestBiAdjacency:
 
     def test_sampled_diagonal_is_zero(self, triangle):
         ba = bi_adjacency(triangle, [1, 2])
-        dense = ba.to_csc().toarray()
+        dense = to_csc(ba).toarray()
         assert dense[1, 0] == 0 and dense[2, 1] == 0
 
     def test_rejects_bad_samples(self, triangle):
@@ -112,6 +113,21 @@ def reference_edge_list_text(g) -> str:
     """Oracle: the per-edge loop writer."""
     return "".join(f"{i} {j}\n" for i in range(g.n_nodes)
                    for j in g.neighbors(i) if j > i)
+
+
+INT64 = np.iinfo(np.int64)
+# Where "%d" changes its digit count or sign, the 32-bit edge, and the ends.
+EDGE_INT64S = sorted({0, 1, -1, 2**32 - 1, 2**32, -2**32, INT64.min, INT64.min + 1,
+                      INT64.max, *(s * (10**k + d) for k in range(1, 19)
+                                   for d in (-1, 0) for s in (1, -1))})
+
+
+@st.composite
+def int64_tables(draw):
+    """1 to 3 int64 columns of up to 40 rows, as a list of row tuples."""
+    value = st.one_of(st.integers(INT64.min, INT64.max), st.sampled_from(EDGE_INT64S))
+    n_cols = draw(st.integers(1, 3))
+    return n_cols, draw(st.lists(st.tuples(*[value] * n_cols), max_size=40))
 
 
 class TestInvariants:
@@ -162,7 +178,7 @@ class TestInvariants:
         if not sample:
             return
         ba = bi_adjacency(g, sample)
-        dense = ba.to_csc().toarray()
+        dense = to_csc(ba).toarray()
         for j, s in enumerate(sample):
             for i in range(n):
                 assert bool(dense[i, j]) == has_edge(g, i, s)
@@ -173,7 +189,7 @@ class TestInvariants:
         pairs, n = case
         g = from_edge_list(pairs, n)
         ba = bi_adjacency(g, list(range(n)))
-        assert np.array_equal(ba.to_csc().toarray(), g.to_csr().toarray())
+        assert np.array_equal(to_csc(ba).toarray(), to_csr(g).toarray())
 
 
 class TestFiles:
@@ -182,7 +198,7 @@ class TestFiles:
         write_edge_list(triangle, path)
         pairs = read_edge_list(path)
         g2 = from_edge_list(pairs, 3)
-        assert np.array_equal(g2.to_csr().toarray(), triangle.to_csr().toarray())
+        assert np.array_equal(to_csr(g2).toarray(), to_csr(triangle).toarray())
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -247,6 +263,30 @@ class TestFiles:
         path = tmp_path / "edges.txt"
         write_edge_list(g, path)
         assert path.read_text() == reference_edge_list_text(g)
+
+    @given(int64_tables())
+    @settings(max_examples=200, deadline=None)
+    @example((1, [(v,) for v in EDGE_INT64S]))
+    @example((3, [(INT64.min, 0, INT64.max), (9, -10, 100)]))
+    def test_int_rows_are_percent_d_text(self, tmp_path_factory, case):
+        n_cols, rows = case
+        path = tmp_path_factory.mktemp("w") / "rows.txt"
+        write_int_rows(path, *[np.array([r[c] for r in rows], dtype=np.int64)
+                               for c in range(n_cols)])
+        expected = "".join(" ".join("%d" % v for v in r) + "\n" for r in rows)
+        assert path.read_bytes() == expected.encode()
+
+    def test_no_rows_write_an_empty_file(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("old contents\n")
+        write_int_rows(path, np.array([], dtype=np.int64), [])
+        assert path.read_bytes() == b""
+        write_edge_list(from_edge_list([], 3), path)
+        assert path.read_bytes() == b""
+
+    def test_int_rows_reject_unequal_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_int_rows(tmp_path / "rows.txt", [1, 2], [3])
 
     def test_relabel_sparse_ids(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -34,6 +34,7 @@ from oracles import (
     population_bi_adjacency,
     procrustes_distance,
     projection_distance,
+    to_csc,
 )
 
 
@@ -97,7 +98,7 @@ class TestSubsampledLaplacian:
         z = sample_memberships((0.2, 0.3, 0.5), 900, r)
         g = generate_adjacency(z, block_matrix(0.02, 0.05, 3), r)
         b = bi_adjacency(g, srs(900, 60, r).ids)
-        fast, general = subsampled_laplacian(b), normalize_bi_adjacency(b.to_csc())
+        fast, general = subsampled_laplacian(b), normalize_bi_adjacency(to_csc(b))
         for attr in ("data", "indices", "indptr"):
             got, want = getattr(fast.matrix, attr), getattr(general.matrix, attr)
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), attr
