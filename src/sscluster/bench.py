@@ -3,11 +3,14 @@
 ``run_ssc`` (subsampled spectral clustering of a drawn sample) and
 ``run_full_sc`` (the full-network baseline) are the only pipeline
 definitions: the scenario sweeps and ``run_real`` (the ``cluster``
-command) call them. Each returns its stage seconds in a ``times`` dict;
-callers record the stages they own (sampling, and load and write in
-``run_real``) into the same kind of dict. No other module of the package
-knows the records CSV schema below: this one writes the per-trial stage
-seconds and reads rows back as text with ``read_records_csv``.
+command) call them. Each runs three stages: laplacian, eig and kmeans.
+The eig stage is ``spectral.embed`` or ``spectral.full_embed``, which
+also choose K by the eigengap when asked to. Each pipeline returns its
+stage seconds in a ``times`` dict; callers record the stages they own
+(sampling, and load and write in ``run_real``) into the same kind of
+dict. No other module of the package knows the records CSV schema below:
+this one writes the per-trial stage seconds and reads rows back as text
+with ``read_records_csv``.
 
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance. Every trial is driven by a seed derived
@@ -167,23 +170,19 @@ def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K,
             rng: np.random.Generator):
     """Subsampled spectral clustering of ``g`` from a drawn ``sample``.
 
-    ``K="auto"`` takes K from the eigengap of the Gram spectrum and embeds
-    from that same solve. Returns (labels, embedding, times): the
-    embedding's column count is the K used, and ``times`` holds the
-    laplacian, eig and kmeans stage seconds. An all-zero bi-adjacency (no
-    edges touch the sample) raises DegenerateInputError.
+    ``K`` goes to ``spectral.embed``, which may choose it by the eigengap.
+    Returns (labels, embedding, times): the embedding's column count is
+    the K used, and ``times`` holds the laplacian, eig and kmeans stage
+    seconds. An all-zero bi-adjacency (no edges touch the sample) raises
+    DegenerateInputError.
     """
     times = {}
     with _stage(times, "laplacian"):
         ls = spectral.subsampled_laplacian(graph.bi_adjacency(g, sample.ids))
     with _stage(times, "eig"):
-        spectrum = None
-        if K == "auto":
-            spectrum = spectral.subsampled_spectrum(ls)
-            K = spectral.select_k(spectrum)
-        emb = spectral.embed(ls, K, spectrum=spectrum)
+        emb = spectral.embed(ls, K)
     with _stage(times, "kmeans"):
-        km = kmeans(emb.matrix, K, rng=rng)
+        km = kmeans(emb.matrix, emb.matrix.shape[1], rng=rng)
     return km.labels, emb, times
 
 
@@ -191,24 +190,16 @@ def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator):
     """Full-network spectral clustering baseline, returning (labels,
     embedding, times) as ``run_ssc`` does.
 
-    ``K="auto"`` takes K from the eigengap of the full Laplacian's top
-    eigenvalues; the embedding's column count is the K chosen.
+    ``K`` goes to ``spectral.full_embed``, which may choose it by the
+    eigengap of the full Laplacian's top eigenvalues.
     """
     times = {}
     with _stage(times, "laplacian"):
         lap = spectral.full_laplacian(g)
     with _stage(times, "eig"):
-        if K == "auto":
-            # select_k reads at most SELECT_K_MAX + 1 eigenvalues, so one solve
-            # for that many pairs gives both K and the K vectors to cluster.
-            top = spectral.full_embed(lap, min(g.n_nodes, spectral.SELECT_K_MAX + 1))
-            K = spectral.select_k(spectral.EigenSpectrum(values=top.eigenvalues))
-            emb = replace(top, matrix=top.matrix[:, :K],
-                          eigenvalues=top.eigenvalues[:K], rank=K)
-        else:
-            emb = spectral.full_embed(lap, K)
+        emb = spectral.full_embed(lap, K)
     with _stage(times, "kmeans"):
-        km = kmeans(emb.matrix, K, rng=rng)
+        km = kmeans(emb.matrix, emb.matrix.shape[1], rng=rng)
     return km.labels, emb, times
 
 
@@ -514,11 +505,11 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
     whole-network baseline (``n`` ignored). ``k`` may be an integer or
-    "auto" (eigengap selection on the subsampled spectrum, or on the full
-    Laplacian's top eigenvalues for method="full"). Degree-corrected
-    sampling needs a community count before the eigengap is available, so
-    with ``k="auto"`` its degree partition uses ``DCS_AUTO_PARTITION_K``;
-    the clustering K still comes from the eigengap. When N is at most
+    "auto", which the pipeline's embedding resolves by the eigengap.
+    Degree-corrected sampling needs a community count before the eigengap
+    is available, so with ``k="auto"`` its degree partition uses
+    ``DCS_AUTO_PARTITION_K``; the clustering K still comes from the
+    eigengap, and the full-SC comparison uses that K. When N is at most
     ``FULL_BASELINE_MAX_N``, subsampled runs also report the disagreement
     rate against full spectral clustering. Nodes with no connection to the
     sample are counted, not fatal.

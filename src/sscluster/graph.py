@@ -37,14 +37,13 @@ class SparseGraph:
 class BiAdjacency:
     """N x n slice of an adjacency matrix keeping only sampled columns.
 
-    Column j holds the (sorted) row indices of the nonzero entries of
-    column ``sample_ids[j]`` of the full adjacency matrix. Column-wise
+    Column j holds the (sorted) row indices of the nonzero entries in the
+    adjacency column of the j-th sampled node. Column-wise
     storage keeps Gram accumulation cache-friendly.
     """
 
     n_rows: int
     n_cols: int
-    sample_ids: np.ndarray
     col_indptr: np.ndarray
     row_indices: np.ndarray
 
@@ -141,7 +140,6 @@ def bi_adjacency(g: SparseGraph, sample) -> BiAdjacency:
     return BiAdjacency(
         n_rows=g.n_nodes,
         n_cols=len(ids),
-        sample_ids=ids.copy(),
         col_indptr=col_indptr,
         row_indices=row_indices,
     )

@@ -60,6 +60,8 @@ def validate_labels(z: np.ndarray, K: int) -> np.ndarray:
 def community_probs(pi, K: int) -> tuple[float, ...]:
     """The K community probabilities: ``pi`` checked against K, or uniform
     when ``pi`` is None."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if pi is None:
         return (1.0 / K,) * K
     if len(pi) != K:

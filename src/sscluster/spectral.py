@@ -56,8 +56,7 @@ class SubsampledLaplacian:
 class EigenSpectrum:
     """Descending eigenvalues of a Gram (PSD) matrix, tiny negatives clipped.
 
-    ``vectors``, when present, holds the matching eigenvectors as columns,
-    so that an embedding can reuse the solve that chose K.
+    ``vectors``, when present, holds the matching eigenvectors as columns.
     """
 
     values: np.ndarray
@@ -195,24 +194,25 @@ def subsampled_spectrum(ls: SubsampledLaplacian) -> EigenSpectrum:
     return EigenSpectrum.from_psd_eigenvalues(w, v)
 
 
-def embed(ls: SubsampledLaplacian, K: int,
-          spectrum: EigenSpectrum | None = None) -> Embedding:
+def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
-    V_K and Lambda_K come from the Gram matrix of L: from ``spectrum`` when
-    given (it must be ``subsampled_spectrum(ls)``), else from a solve for
-    the top K pairs only (100 x 100, K=3: about 0.4 ms, against 1.8 ms for
-    the full spectrum). The two agree to rounding, not bit for bit.
+    V_K and Lambda_K come from the Gram matrix of L. ``K="auto"`` solves
+    the full spectrum (``subsampled_spectrum``), takes K from its eigengap
+    (``select_k``) and lifts from that same solve. An int K solves for the
+    top K pairs only (100 x 100, K=3: about 0.4 ms, against 1.8 ms for the
+    full spectrum); the two routes agree to rounding, not bit for bit.
     Eigenvalues at or below RANK_TOL * lambda_1 are treated as zero in the
     pseudo-inverse, which zeroes the corresponding embedding columns.
     """
     n = ls.shape[1]
-    if not 1 <= K <= n:
+    if K == "auto":
+        spectrum = subsampled_spectrum(ls)
+        K = select_k(spectrum)
+    elif not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
-    if spectrum is None:
+    else:
         spectrum = EigenSpectrum.from_psd_eigenvalues(*symmetric_eig(gram(ls), K))
-    elif spectrum.vectors is None or spectrum.vectors.shape != (n, n):
-        raise ValueError("spectrum must carry the n x n Gram eigenvectors of ls")
     top = spectrum.values[:K]
     vk = spectrum.vectors[:, :K]
 
@@ -245,7 +245,7 @@ def full_laplacian(g: SparseGraph) -> sp.csr_matrix:
     return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n_nodes, g.n_nodes))
 
 
-def full_embed(L, K: int) -> Embedding:
+def full_embed(L, K: int | str) -> Embedding:
     """Top-K eigenvectors of the full Laplacian by algebraic eigenvalue.
 
     Lanczos (ARPACK ``eigsh``) on the sparse matrix, in O(|E| + N K)
@@ -253,12 +253,15 @@ def full_embed(L, K: int) -> Embedding:
     from a generator seeded with N, so a result depends on neither the
     caller's generator nor earlier solves (restart vectors only where
     eigsh takes ``rng``). ARPACK needs K < N; K = N takes the dense solve.
+    ``K="auto"`` solves for the top min(N, SELECT_K_MAX + 1) pairs, the
+    most ``select_k`` reads, and keeps the first K, as ``select_k`` picks.
     """
     N = L.shape[0]
-    if not 1 <= K <= N:
+    k = min(N, SELECT_K_MAX + 1) if K == "auto" else K
+    if not 1 <= k <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    if K == N:
-        top_w, top_v = symmetric_eig(L, K)
+    if k == N:
+        top_w, top_v = symmetric_eig(L, k)
     else:
         from scipy.sparse.linalg import eigsh
 
@@ -268,10 +271,13 @@ def full_embed(L, K: int) -> Embedding:
         takes_rng = "rng" in inspect.signature(eigsh).parameters
         start = np.random.default_rng(N)
         v0 = start.uniform(-1.0, 1.0, N)
-        w, v = eigsh(_symmetrized(L), k=K, which="LA", v0=v0,
+        w, v = eigsh(_symmetrized(L), k=k, which="LA", v0=v0,
                      **({"rng": start} if takes_rng else {}))
         order = np.argsort(w)[::-1]
         top_w, top_v = w[order], v[:, order]
+    if K == "auto":
+        K = select_k(EigenSpectrum(values=top_w))
+        top_w, top_v = top_w[:K], top_v[:, :K]
     return Embedding(
         matrix=top_v,
         eigenvalues=top_w,

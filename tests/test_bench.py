@@ -700,6 +700,8 @@ class TestCli:
                      id="argv12"),
         pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--method", "dcs"],
                      id="argv13"),
+        pytest.param(["bench", "s1", "--k", "0", "--out", "{tmp}/x.csv"], id="argv14"),
+        pytest.param(["bench", "s1", "--k", "-1", "--out", "{tmp}/x.csv"], id="argv15"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")

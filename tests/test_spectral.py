@@ -280,31 +280,31 @@ class TestEmbed:
         g = generate_adjacency(z, block_matrix(0.5, 0.1, 2), rng)
         return subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng).ids))
 
-    def test_given_spectrum_reused_exactly(self, monkeypatch):
+    def test_auto_k_lifts_from_the_one_full_solve(self, monkeypatch):
         ls = self._two_block_laplacian()
         spec = subsampled_spectrum(ls)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("embed solved again despite a given spectrum")
-
-        monkeypatch.setattr(spectral, "symmetric_eig", no_solve)
-        reused = embed(ls, 2, spectrum=spec)
-        assert np.array_equal(reused.eigenvalues, spec.values[:2])
-        lift = spec.vectors[:, :2] * (1.0 / np.sqrt(spec.values[:2]))
-        assert np.array_equal(reused.matrix, ls.matrix @ lift)
-        with pytest.raises(ValueError):
-            embed(ls, 2, spectrum=EigenSpectrum(values=spec.values))
+        K = select_k(spec)
+        solve, asked = spectral.symmetric_eig, []
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda m, k=None: asked.append(k) or solve(m, k))
+        emb = embed(ls, "auto")
+        assert asked == [None]
+        assert K == 2
+        assert np.array_equal(emb.eigenvalues, spec.values[:K])
+        lift = spec.vectors[:, :K] * (1.0 / np.sqrt(spec.values[:K]))
+        assert np.array_equal(emb.matrix, ls.matrix @ lift)
 
     def test_fixed_k_solves_only_the_top_pairs(self, monkeypatch):
         ls = self._two_block_laplacian()
-        full = embed(ls, 2, spectrum=subsampled_spectrum(ls))
+        spec = subsampled_spectrum(ls)
+        full = ls.matrix @ (spec.vectors[:, :2] * (1.0 / np.sqrt(spec.values[:2])))
         solve, asked = spectral.symmetric_eig, []
         monkeypatch.setattr(spectral, "symmetric_eig",
                             lambda m, k=None: asked.append(k) or solve(m, k))
         fresh = embed(ls, 2)
         assert asked == [2]
-        assert np.abs(fresh.eigenvalues - full.eigenvalues).max() <= 1e-12
-        assert projection_distance(fresh.matrix, full.matrix) <= 1e-10
+        assert np.abs(fresh.eigenvalues - spec.values[:2]).max() <= 1e-12
+        assert projection_distance(fresh.matrix, full) <= 1e-10
 
 
 class TestFullLaplacian:
@@ -480,6 +480,37 @@ class TestFullEmbed:
         w, _ = dense_top(lap, K)
         assert np.abs(emb.eigenvalues - w).max() <= 1e-12
         assert np.abs(emb.matrix.T @ emb.matrix - np.eye(K)).max() <= 1e-12
+
+    @pytest.mark.parametrize("graph", ["sbm", "components"])
+    def test_auto_k_is_the_eigengap_head_of_one_solve(self, graph):
+        if graph == "sbm":
+            rng = np.random.default_rng(41)
+            z = sample_memberships((0.3, 0.3, 0.4), 240, rng)
+            lap = full_laplacian(generate_adjacency(z, block_matrix(0.3, 0.05, 3), rng))
+        else:
+            lap = full_laplacian(components_graph())
+        emb = full_embed(lap, "auto")
+        K = select_k(EigenSpectrum(values=np.linalg.eigvalsh(lap.toarray())[::-1]))
+        assert emb.matrix.shape == (lap.shape[0], K)
+        assert emb.rank == K
+        top = full_embed(lap, min(lap.shape[0], spectral.SELECT_K_MAX + 1))
+        assert np.array_equal(emb.matrix, top.matrix[:, :K])
+        assert np.array_equal(emb.eigenvalues, top.eigenvalues[:K])
+
+    def test_auto_k_takes_the_dense_route_at_small_n(self, monkeypatch):
+        # At N <= SELECT_K_MAX + 1 the auto solve asks for all N pairs.
+        rng = np.random.default_rng(42)
+        z = sample_memberships((0.5, 0.5), 40, rng)
+        lap = full_laplacian(generate_adjacency(z, block_matrix(0.6, 0.1, 2), rng))
+        solve, asked = spectral.symmetric_eig, []
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda m, k=None: asked.append(k) or solve(m, k))
+        emb = full_embed(lap, "auto")
+        assert asked == [40]
+        w, _ = dense_top(lap, 40)
+        K = select_k(EigenSpectrum(values=w))
+        assert emb.matrix.shape == (40, K)
+        assert np.abs(emb.eigenvalues - w[:K]).max() <= 1e-12
 
     @pytest.mark.parametrize("matrix", ["sbm", "components", "identity"])
     def test_bitwise_reproducible(self, matrix):
