@@ -10,7 +10,8 @@ stage seconds in a ``times`` dict; callers record the stages they own
 (sampling, and load and write in ``run_real``) into the same kind of
 dict. No other module of the package knows the records CSV schema below:
 this one writes the per-trial stage seconds and reads rows back as text
-with ``read_records_csv``.
+with ``read_records_csv``. Rows, TRIAL, AGG and TREND alike, are dicts
+keyed by ``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance. Every trial is driven by a seed derived
@@ -32,7 +33,8 @@ CSV schema (version header "# sscluster bench csv v1"):
     rate       per-trial misclustered rate (TRIAL rows)
     rate_mean, rate_se   aggregates over the cell (AGG rows)
     trend      per-method monotonicity summary of mean rates (TREND rows)
-    t_sampling, t_laplacian, t_eig, t_kmeans, t_total   stage seconds
+    t_sampling, t_laplacian, t_eig, t_kmeans   stage seconds (TRIAL rows)
+    t_total    their sum (TRIAL rows), its mean over the cell (AGG rows)
 """
 
 from __future__ import annotations
@@ -78,37 +80,6 @@ def derive_seed(master: int, scenario: str, cell: int, trial: int) -> int:
 def subsample_size_rule(N: int) -> int:
     """Growth rule for the consistency sweep: ceil(2 * (log N)^2), natural log."""
     return math.ceil(2.0 * math.log(N) ** 2)
-
-
-@dataclass
-class TrialRecord:
-    scenario: str
-    cell: int
-    N: int
-    n: int
-    K: int
-    beta: float
-    zeta: float
-    delta: float
-    method: str
-    trial: int
-    seed: int
-    status: str = "ok"
-    covered: bool | None = None
-    rate: float | None = None
-    t_sampling: float = 0.0
-    t_laplacian: float = 0.0
-    t_eig: float = 0.0
-    t_kmeans: float = 0.0
-
-    @classmethod
-    def from_times(cls, times: dict, **fields) -> "TrialRecord":
-        """A record whose t_<stage> fields come from a stage-times dict."""
-        return cls(**fields, **{f"t_{stage}": t for stage, t in times.items()})
-
-    @property
-    def t_total(self) -> float:
-        return self.t_sampling + self.t_laplacian + self.t_eig + self.t_kmeans
 
 
 @dataclass
@@ -207,12 +178,20 @@ def run_full_sc(g: graph.SparseGraph, K, rng: np.random.Generator):
 # Trials
 # ---------------------------------------------------------------------------
 
+def _trial_row(times: dict, **fields) -> dict:
+    """A TRIAL row: ``fields``, one t_<stage> value per stage of ``times``
+    (0 for a stage that did not run) and t_total, their sum."""
+    stages = {col: times.get(col[2:], 0.0) for col in TIMING_COLUMNS[:-1]}
+    return {"row_type": "TRIAL", **fields, **stages, "t_total": sum(stages.values())}
+
+
 def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
-               methods: tuple[str, ...], with_full: bool) -> list[TrialRecord]:
+               methods: tuple[str, ...], with_full: bool) -> list[dict]:
     """Run one seeded replication of a scenario cell.
 
     Draws labels and a graph, then evaluates each subsampling method (and
     optionally the full-SC baseline) against the planted communities.
+    Returns one TRIAL row per method, in the order srs/dcs, then full.
     """
     rng = np.random.default_rng(seed)
     z = sbm.sample_memberships(cell.pi, cell.N, rng)
@@ -222,7 +201,7 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
     base = dict(scenario=scenario, cell=cell.index, N=cell.N, n=cell.n, K=K,
                 beta=cell.beta, zeta=cell.zeta, delta=cell.delta, trial=trial,
                 seed=seed)
-    records = []
+    rows = []
     for method in methods:
         times = {}
         with _stage(times, "sampling"):
@@ -236,29 +215,28 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
             # No signal at all (e.g. beta = 0): score the trivial one-block
             # labeling, which sits at chance level for the given pi.
             labels, status = np.ones(cell.N, dtype=np.int64), "degenerate"
-        records.append(TrialRecord.from_times(
-            times, **base, method=method, status=status, covered=covered,
+        rows.append(_trial_row(
+            times, **base, method=method, status=status, covered=int(covered),
             rate=metrics.misclustered_rate(labels, z, K)))
 
     if with_full:
+        times, status, rate = {}, "skipped", None
         if cell.N <= FULL_BASELINE_MAX_N:
             try:
                 labels, _, times = run_full_sc(g, K, rng)
-                records.append(TrialRecord.from_times(
-                    times, **base, method="full",
-                    rate=metrics.misclustered_rate(labels, z, K)))
+                status, rate = "ok", metrics.misclustered_rate(labels, z, K)
             except DegenerateInputError:
-                records.append(TrialRecord(**base, method="full", status="degenerate"))
-        else:
-            records.append(TrialRecord(**base, method="full", status="skipped"))
-    return records
+                status = "degenerate"
+        rows.append(_trial_row(times, **base, method="full", status=status,
+                               covered=None, rate=rate))
+    return rows
 
 
-def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
+def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
     """Execute every (cell, trial), serially or on a process pool.
 
-    Rows come back in deterministic (cell, trial) order regardless of
-    completion order.
+    Rows come back in (cell, trial) order either way: ``Executor.map``
+    returns results in task order.
     """
     tasks = []
     for cell in cells:
@@ -273,18 +251,11 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
             chunks = list(pool.map(_trial_star, tasks))
     else:
         chunks = [_trial_star(t) for t in tasks]
-
-    records = [r for chunk in chunks for r in chunk]
-    records.sort(key=lambda r: (r.cell, r.trial, _method_order(r.method)))
-    return records
+    return [row for chunk in chunks for row in chunk]
 
 
 def _trial_star(args):
     return _sbm_trial(*args)
-
-
-def _method_order(method: str) -> int:
-    return {"srs": 0, "dcs": 1, "full": 2}.get(method, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +322,9 @@ _SWEEP_CELLS = {"s1": (_s1_cells, "N"), "s2": (_s2_cells, "n"),
                 "s3": (_s3_cells, None), "s4": (_s4_cells, "delta")}
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Run ``cfg.scenario``'s sweep and write its CSV to ``cfg.out`` (if set).
+def run_scenario(cfg: ScenarioConfig) -> list[dict]:
+    """Run ``cfg.scenario``'s sweep, write its CSV to ``cfg.out`` (if set)
+    and return its TRIAL rows.
 
     Unset sweep settings take the scenario's defaults from ``SWEEPS``. A
     sweep setting the scenario does not read, or any invalid setting,
@@ -379,10 +351,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[TrialRecord]:
     build_cells, trend_axis = _SWEEP_CELLS[cfg.scenario]
     cells = build_cells(cfg)
     _check_cells(cells, cfg)
-    records = _run_sweep(cfg, cells)
+    rows = _run_sweep(cfg, cells)
     if cfg.out:
-        write_records_csv(records, cfg.out, trend_axis=trend_axis)
-    return records
+        write_records_csv(rows, cfg.out, trend_axis=trend_axis)
+    return rows
 
 
 def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
@@ -401,27 +373,38 @@ def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
 # Aggregation and CSV
 # ---------------------------------------------------------------------------
 
-def aggregate(records: list[TrialRecord]) -> list[dict]:
-    """Mean and standard error of the rate per (cell, method)."""
-    cells: dict[tuple[int, str], list[TrialRecord]] = {}
+def aggregate(records: list[dict]) -> list[dict]:
+    """AGG rows: mean and standard error of the rate per (cell, method),
+    in the order the pairs first occur in ``records``, and the mean
+    t_total."""
+    groups: dict[tuple[int, str], list[dict]] = {}
     for r in records:
-        if r.rate is not None:
-            cells.setdefault((r.cell, r.method), []).append(r)
+        if r["rate"] is not None:
+            groups.setdefault((r["cell"], r["method"]), []).append(r)
     rows = []
-    for (cell, method), rs in sorted(cells.items(), key=lambda kv: (kv[0][0], _method_order(kv[0][1]))):
-        rates = np.array([r.rate for r in rs])
+    for rs in groups.values():
+        rates = np.array([r["rate"] for r in rs])
         se = rates.std(ddof=1) / math.sqrt(len(rates)) if len(rates) > 1 else 0.0
-        r0 = rs[0]
         rows.append({
-            "cell": cell, "method": method, "N": r0.N, "n": r0.n, "K": r0.K,
-            "beta": r0.beta, "zeta": r0.zeta, "delta": r0.delta,
-            "scenario": r0.scenario,
+            "row_type": "AGG",
+            **{col: rs[0][col] for col in ("scenario", "cell", "N", "n", "K",
+                                           "beta", "zeta", "delta", "method")},
+            "status": "degenerate" if any(r["status"] == "degenerate" for r in rs) else "ok",
             "rate_mean": float(rates.mean()), "rate_se": float(se),
-            "status": "degenerate" if any(r.status == "degenerate" for r in rs) else "ok",
-            "t_total_mean": float(np.mean([r.t_total for r in rs])),
-            "n_trials": len(rs),
+            "t_total": float(np.mean([r["t_total"] for r in rs])),
         })
     return rows
+
+
+def _trend_rows(aggs: list[dict], axis: str) -> list[dict]:
+    """One TREND row per method: how its mean rate moves along ``axis``."""
+    by_method: dict[str, list[dict]] = {}
+    for a in aggs:
+        by_method.setdefault(a["method"], []).append(a)
+    return [{"row_type": "TREND", "scenario": rows[0]["scenario"],
+             "K": rows[0]["K"], "method": method,
+             "trend": f"{axis}:{_trend_label([a['rate_mean'] for a in rows])}"}
+            for method, rows in by_method.items()]
 
 
 def _trend_label(means: list[float]) -> str:
@@ -432,58 +415,33 @@ def _trend_label(means: list[float]) -> str:
     return "mixed"
 
 
-def write_records_csv(records: list[TrialRecord], path,
+# Columns written with 10 significant digits; the timing columns get 6
+# decimals and the rest their str().
+_G10_COLUMNS = {"beta", "zeta", "delta", "rate", "rate_mean", "rate_se"}
+
+
+def _csv_text(col: str, value) -> str:
+    if value is None:
+        return ""
+    if col in TIMING_COLUMNS:
+        return f"{value:.6f}"
+    if col in _G10_COLUMNS:
+        return f"{value:.10g}"
+    return str(value)
+
+
+def write_records_csv(records: list[dict], path,
                       trend_axis: str | None = None) -> None:
-    """One TRIAL row per record, AGG rows per (cell, method), and, for
-    sweeps along a single axis, a TREND row per method."""
+    """The TRIAL rows ``records``, then their AGG rows and, for sweeps
+    along a single axis, a TREND row per method."""
     aggs = aggregate(records)
+    trends = _trend_rows(aggs, trend_axis) if trend_axis is not None else []
     with open(path, "w", newline="") as fh:
         fh.write(CSV_VERSION + "\n")
         w = csv.DictWriter(fh, fieldnames=COLUMNS)
         w.writeheader()
-        for r in records:
-            w.writerow({
-                "row_type": "TRIAL", "scenario": r.scenario, "cell": r.cell,
-                "N": r.N, "n": r.n, "K": r.K,
-                "beta": _fmt(r.beta), "zeta": _fmt(r.zeta), "delta": _fmt(r.delta),
-                "method": r.method, "trial": r.trial, "seed": r.seed,
-                "status": r.status,
-                "covered": "" if r.covered is None else int(r.covered),
-                "rate": _fmt(r.rate),
-                **{col: _fmt_t(getattr(r, col)) for col in TIMING_COLUMNS},
-            })
-        for a in aggs:
-            w.writerow({
-                "row_type": "AGG", "scenario": a["scenario"], "cell": a["cell"],
-                "N": a["N"], "n": a["n"], "K": a["K"],
-                "beta": _fmt(a["beta"]), "zeta": _fmt(a["zeta"]),
-                "delta": _fmt(a["delta"]),
-                "method": a["method"], "status": a["status"],
-                "rate_mean": _fmt(a["rate_mean"]), "rate_se": _fmt(a["rate_se"]),
-                "t_total": _fmt_t(a["t_total_mean"]),
-            })
-        if trend_axis is not None:
-            by_method: dict[str, list[dict]] = {}
-            for a in aggs:
-                by_method.setdefault(a["method"], []).append(a)
-            for method, rows in sorted(by_method.items(), key=lambda kv: _method_order(kv[0])):
-                rows = sorted(rows, key=lambda a: a["cell"])
-                label = _trend_label([a["rate_mean"] for a in rows])
-                w.writerow({
-                    "row_type": "TREND", "scenario": rows[0]["scenario"],
-                    "K": rows[0]["K"], "method": method,
-                    "trend": f"{trend_axis}:{label}",
-                })
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.10g}"
-
-
-def _fmt_t(x) -> str:
-    return f"{x:.6f}"
+        for row in (*records, *aggs, *trends):
+            w.writerow({col: _csv_text(col, value) for col, value in row.items()})
 
 
 def read_records_csv(path) -> list[dict]:
@@ -548,7 +506,6 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     if s is not None and g.n_nodes <= FULL_BASELINE_MAX_N:
         with _stage(times, "full_sc"):
             full_labels, _, _ = run_full_sc(g, k, rng)
-        summary["full_labels"] = full_labels
         summary["disagreement_rate"] = metrics.misclustered_rate(labels, full_labels, k)
 
     with _stage(times, "write"):

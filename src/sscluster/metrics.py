@@ -33,9 +33,11 @@ def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,
 
     The best relabeling is the maximum-trace assignment on the confusion
     matrix, solved exactly; "assignment" is the only ``method``. The
-    confusion matrix is zero-padded to max(K, largest label). Zero padding
-    never changes the best matching, so estimates using more than K labels
-    are handled and K itself never changes the rate.
+    matrix has one row per label that occurs in ``zhat`` and one column
+    per label that occurs in ``z``, whatever the label values. Rows and
+    columns of labels that do not occur would be all zero, and those never
+    change the best matching, so estimates using more than K labels are
+    handled and K itself never changes the rate.
     """
     if method != "assignment":
         raise ValueError(f"unknown method {method!r}")
@@ -43,12 +45,15 @@ def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,
     z = np.asarray(z, dtype=np.int64)
     if zhat.shape != z.shape or zhat.ndim != 1 or zhat.size == 0:
         raise ValueError("label vectors must be 1-d, nonempty, equal length")
-    k_eff = int(max(K, zhat.max(), z.max()))
     if zhat.min() < 1 or z.min() < 1:
         raise ValueError("labels must be >= 1")
 
     from scipy.optimize import linear_sum_assignment
 
-    m = confusion(zhat, z, k_eff)
+    zhat_labels, zhat_idx = np.unique(zhat, return_inverse=True)
+    z_labels, z_idx = np.unique(z, return_inverse=True)
+    shape = (len(zhat_labels), len(z_labels))
+    m = np.bincount(zhat_idx * shape[1] + z_idx,
+                    minlength=shape[0] * shape[1]).reshape(shape)
     rows, cols = linear_sum_assignment(-m)
     return 1.0 - int(m[rows, cols].sum()) / len(z)

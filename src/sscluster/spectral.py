@@ -255,11 +255,14 @@ def full_embed(L, K: int | str) -> Embedding:
     eigsh takes ``rng``). ARPACK needs K < N; K = N takes the dense solve.
     ``K="auto"`` solves for the top min(N, SELECT_K_MAX + 1) pairs, the
     most ``select_k`` reads, and keeps the first K, as ``select_k`` picks.
+    An all-zero ``L`` (a graph with no edges) raises DegenerateInputError.
     """
     N = L.shape[0]
     k = min(N, SELECT_K_MAX + 1) if K == "auto" else K
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    if L.count_nonzero() == 0:
+        raise DegenerateInputError("Laplacian is all zero; the graph has no edges")
     if k == N:
         top_w, top_v = symmetric_eig(L, k)
     else:

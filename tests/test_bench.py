@@ -26,6 +26,9 @@ from sscluster.spectral import (
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def tiny_cfg(scenario, out, **kw):
     cfg = bench.default_config(scenario)
     if "N" in bench.SWEEPS[scenario]:
@@ -64,21 +67,46 @@ class TestScenario1:
     def test_record_counts(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=True)
         records = bench.run_scenario(cfg)
-        trial_srs_dcs = [r for r in records if r.method in ("srs", "dcs")]
+        trial_srs_dcs = [r for r in records if r["method"] in ("srs", "dcs")]
         assert len(trial_srs_dcs) == 2 * 2 * 2  # cells x trials x methods
-        full_rows = [r for r in records if r.method == "full"]
+        full_rows = [r for r in records if r["method"] == "full"]
         assert len(full_rows) == 2  # one baseline per cell
 
     def test_n_follows_rule(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=False)
         records = bench.run_scenario(cfg)
         for r in records:
-            assert r.n == bench.subsample_size_rule(r.N)
+            assert r["n"] == bench.subsample_size_rule(r["N"])
 
     def test_single_point_grid_valid(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80,), full_sc=False)
         records = bench.run_scenario(cfg)
-        assert {r.N for r in records} == {80}
+        assert {r["N"] for r in records} == {80}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_keep_the_order_they_are_made_in(self, tmp_path, jobs):
+        out = tmp_path / "s1.csv"
+        bench.run_scenario(tiny_cfg("s1", out, N_grid=(60, 80), full_sc=True,
+                                    jobs=jobs))
+        rows = bench.read_records_csv(out)
+        assert [(r["cell"], r["method"]) for r in rows if r["row_type"] == "AGG"] == [
+            (cell, method) for cell in ("0", "1") for method in ("srs", "dcs", "full")]
+        assert [r["method"] for r in rows if r["row_type"] == "TREND"] == [
+            "srs", "dcs", "full"]
+
+    def test_full_rows_of_a_graph_without_edges_are_degenerate(self, tmp_path,
+                                                                 capsys):
+        # beta = 0 draws no edges: every row is degenerate, none a traceback.
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("N_grid = 60 90\ntrials = 1\n")
+        out = tmp_path / "s1.csv"
+        rc = cli.main(["bench", "s1", "--config", str(cfgfile), "--beta", "0",
+                       "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        trials = [r for r in bench.read_records_csv(out) if r["row_type"] == "TRIAL"]
+        assert [r["method"] for r in trials] == ["srs", "dcs", "full"] * 2
+        assert {r["status"] for r in trials} == {"degenerate"}
+        assert [r["rate"] for r in trials if r["method"] == "full"] == ["", ""]
 
     def test_rejects_descending_grid(self, tmp_path):
         cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80, 60))
@@ -99,7 +127,7 @@ class TestScenario2:
         cfg = tiny_cfg("s2", out, n_grid=(8, 16))
         records = bench.run_scenario(cfg)
         assert len(records) == 2 * 2 * 2  # cells x trials x methods
-        assert sorted({r.n for r in records}) == [8, 16]
+        assert sorted({r["n"] for r in records}) == [8, 16]
         rows = bench.read_records_csv(out)
         assert "trend" in rows[0]
         trend_rows = [r for r in rows if r["row_type"] == "TREND"]
@@ -121,10 +149,10 @@ class TestScenario3:
         cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.0,),
                        zeta_grid=(0.5,), N=90, trials=3)
         records = bench.run_scenario(cfg)
-        assert all(r.status == "degenerate" for r in records)
+        assert all(r["status"] == "degenerate" for r in records)
         # The trivial labeling scores at chance level for uniform pi.
         for r in records:
-            assert 0.4 <= r.rate <= 0.8
+            assert 0.4 <= r["rate"] <= 0.8
 
     def test_rejects_out_of_range_grid(self, tmp_path):
         cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.5, 1.5))
@@ -141,19 +169,19 @@ class TestScenario3:
         z = sample_memberships(cell.pi, cell.N, rng)
         g = generate_adjacency(z, block_matrix(0.0, 0.5, 3), rng)
         for r in records:
-            s = sampling.draw(r.method, g, cell.n, 3, rng)
-            assert r.status == "degenerate"
-            assert r.covered == sampling.coverage_event(s, z, 3)
-            assert r.t_sampling > 0
-            assert r.t_laplacian == r.t_eig == r.t_kmeans == 0.0
+            s = sampling.draw(r["method"], g, cell.n, 3, rng)
+            assert r["status"] == "degenerate"
+            assert r["covered"] == sampling.coverage_event(s, z, 3)
+            assert r["t_sampling"] > 0
+            assert r["t_laplacian"] == r["t_eig"] == r["t_kmeans"] == 0.0
 
 
 class TestScenario4:
     def test_delta_grid_echo(self, tmp_path):
         cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.0, 0.2))
         records = bench.run_scenario(cfg)
-        assert sorted({r.delta for r in records}) == [0.0, 0.2]
-        balanced = [r for r in records if r.delta == 0.0]
+        assert sorted({r["delta"] for r in records}) == [0.0, 0.2]
+        balanced = [r for r in records if r["delta"] == 0.0]
         assert balanced  # delta = 0 reduces to the balanced setting
 
     def test_rejects_delta_above_third(self, tmp_path):
@@ -220,6 +248,36 @@ class TestUnreadConfigFields:
         assert err == [f"config error: {scenario} does not use {field}"]
 
 
+# The full-size parameter blocks of each sweep (N up to 30,000, T = 100).
+FULL_SCALE = {
+    "s1": dict(N_grid=(5000, 10000, 15000, 20000, 25000, 30000), trials=100),
+    "s2": dict(N=12000, trials=100),
+    "s3": dict(N=12000, n=100, trials=100),
+    "s4": dict(N=12000, n=100, trials=100,
+               delta_grid=(0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
+}
+
+
+@pytest.mark.parametrize("scenario, n_cells", [
+    ("s1", 6), ("s2", 6), ("s3", 16), ("s4", 7),
+])
+def test_full_scale_config_files(tmp_path, monkeypatch, scenario, n_cells):
+    path = ROOT / "configs" / "full_scale" / f"{scenario}.cfg"
+    out = str(tmp_path / f"{scenario}.csv")
+    cfg = cli._bench_config(cli.build_parser().parse_args(
+        ["bench", scenario, "--config", str(path), "--out", out]))
+    assert cfg == dataclasses.replace(bench.default_config(scenario), out=out,
+                                      **FULL_SCALE[scenario])
+    # The settings pass run_scenario's checks; no trial runs.
+    swept = []
+    monkeypatch.setattr(bench, "_run_sweep",
+                        lambda cfg, cells: swept.append((cfg, cells)) or [])
+    assert bench.run_scenario(cfg) == []
+    (run_cfg, cells), = swept
+    assert len(cells) == n_cells
+    assert run_cfg.full_sc == (scenario == "s1")
+
+
 class TestCsvContract:
     def test_reproducible_except_timing(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -270,11 +328,10 @@ class TestCsvContract:
         # k-means multiplies all restarts' centroids in one stacked matmul,
         # and the full-SC rows of s1 run full_laplacian and eigsh; the
         # results must not depend on how OpenBLAS splits that work.
-        root = Path(__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
 
         def run(args, name):
             """Run the CLI on one BLAS thread ("one") or on the default."""
@@ -653,7 +710,7 @@ class TestCli:
     def test_readme_commands_parse(self):
         # The CLI examples in the README must not name a removed subcommand
         # or flag.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
         commands = [shlex.split(line, comments=True)
                     for line in script.replace("\\\n", " ").splitlines()]
@@ -661,9 +718,13 @@ class TestCli:
         assert commands
         for argv in commands:
             try:
-                cli.build_parser().parse_args(argv)
+                args = cli.build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: sscluster {shlex.join(argv)}")
+            # A config file a README command names ships with the repo.
+            config = getattr(args, "config", None)
+            if config is not None and not (ROOT / config).is_file():
+                pytest.fail(f"README command names a missing file: {config}")
 
     def test_eval_has_no_k_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -702,10 +763,13 @@ class TestCli:
                      id="argv13"),
         pytest.param(["bench", "s1", "--k", "0", "--out", "{tmp}/x.csv"], id="argv14"),
         pytest.param(["bench", "s1", "--k", "-1", "--out", "{tmp}/x.csv"], id="argv15"),
+        pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--method", "full",
+                      "--k", "1", "--out", "{tmp}/r"], id="argv16"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
         (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
+        (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -69,8 +69,8 @@ class TestMisclusteredRate:
         assert misclustered_rate(zhat, z, 2) == pytest.approx(0.25)
 
     def test_k_never_changes_the_rate(self):
-        # The confusion matrix is padded to max(K, largest label) with
-        # zeros, which no best matching uses.
+        # The confusion matrix covers only the labels that occur, so K,
+        # however large, adds no row or column to it.
         rng = np.random.default_rng(3)
         for _ in range(200):
             k = int(rng.integers(1, 7))
@@ -80,6 +80,19 @@ class TestMisclusteredRate:
             top = int(max(zhat.max(), z.max()))
             rates = {misclustered_rate(zhat, z, K) for K in (1, top, top + 4)}
             assert rates == {brute_rate(zhat, z, top)}
+
+    def test_huge_label_values_score_as_renumbered(self):
+        # The matrix is sized by the labels that occur, not by their
+        # values: a label of 10^8 must not ask for a 10^8-square matrix.
+        rng = np.random.default_rng(4)
+        values = np.array([3, 70_000, 100_000_000])
+        for _ in range(20):
+            zhat_idx = rng.integers(0, 3, size=50)
+            z = rng.integers(1, 4, size=50)
+            rate = misclustered_rate(values[zhat_idx], z, 3)
+            assert rate == misclustered_rate(zhat_idx + 1, z, 3)
+            assert rate == brute_rate(zhat_idx + 1, z, 3)
+        assert misclustered_rate(np.array([1, 100_000_000]), np.array([1, 2]), 2) == 0.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

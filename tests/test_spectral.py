@@ -532,6 +532,13 @@ class TestFullEmbed:
         assert np.array_equal(first.matrix, second.matrix)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
+    @pytest.mark.parametrize("K", [1, "auto"])
+    def test_graph_without_edges_is_degenerate(self, K):
+        # ARPACK fails on an all-zero matrix; the check comes before it.
+        lap = full_laplacian(from_edge_list([], 8))
+        with pytest.raises(DegenerateInputError):
+            full_embed(lap, K)
+
     @pytest.mark.parametrize("bad", [
         sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]])),     # asymmetric
         sp.csr_matrix(np.array([[0.0, 1.0], [1.0, np.nan]])),  # NaN
