@@ -18,7 +18,7 @@ _HOMES = {
                   "write_edge_list"),
         # Not `kmeans`: exporting it would shadow the sscluster.kmeans module.
         "kmeans": ("KMeansResult", "kmeans_1d"),
-        "metrics": ("confusion", "misclustered_rate"),
+        "metrics": ("misclustered_rate",),
         "sampling": ("SampleSet", "coverage_event", "dcs", "dcs_min_size",
                      "regularized_degrees", "srs", "srs_min_size"),
         "sbm": ("BlockMatrix", "block_matrix", "generate_adjacency",

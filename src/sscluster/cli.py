@@ -238,7 +238,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, ResourceLimitError) as exc:
+    # MemoryError: a size too large to allocate, e.g. --nodes 10**15.
+    except (OSError, ValueError, MemoryError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Immutable sparse undirected graphs and bi-adjacency extraction.
 
 Graphs are stored once in a compressed per-node layout (``indptr`` /
-``indices``, neighbor lists sorted ascending). Node ids are dense 0-based
-integers; external edge lists with sparse ids go through a relabeling pass
-that emits an id map alongside.
+``indices``, neighbor lists sorted ascending): int64 row offsets and int32
+neighbor ids, which scipy's sparse matrices take without a copy. Node ids
+are dense 0-based integers below ``MAX_NODES``; external edge lists with
+sparse ids go through a relabeling pass that emits an id map alongside.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most nodes a graph may have: neighbor ids are int32, and the packed
+# int64 keys of from_edge_list stay below n_nodes**2 < 2**63.
+MAX_NODES = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class SparseGraph:
@@ -20,7 +25,9 @@ class SparseGraph:
 
     Invariants: symmetric (j in neighbors(i) iff i in neighbors(j)), no
     self-loops, neighbor lists sorted ascending without duplicates.
-    ``n_edges`` counts each undirected edge once.
+    ``indptr`` (length n_nodes + 1) is int64 and ``indices`` (one entry
+    per edge orientation) int32. ``n_edges`` counts each undirected edge
+    once.
     """
 
     n_nodes: int
@@ -37,8 +44,8 @@ class SparseGraph:
 class BiAdjacency:
     """N x n slice of an adjacency matrix keeping only sampled columns.
 
-    Column j holds the (sorted) row indices of the nonzero entries in the
-    adjacency column of the j-th sampled node. Column-wise
+    Column j holds the (sorted, int32) row indices of the nonzero entries
+    in the adjacency column of the j-th sampled node. Column-wise
     storage keeps Gram accumulation cache-friendly.
     """
 
@@ -53,17 +60,25 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
 
     Pairs may repeat, appear in either orientation, or be self-loops; the
     result is deduplicated and symmetrized, self-loops dropped (counted in
-    ``n_self_loops_dropped``). Node ids must lie in [0, n_nodes).
+    ``n_self_loops_dropped``). Node ids must lie in [0, n_nodes), and
+    ``n_nodes`` may be at most ``MAX_NODES`` = 2**31 - 1, checked before
+    anything is allocated.
 
     Both orientations of every edge go into one packed key array
     ``i * n_nodes + j``, sorted once in place. The keys are ``uint32`` when
     ``n_nodes**2 < 2**32`` (up to 65,535 nodes) and int64 above that. The
-    distinct sorted keys are the adjacency in row-major order: ``indices``
-    is their remainder by ``n_nodes`` and row i starts at the first key
-    >= i * n_nodes. ``indptr`` and ``indices`` are int64 at any width.
+    distinct sorted keys are the adjacency in row-major order: row i starts
+    at the first key >= i * n_nodes (``indptr``, int64) and ``indices`` is
+    their remainder by ``n_nodes`` (int32). The distinct keys are copied out
+    only when the list has a duplicate, and 4-byte keys take their
+    remainder in place, so a duplicate-free list of E edges without
+    self-loops peaks at 5 bytes per stored entry (2E entries) beyond its
+    input with ``uint32`` keys, 12 with int64 keys.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be nonnegative, got {n_nodes}")
+    if n_nodes > MAX_NODES:
+        raise ValueError(f"n_nodes must be at most {MAX_NODES}, got {n_nodes}")
     arr = np.asarray(pairs, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
@@ -77,6 +92,7 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     n_kept = int(np.count_nonzero(keep))
     if n_kept < len(keep):
         u, v = u[keep], v[keep]
+    del keep
 
     # Every key, and the end mark n_nodes**2 of the last row, fits 32 bits
     # when n_nodes**2 < 2**32; sorting 4-byte keys moves half the bytes.
@@ -90,26 +106,35 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     np.add(fwd, v, out=fwd, casting="unsafe")
     np.multiply(v, n_nodes, out=rev, casting="unsafe")
     np.add(rev, u, out=rev, casting="unsafe")
+    # Held views would keep the unsorted keys alive past a distinct copy.
+    del u, v, fwd, rev
     key = _sorted_unique(key)
-    starts = np.arange(n_nodes + 1, dtype=key_type) * width
+    indptr = np.searchsorted(key, np.arange(n_nodes + 1, dtype=key_type) * width)
+    if key_type is np.uint32:
+        # Remainders below 2**16 are the same bits as int32.
+        indices = np.remainder(key, width, out=key).view(np.int32)
+    else:
+        indices = np.remainder(key, width, out=np.empty(len(key), dtype=np.int32),
+                               casting="unsafe")
     return SparseGraph(
         n_nodes=n_nodes,
-        indptr=np.searchsorted(key, starts).astype(np.int64, copy=False),
-        indices=np.remainder(key, width, out=np.empty(len(key), dtype=np.int64)),
+        indptr=indptr.astype(np.int64, copy=False),
+        indices=indices,
         n_edges=len(key) // 2,
-        n_self_loops_dropped=len(keep) - n_kept,
+        n_self_loops_dropped=len(arr) - n_kept,
     )
 
 
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
-    """Sort the 1-d array ``key`` in place and return its distinct values."""
+    """Sort the 1-d array ``key`` in place and return its distinct values:
+    ``key`` itself when no value repeats, else a copy of them."""
     # np.unique on int64 slows down as the number of distinct values grows;
     # one sort plus a neighbour mask costs the same at any id range.
     key.sort()
-    keep = np.empty(key.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    return key[keep]
+    distinct = np.empty(key.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    return key if distinct.all() else key[distinct]
 
 
 def degrees(g: SparseGraph) -> np.ndarray:
@@ -232,7 +257,7 @@ def _format_rows(columns: list[np.ndarray]) -> bytes:
 
 def write_edge_list(g: SparseGraph, path) -> None:
     """Write each undirected edge once as "u v" with u < v."""
-    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), degrees(g))
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int32), degrees(g))
     upper = g.indices > rows
     write_int_rows(path, rows[upper], g.indices[upper])
 

@@ -1,4 +1,4 @@
-"""Clustering accuracy: confusion matrices and the misclustered rate.
+"""Clustering accuracy: the misclustered rate.
 
 The misclustered rate is the fraction of label disagreements minimized
 over all relabelings of the estimate. It is computed from the confusion
@@ -11,20 +11,6 @@ command that scores nothing never loads it.
 from __future__ import annotations
 
 import numpy as np
-
-
-def confusion(zhat: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
-    """K x K counts M[a-1, b-1] = |{i : zhat_i = a, z_i = b}|."""
-    zhat = np.asarray(zhat, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    if zhat.shape != z.shape or zhat.ndim != 1:
-        raise ValueError("label vectors must be 1-d and equal length")
-    for name, v in (("zhat", zhat), ("z", z)):
-        if v.size and (v.min() < 1 or v.max() > K):
-            raise ValueError(f"{name} labels must lie in 1..{K}")
-    m = np.zeros((K, K), dtype=np.int64)
-    np.add.at(m, (zhat - 1, z - 1), 1)
-    return m
 
 
 def misclustered_rate(zhat: np.ndarray, z: np.ndarray, K: int,

@@ -5,10 +5,10 @@ graph and of a bi-adjacency, the graph build on int64 keys at every node
 count, a degree normalizer for any nonnegative matrix, the
 full Laplacian by sparse diagonal products, an all-dense top-K
 embedding, the population (expected) matrices of an SBM, subspace
-distances between embeddings, a brute-force misclustered rate and an
-edge lookup. Each is written as plainly as possible, so that a
-test comparing a library route with it checks the route against an
-independent statement of the same quantity.
+distances between embeddings, a confusion matrix, a brute-force
+misclustered rate and an edge lookup. Each is written as plainly as
+possible, so that a test comparing a library route with it checks the
+route against an independent statement of the same quantity.
 """
 
 from __future__ import annotations
@@ -136,6 +136,20 @@ def procrustes_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Labels and graphs
 # ---------------------------------------------------------------------------
+
+def confusion(zhat: np.ndarray, z: np.ndarray, K: int) -> np.ndarray:
+    """K x K counts M[a-1, b-1] = |{i : zhat_i = a, z_i = b}|."""
+    zhat = np.asarray(zhat, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    if zhat.shape != z.shape or zhat.ndim != 1:
+        raise ValueError("label vectors must be 1-d and equal length")
+    for name, v in (("zhat", zhat), ("z", z)):
+        if v.size and (v.min() < 1 or v.max() > K):
+            raise ValueError(f"{name} labels must lie in 1..{K}")
+    m = np.zeros((K, K), dtype=np.int64)
+    np.add.at(m, (zhat - 1, z - 1), 1)
+    return m
+
 
 def brute_rate(zhat: np.ndarray, z: np.ndarray, K: int) -> float:
     """Misclustered rate by trying every relabeling of 1..k, where k is

@@ -765,6 +765,12 @@ class TestCli:
         pytest.param(["bench", "s1", "--k", "-1", "--out", "{tmp}/x.csv"], id="argv15"),
         pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--method", "full",
                       "--k", "1", "--out", "{tmp}/r"], id="argv16"),
+        # argv17 asks for about 7 PiB, which fails at once and allocates
+        # nothing; argv18 meets the graph's node bound first.
+        pytest.param(["generate", "--nodes", "1000000000000000", "--out", "{tmp}/g.edges"],
+                     id="argv17"),
+        pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--nodes",
+                      "1000000000000000", "--n", "2", "--out", "{tmp}/r"], id="argv18"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,46 @@ class TestFromEdgeList:
             from_edge_list([(0, 3)], 3)
         with pytest.raises(ValueError):
             from_edge_list([(-1, 0)], 3)
+
+    def test_node_count_above_int32_rejected_before_allocating(self):
+        # Its indptr alone would take 16 GiB. The bound is checked before
+        # the pairs are even read, which the first call shows without
+        # risking that allocation.
+        class Unread:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("pairs read before the node bound")
+
+        assert graph_module.MAX_NODES == 2**31 - 1
+        for pairs in (Unread(), []):
+            with pytest.raises(ValueError, match="at most 2147483647"):
+                from_edge_list(pairs, 2**31)
+
+    @pytest.mark.parametrize("n_nodes", [30_000, 70_000])   # uint32, int64 keys
+    def test_build_peak_is_twelve_bytes_per_entry(self, n_nodes):
+        # A duplicate-free list without self-loops: 2E stored entries.
+        u, v = np.random.default_rng(3).integers(0, n_nodes, size=(2, 200_000))
+        key = np.unique(np.minimum(u, v) * n_nodes + np.maximum(u, v))
+        pairs = np.stack(np.divmod(key, n_nodes), axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        tracemalloc.start()
+        try:
+            g = from_edge_list(pairs, n_nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_edges == len(pairs)
+        # The row starts and indptr take 16 bytes per node on top.
+        assert peak <= 12 * 2 * len(pairs) + 16 * (n_nodes + 1) + 2**16
+
+    @pytest.mark.parametrize("n_nodes", [50, 70_000])
+    def test_duplicate_heavy_list_matches_reference(self, n_nodes):
+        rng = np.random.default_rng(4)
+        ids = rng.choice(n_nodes, size=12, replace=False)
+        pairs = ids[rng.integers(0, 12, size=(5000, 2))]
+        g = from_edge_list(pairs, n_nodes)
+        indptr, indices = reference_csr(pairs, n_nodes)
+        assert g.n_edges < 100
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
 
 class TestDegrees:
@@ -147,7 +188,7 @@ class TestInvariants:
         pairs, n = case
         g = from_edge_list(pairs, n)
         indptr, indices = reference_csr(pairs, n)
-        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
         assert g.indptr.tolist() == indptr.tolist()
         assert g.indices.tolist() == indices.tolist()
         assert g.n_self_loops_dropped == sum(u == v for u, v in pairs)
@@ -162,9 +203,9 @@ class TestInvariants:
                  for u, v in pairs] if n_nodes else []
         g = from_edge_list(pairs, n_nodes)
         want = from_edge_list_int64_keys(pairs, n_nodes)
-        for name in ("indptr", "indices"):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int32)):
             got = getattr(g, name)
-            assert got.dtype == np.int64, name
+            assert got.dtype == dtype, name
             assert np.array_equal(got, getattr(want, name)), name
         assert (g.n_edges, g.n_self_loops_dropped) == (
             want.n_edges, want.n_self_loops_dropped)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscluster.metrics import confusion, misclustered_rate
+from sscluster.metrics import misclustered_rate
 
-from oracles import brute_rate
+from oracles import brute_rate, confusion
 
 
 class TestConfusion:
