@@ -212,14 +212,14 @@ def write_int_rows(path, *columns) -> None:
 
     Each value is written as ``"%d"`` writes it, for any int64.
     """
-    columns = [np.asarray(c, dtype=np.int64).ravel() for c in columns]
+    columns = [np.asarray(c).ravel() for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError("columns must have equal length")
     with open(path, "wb") as fh:
-        # Formatting in chunks keeps the work arrays bounded.
+        # Widening and formatting by chunks keeps the work arrays bounded.
         for start in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
             stop = start + _WRITE_CHUNK_ROWS
-            fh.write(_format_rows([c[start:stop] for c in columns]))
+            fh.write(_format_rows([c[start:stop].astype(np.int64) for c in columns]))
 
 
 def _format_rows(columns: list[np.ndarray]) -> bytes:

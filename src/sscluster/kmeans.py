@@ -1,10 +1,8 @@
-"""Lloyd k-means with k-means++ restarts, plus a deterministic scalar variant.
+"""Lloyd k-means with k-means++ restarts, and exact scalar k-means.
 
-The multivariate solver clusters embedding rows; the scalar variant
-partitions degree sequences with quantile initialization so the result is
-reproducible without any randomness. Both run the one Lloyd loop,
-``_lloyd``, which advances every restart that is still running in one
-batched pass per iteration:
+The multivariate solver clusters embedding rows. Its Lloyd loop,
+``_lloyd``, advances every restart that is still running in one batched
+pass per iteration:
 
 - one stacked matmul gives the products of the N points with the K
   centroids of each of the R running restarts, an (R, N, K) float64 block;
@@ -25,6 +23,9 @@ N=300k, K=3 a call raises the peak RSS (``getrusage``) by about 176 MB
 that loop, so the results are bitwise its results
 (``tests/kmeans_reference.py``) and do not depend on how many restarts
 share a pass.
+
+The scalar solver, ``kmeans_1d``, partitions degree sequences exactly, by a
+dynamic programme over the sorted distinct values.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ logger = logging.getLogger(__name__)
 
 MOVE_TOL = 1e-6
 MAX_ITER = 100
-MAX_ITER_1D = 20
 
 
 @dataclass
@@ -159,7 +159,7 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, K: int):
 
 
 def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
-           centroids: np.ndarray, max_iter: int):
+           centroids: np.ndarray):
     """Run Lloyd iterations from R restarts' initial (R, K, d) centroids.
 
     Every restart still running advances in one batched pass per
@@ -174,7 +174,7 @@ def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
     iterations = np.zeros(R, dtype=np.int64)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         cents = centroids[active]
         labels, dist = _nearest(p2, pn, cents)
         counts, sums = _cluster_sums(points, labels, K)
@@ -231,7 +231,7 @@ def kmeans(points, K: int, restarts: int = 10,
     p2, pn = _expansion(points)
     seeds = [rng.integers(2**63) for _ in range(restarts)]
     init = _plusplus_init(points, p2, pn, K, [np.random.default_rng(s) for s in seeds])
-    labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init, MAX_ITER)
+    labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init)
 
     r = int(np.argmin(wcss))
     res = KMeansResult(
@@ -248,40 +248,54 @@ def kmeans(points, K: int, restarts: int = 10,
 
 
 def kmeans_1d(values, K: int) -> KMeansResult:
-    """Deterministic scalar k-means: quantile init, Lloyd, means ascending.
+    """Exact scalar k-means, with no randomness.
 
-    Degenerate inputs (fewer distinct values than K) leave some clusters
-    empty; the count is reported in ``n_empty`` and a warning logged.
+    An optimal 1-D partition splits the sorted values into contiguous runs,
+    and a dynamic programme over the distinct values finds the best split
+    (Wang & Song 2011, "Ckmeans.1d.dp"): the leftmost of equally good ones.
+    Clusters are numbered by ascending mean. Fewer distinct values than K
+    leave clusters empty, counted in ``n_empty`` with a warning logged.
     """
     values = _finite(np.asarray(values, dtype=np.float64).ravel())
     n = len(values)
     if K < 1 or K > n:
         raise ValueError(f"K must be in 1..{n}, got {K}")
 
-    points = values[:, None]
-    init = np.quantile(values, (np.arange(K) + 0.5) / K)[None, :, None]
-    labels, cents, wcss, iters, conv = _lloyd(
-        points, *_expansion(points), init, MAX_ITER_1D)
-    labels, cents = labels[0], cents[0]
+    x, inverse, w = np.unique(values, return_inverse=True, return_counts=True)
+    U, groups = len(x), min(K, len(x))
+    # Prefix sums give the cost of a run x[i:j], S2 - S1^2 / S0 over it; x
+    # is centred on its mean to keep the differences well conditioned.
+    xc = x - np.dot(w, x) / n
+    s0, s1, s2 = (np.append(0, np.cumsum(t)) for t in (w, w * xc, w * xc * xc))
 
-    # Relabel so cluster means ascend; empty clusters sort last.
-    counts = np.bincount(labels, minlength=K)
-    means = np.where(counts > 0, cents.ravel(), np.inf)
-    order = np.argsort(means, kind="stable")
-    rank = np.empty(K, dtype=np.int64)
-    rank[order] = np.arange(K)
-    labels = rank[labels]
-    cents = cents[order]
+    # best[j] is the least cost of x[:j] in the runs so far, first[k, j] the
+    # start of run k in that split: O(K*U) memory.
+    best = np.append(np.inf, s2[1:] - s1[1:] ** 2 / s0[1:])
+    first = np.zeros((groups, U + 1), dtype=np.int64)
+    for k in range(1, groups):
+        prev, best = best, np.full(U + 1, np.inf)
+        # Leave a value for each later run; the last run ends at U.
+        for j in range(k + 1 if k < groups - 1 else U, U - groups + k + 2):
+            t = s1[j] - s1[k:j]
+            total = prev[k:j] + (s2[j] - s2[k:j] - t * t / (s0[j] - s0[k:j]))
+            i = int(np.argmin(total))  # the first minimum: the leftmost split
+            best[j], first[k, j] = total[i], k + i
+    starts, end = np.zeros(groups, dtype=np.int64), U
+    for k in range(groups - 1, 0, -1):
+        starts[k] = end = first[k, end]
 
-    n_empty = int((counts == 0).sum())
+    group = np.repeat(np.arange(groups), np.diff(np.append(starts, U)))
+    means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
+    n_empty = K - groups
     if n_empty:
         logger.warning("scalar k-means left %d of %d clusters empty", n_empty, K)
     res = KMeansResult(
-        labels=labels + 1,
-        centroids=cents,
-        wcss=float(wcss[0]),
-        iterations=int(iters[0]),
-        converged=bool(conv[0]),
+        labels=group[inverse] + 1,
+        # An empty cluster repeats the largest mean, so the means still ascend.
+        centroids=np.pad(means, (0, n_empty), mode="edge")[:, None],
+        wcss=float((w * (x - means[group]) ** 2).sum()),
+        iterations=1,
+        converged=True,
         n_empty=n_empty,
     )
     _log(res, 1)

@@ -2,8 +2,8 @@
 
 Two strategies are provided: simple random subsampling (SRS, uniform
 without replacement) and degree-corrected subsampling (DCS), which
-partitions nodes by a scalar k-means on regularized degrees and then takes
-a per-cluster quota of top-degree nodes.
+partitions nodes by an exact scalar k-means on regularized degrees and
+then takes a per-cluster quota of top-degree nodes.
 """
 
 from __future__ import annotations
@@ -63,15 +63,12 @@ def cluster_quotas(sizes: np.ndarray, n: int) -> np.ndarray:
     return quotas
 
 
-def dcs(g: SparseGraph, n: int, K: int,
-        rng: np.random.Generator | None = None) -> SampleSet:
-    """Degree-corrected subsampling.
+def dcs(g: SparseGraph, n: int, K: int) -> SampleSet:
+    """Degree-corrected subsampling, with no randomness.
 
-    Partitions nodes by scalar k-means on the regularized degrees, sorts
-    each cluster by degree descending (ties by ascending node id), and
-    takes a proportional quota of top-degree nodes per cluster. The scalar
-    k-means is quantile-initialized and deterministic, so ``rng`` is
-    accepted for interface symmetry but unused.
+    Partitions nodes by exact scalar k-means on the regularized degrees,
+    sorts each cluster by degree descending (ties by ascending node id),
+    and takes a proportional quota of top-degree nodes per cluster.
     """
     N = g.n_nodes
     if not 1 <= n <= N:
@@ -110,7 +107,7 @@ def draw(method: str, g: SparseGraph, n: int, K: int,
     if method == "srs":
         return srs(g.n_nodes, n, rng)
     if method == "dcs":
-        return dcs(g, n, K, rng)
+        return dcs(g, n, K)
     raise ValueError(f"method must be srs or dcs, got {method!r}")
 
 

@@ -113,7 +113,7 @@ def _sbm_rates(N, n, beta, zeta, T, tag, K=3, pi=None):
         z = sample_memberships(pi, N, rng)
         g = generate_adjacency(z, B, rng)
         for method in ("srs", "dcs"):
-            s = srs(N, n, rng) if method == "srs" else sampling.dcs(g, n, K, rng)
+            s = srs(N, n, rng) if method == "srs" else sampling.dcs(g, n, K)
             labels, _, _ = run_ssc(g, s, K, rng)
             rates[method].append(misclustered_rate(labels, z, K))
     return rates

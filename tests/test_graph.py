@@ -317,6 +317,28 @@ class TestFiles:
         expected = "".join(" ".join("%d" % v for v in r) + "\n" for r in rows)
         assert path.read_bytes() == expected.encode()
 
+    def test_int32_rows_widen_chunk_by_chunk(self, tmp_path, monkeypatch):
+        # The first chunk has no sign, and the int32 minimum wraps under
+        # np.abs unless the chunk is widened before it is formatted.
+        monkeypatch.setattr(graph_module, "_WRITE_CHUNK_ROWS", 2)
+        first = np.array([7, 10, 3, -5, np.iinfo(np.int32).min], dtype=np.int32)
+        second = np.array([0, 1, 2, 3, np.iinfo(np.int32).max], dtype=np.int32)
+        path = tmp_path / "rows.txt"
+        write_int_rows(path, first, second)
+        assert path.read_text() == "".join(f"{a} {b}\n" for a, b in zip(first, second))
+
+    def test_int32_rows_are_not_widened_whole(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_WRITE_CHUNK_ROWS", 4096)
+        col = np.arange(200_000, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            write_int_rows(tmp_path / "rows.txt", col, col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An int64 copy of one column alone takes 8 bytes per row.
+        assert peak < 8 * len(col)
+
     def test_no_rows_write_an_empty_file(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("old contents\n")

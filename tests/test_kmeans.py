@@ -1,6 +1,6 @@
 import logging
 from dataclasses import fields
-from itertools import product
+from itertools import combinations, product
 
 import kmeans_reference as ref
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sscluster import bench, sbm, spectral
-from sscluster.graph import bi_adjacency
+from sscluster.graph import bi_adjacency, degrees
 from sscluster.kmeans import KMeansResult, _expansion, _nearest, kmeans, kmeans_1d
 from sscluster.sampling import srs
 
@@ -248,10 +248,16 @@ def test_sbm_embedding_matches_oracle(seed):
                          ref.kmeans(emb.matrix, 3, rng=np.random.default_rng(seed)))
 
 
+def partition_wcss(values, labels):
+    """Within-cluster sum of squares of a labelling, computed directly."""
+    return sum(((values[labels == k] - values[labels == k].mean()) ** 2).sum()
+               for k in np.unique(labels))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 6),
        st.sampled_from(["degrees", "reals"]))
 @settings(max_examples=100, deadline=None)
-def test_kmeans_1d_matches_oracle(seed, n, K, kind):
+def test_kmeans_1d_wcss_never_above_lloyd_oracle(seed, n, K, kind):
     rng = np.random.default_rng(seed)
     if kind == "degrees":
         # Tied, degree-like counts: a few distinct values, many repeats.
@@ -259,7 +265,54 @@ def test_kmeans_1d_matches_oracle(seed, n, K, kind):
     else:
         values = rng.exponential(size=n)
     K = min(K, n)
-    assert_bitwise_equal(kmeans_1d(values, K), ref.kmeans_1d(values, K))
+    res, oracle = kmeans_1d(values, K), ref.kmeans_1d(values, K)
+    # Both scored by one formula; equal partitions then score equal bits,
+    # and 1e-9 covers rounding between different partitions of equal cost.
+    wcss = partition_wcss(values, res.labels)
+    assert wcss <= partition_wcss(values, oracle.labels) * (1 + 1e-9)
+    assert res.wcss == pytest.approx(wcss, rel=1e-9, abs=1e-300)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 4),
+       st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_kmeans_1d_matches_brute_force_over_contiguous_splits(seed, U, K, n):
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=U) * 10.0 ** rng.uniform(-3, 3)
+    values = pool[np.arange(max(n, U)) % U]
+    rng.shuffle(values)
+    K = min(K, len(values))
+    x = np.unique(values)
+    groups = min(K, len(x))
+    best = min(
+        partition_wcss(values, np.searchsorted(x[list(cuts)], values, side="right"))
+        for cuts in combinations(range(1, len(x)), groups - 1))
+
+    res = kmeans_1d(values, K)
+    assert res.n_empty == K - groups
+    assert len(np.unique(res.labels)) == groups
+    # Contiguous, numbered by ascending value.
+    order = np.argsort(values, kind="stable")
+    assert np.all(np.diff(res.labels[order]) >= 0)
+    assert partition_wcss(values, res.labels) == pytest.approx(best, rel=1e-9, abs=1e-300)
+
+
+def test_kmeans_1d_ties_take_the_leftmost_split():
+    # {0}{1, 2} and {0, 1}{2} cost the same; the first run ends earliest.
+    assert kmeans_1d(np.array([0.0, 1.0, 2.0]), 2).labels.tolist() == [1, 2, 2]
+
+
+def test_kmeans_1d_finds_the_planted_imbalance_lloyd_misses():
+    # The degree sequence of bench s4's delta = 0.3 cell (N=2000, beta=0.1,
+    # zeta=0.05), master seed 7, trial 0. The scalar Lloyd stops at a split
+    # of 752/550/698 nodes with 67% more WCSS.
+    rng = np.random.default_rng(bench.derive_seed(7, "s4", 3, 0))
+    z = sbm.sample_memberships((1 / 3 - 0.3, 1 / 3, 1 / 3 + 0.3), 2000, rng)
+    g = sbm.generate_adjacency(z, sbm.block_matrix(0.1, 0.05, 3), rng)
+    f = degrees(g) / g.n_nodes
+    res, oracle = kmeans_1d(f, 3), ref.kmeans_1d(f, 3)
+    assert partition_wcss(f, res.labels) < partition_wcss(f, oracle.labels)
+    assert np.bincount(res.labels)[1:].tolist() == np.bincount(z)[1:].tolist()
 
 
 def test_reports_the_oracle_winning_restart():

@@ -104,7 +104,7 @@ class TestClusterQuotas:
 class TestDcs:
     def test_full_sample_selects_everyone(self):
         g = complete_graph(6)
-        s = dcs(g, 6, 2, np.random.default_rng(0))
+        s = dcs(g, 6, 2)
         assert sorted(s.ids.tolist()) == list(range(6))
         assert s.method == "dcs"
 
@@ -119,14 +119,14 @@ class TestDcs:
         d = degrees(g)
         assert set(d[:12]) == {10} and set(d[12:]) == {2}
 
-        s = dcs(g, 4, 2, np.random.default_rng(0))
+        s = dcs(g, 4, 2)
         assert sorted(s.ids.tolist()) == [0, 1, 12, 13]
 
     def test_selected_dominate_unselected_by_degree(self):
         rng = np.random.default_rng(8)
         z = sample_memberships((0.5, 0.5), 80, rng)
         g = generate_adjacency(z, block_matrix(0.4, 0.1, 2), rng)
-        s = dcs(g, 20, 2, rng)
+        s = dcs(g, 20, 2)
         d = degrees(g)
         f = regularized_degrees(g)
         labels = kmeans_1d(f, 2).labels
@@ -142,9 +142,9 @@ class TestDcs:
     def test_rejects_bad_sizes(self):
         g = complete_graph(5)
         with pytest.raises(ValueError):
-            dcs(g, 6, 2, np.random.default_rng(0))
+            dcs(g, 6, 2)
         with pytest.raises(ValueError):
-            dcs(g, 3, 6, np.random.default_rng(0))
+            dcs(g, 3, 6)
 
 
 class TestDraw:
@@ -153,7 +153,7 @@ class TestDraw:
         g = generate_adjacency(sample_memberships((0.5, 0.5), 60, rng),
                                block_matrix(0.3, 0.1, 2), rng)
         for method, direct in (("srs", lambda r: srs(60, 12, r)),
-                               ("dcs", lambda r: dcs(g, 12, 2, r))):
+                               ("dcs", lambda r: dcs(g, 12, 2))):
             a = draw(method, g, 12, 2, np.random.default_rng(5))
             b = direct(np.random.default_rng(5))
             assert a.method == method

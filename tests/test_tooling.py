@@ -2,14 +2,18 @@
 
 ``perfbench/run.py --trace 1`` wraps ``(module, attr)`` pairs of the
 package; a renamed or deleted function would only show up there as a
-failed traced run. This test loads the harness without running it.
+failed traced run, and a call that bypasses a wrapped name only as a
+layer metric reading 0. These tests load the harness without running it.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sscluster import sampling, sbm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +41,20 @@ def test_every_trace_target_exists(perfbench_run):
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_traced_dcs_records_one_kmeans_1d_span(perfbench_run):
+    # perfbench wraps `sampling.kmeans_1d`, so dcs must look the name up in
+    # its own module; a call bound any other way records no span and the
+    # per-layer `kmeans.kmeans_1d.s` metric reads 0.
+    import spans  # importable once the fixture has loaded the harness
+
+    rng = np.random.default_rng(0)
+    z = sbm.sample_memberships((0.5, 0.5), 60, rng)
+    g = sbm.generate_adjacency(z, sbm.block_matrix(0.3, 0.1, 2), rng)
+    tracer = spans.Tracer()
+    with tracer.installed(perfbench_run.trace_targets()):
+        sampling.dcs(g, 12, 2)
+    names = [s.name for s in tracer.spans]
+    assert names.count("kmeans.kmeans_1d") == 1
+    assert names.count("sampling.dcs") == 1
