@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,7 +61,7 @@ COLUMNS = [
     "rate_mean", "rate_se", "trend",
     "t_sampling", "t_laplacian", "t_eig", "t_kmeans", "t_total",
 ]
-TIMING_COLUMNS = ["t_sampling", "t_laplacian", "t_eig", "t_kmeans", "t_total"]
+TIMING_COLUMNS = [col for col in COLUMNS if col.startswith("t_")]
 
 # Largest N at which run_real adds the full-SC comparison by default and
 # scenario sweeps add full rows (larger cells are marked skipped).
@@ -137,9 +138,8 @@ def _stage(times: dict, name: str):
     times[name] = time.perf_counter() - t0
 
 
-def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K,
-            rng: np.random.Generator):
-    """Subsampled spectral clustering of ``g`` from a drawn ``sample``.
+def run_ssc(g: graph.SparseGraph, ids: np.ndarray, K, rng: np.random.Generator):
+    """Subsampled spectral clustering of ``g`` from the sampled node ``ids``.
 
     ``K`` goes to ``spectral.embed``, which may choose it by the eigengap.
     Returns (labels, embedding, times): the embedding's column count is
@@ -149,7 +149,7 @@ def run_ssc(g: graph.SparseGraph, sample: sampling.SampleSet, K,
     """
     times = {}
     with _stage(times, "laplacian"):
-        ls = spectral.subsampled_laplacian(graph.bi_adjacency(g, sample.ids))
+        ls = spectral.subsampled_laplacian(graph.bi_adjacency(g, ids))
     with _stage(times, "eig"):
         emb = spectral.embed(ls, K)
     with _stage(times, "kmeans"):
@@ -205,10 +205,10 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
     for method in methods:
         times = {}
         with _stage(times, "sampling"):
-            s = sampling.draw(method, g, cell.n, K, rng)
-        covered = sampling.coverage_event(s, z, K)
+            ids = sampling.draw(method, g, cell.n, K, rng)
+        covered = sampling.coverage_event(ids, z, K)
         try:
-            labels, _, pipeline_times = run_ssc(g, s, K, rng)
+            labels, _, pipeline_times = run_ssc(g, ids, K, rng)
             times.update(pipeline_times)
             status = "ok"
         except DegenerateInputError:
@@ -248,14 +248,10 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_trial_star, tasks))
+            chunks = list(pool.map(_sbm_trial, *zip(*tasks)))
     else:
-        chunks = [_trial_star(t) for t in tasks]
+        chunks = list(itertools.starmap(_sbm_trial, tasks))
     return [row for chunk in chunks for row in chunk]
-
-
-def _trial_star(args):
-    return _sbm_trial(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +319,8 @@ _SWEEP_CELLS = {"s1": (_s1_cells, "N"), "s2": (_s2_cells, "n"),
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
-    """Run ``cfg.scenario``'s sweep, write its CSV to ``cfg.out`` (if set)
-    and return its TRIAL rows.
+    """Run ``cfg.scenario``'s sweep, write its CSV to ``cfg.out`` and
+    return its TRIAL rows.
 
     Unset sweep settings take the scenario's defaults from ``SWEEPS``. A
     sweep setting the scenario does not read, or any invalid setting,
@@ -345,6 +341,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         raise ValueError("trials must be >= 1")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not cfg.out:
+        raise ValueError("out must name a file")
     if not all(m in ("srs", "dcs") for m in cfg.methods):
         raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
 
@@ -352,8 +350,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     cells = build_cells(cfg)
     _check_cells(cells, cfg)
     rows = _run_sweep(cfg, cells)
-    if cfg.out:
-        write_records_csv(rows, cfg.out, trend_axis=trend_axis)
+    write_records_csv(rows, cfg.out, trend_axis=trend_axis)
     return rows
 
 
@@ -474,7 +471,8 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
 
     The summary's ``times`` holds the seconds of every stage that ran:
     load, sampling (subsampled runs only), laplacian, eig, kmeans, full_sc
-    (when the comparison runs) and write.
+    (when the comparison runs) and write. Its ``sample`` holds the sampled
+    node ids, or None for ``method="full"``.
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
@@ -483,27 +481,27 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     with _stage(times, "load"):
         g, ext_ids = graph.graph_from_file(edge_list_path, n_nodes=n_nodes)
     if method == "full":
-        s = None
+        ids = None
         labels, emb, pipeline_times = run_full_sc(g, k, rng)
     else:
         with _stage(times, "sampling"):
-            s = sampling.draw(
+            ids = sampling.draw(
                 method, g, n, DCS_AUTO_PARTITION_K if k == "auto" else k, rng)
-        labels, emb, pipeline_times = run_ssc(g, s, k, rng)
+        labels, emb, pipeline_times = run_ssc(g, ids, k, rng)
     times.update(pipeline_times)
     k = emb.matrix.shape[1]
 
     summary = {
         "N": g.n_nodes, "n_edges": g.n_edges,
-        "n": g.n_nodes if s is None else n, "K": k,
+        "n": g.n_nodes if ids is None else n, "K": k,
         "method": method, "seed": seed,
         "n_disconnected_from_sample": emb.n_zero_rows,
         "times": times,
         "labels": labels,
-        "sample": s,
+        "sample": ids,
     }
 
-    if s is not None and g.n_nodes <= FULL_BASELINE_MAX_N:
+    if ids is not None and g.n_nodes <= FULL_BASELINE_MAX_N:
         with _stage(times, "full_sc"):
             full_labels, _, _ = run_full_sc(g, k, rng)
         summary["disagreement_rate"] = metrics.misclustered_rate(labels, full_labels, k)
@@ -511,8 +509,8 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     with _stage(times, "write"):
         if out_prefix:
             sbm.write_labels(labels, f"{out_prefix}.labels")
-            if s is not None:
-                sampling.write_sample(s, f"{out_prefix}.sample")
+            if ids is not None:
+                sampling.write_sample(ids, f"{out_prefix}.sample")
             if ext_ids is not None:
                 graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
     return summary

@@ -210,12 +210,13 @@ def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
     return labels, centroids, dist.sum(axis=1), iterations, converged
 
 
-def kmeans(points, K: int, restarts: int = 10,
-           rng: np.random.Generator | None = None) -> KMeansResult:
+def kmeans(points, K: int, restarts: int = 10, *,
+           rng: np.random.Generator) -> KMeansResult:
     """Best-of-restarts k-means with k-means++ seeding.
 
-    Each restart draws its own seed from ``rng``; the first restart with the
-    lowest within-cluster sum of squares wins. Labels are 1-based.
+    Each restart draws its own seed from the required ``rng``; the first
+    restart with the lowest within-cluster sum of squares wins. Labels are
+    1-based.
     """
     points = _finite(np.asarray(points, dtype=np.float64))
     if points.ndim == 1:
@@ -225,8 +226,6 @@ def kmeans(points, K: int, restarts: int = 10,
         raise ValueError(f"K must be in 1..{n}, got {K}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
 
     p2, pn = _expansion(points)
     seeds = [rng.integers(2**63) for _ in range(restarts)]

@@ -3,14 +3,14 @@
 Two strategies are provided: simple random subsampling (SRS, uniform
 without replacement) and degree-corrected subsampling (DCS), which
 partitions nodes by an exact scalar k-means on regularized degrees and
-then takes a per-cluster quota of top-degree nodes.
+then takes a per-cluster quota of top-degree nodes. A sample is an int64
+array of distinct node ids, in the order drawn.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +21,11 @@ from .sbm import validate_labels
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Ordered set of distinct sampled node ids plus the method tag."""
-
-    ids: np.ndarray
-    method: str  # "srs" | "dcs"
-
-
-def srs(N: int, n: int, rng: np.random.Generator) -> SampleSet:
+def srs(N: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of n distinct nodes out of N (no silent clamping)."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    ids = rng.choice(N, size=n, replace=False).astype(np.int64)
-    return SampleSet(ids=ids, method="srs")
-
-
-def regularized_degrees(g: SparseGraph) -> np.ndarray:
-    """Degree sequence scaled by the node count: f_i = d_i / N."""
-    return degrees(g) / g.n_nodes
+    return rng.choice(N, size=n, replace=False).astype(np.int64)
 
 
 def cluster_quotas(sizes: np.ndarray, n: int) -> np.ndarray:
@@ -63,12 +49,13 @@ def cluster_quotas(sizes: np.ndarray, n: int) -> np.ndarray:
     return quotas
 
 
-def dcs(g: SparseGraph, n: int, K: int) -> SampleSet:
+def dcs(g: SparseGraph, n: int, K: int) -> np.ndarray:
     """Degree-corrected subsampling, with no randomness.
 
-    Partitions nodes by exact scalar k-means on the regularized degrees,
-    sorts each cluster by degree descending (ties by ascending node id),
-    and takes a proportional quota of top-degree nodes per cluster.
+    Partitions nodes by exact scalar k-means on the regularized degrees
+    d_i / N, sorts each cluster by degree descending (ties by ascending
+    node id), and takes a proportional quota of top-degree nodes per
+    cluster.
     """
     N = g.n_nodes
     if not 1 <= n <= N:
@@ -76,9 +63,8 @@ def dcs(g: SparseGraph, n: int, K: int) -> SampleSet:
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
 
-    f = regularized_degrees(g)
-    part = kmeans_1d(f, K)
-    labels = part.labels
+    d = degrees(g)
+    labels = kmeans_1d(d / N, K).labels
     counts = np.bincount(labels, minlength=K + 1)[1:]
     nonempty = np.flatnonzero(counts > 0)
     if len(nonempty) < K:
@@ -88,7 +74,6 @@ def dcs(g: SparseGraph, n: int, K: int) -> SampleSet:
         )
     quotas = cluster_quotas(counts[nonempty], n)
 
-    d = degrees(g)
     picks = []
     for q, k in zip(quotas, nonempty):
         if q == 0:
@@ -96,12 +81,11 @@ def dcs(g: SparseGraph, n: int, K: int) -> SampleSet:
         members = np.flatnonzero(labels == k + 1)
         order = np.lexsort((members, -d[members]))
         picks.append(members[order[:q]])
-    ids = np.concatenate(picks)
-    return SampleSet(ids=ids, method="dcs")
+    return np.concatenate(picks)
 
 
 def draw(method: str, g: SparseGraph, n: int, K: int,
-         rng: np.random.Generator) -> SampleSet:
+         rng: np.random.Generator) -> np.ndarray:
     """Draw n nodes of ``g`` by ``method``: "srs", or "dcs" with a K-way
     degree partition."""
     if method == "srs":
@@ -138,12 +122,12 @@ def dcs_min_size(N: int, eps: float) -> int:
     return math.ceil(64.0 * math.log(2.0 * N / eps))
 
 
-def coverage_event(sample: SampleSet, z: np.ndarray, K: int) -> bool:
-    """True iff every community label 1..K appears among sampled nodes."""
+def coverage_event(ids: np.ndarray, z: np.ndarray, K: int) -> bool:
+    """True iff every community label 1..K appears among the sampled ``ids``."""
     z = validate_labels(z, K)
-    return len(np.unique(z[sample.ids])) == K
+    return len(np.unique(z[ids])) == K
 
 
-def write_sample(sample: SampleSet, path) -> None:
+def write_sample(ids: np.ndarray, path) -> None:
     """Write one sampled node id per line."""
-    write_int_rows(path, sample.ids)
+    write_int_rows(path, ids)

@@ -113,31 +113,19 @@ def generate_adjacency(z: np.ndarray, B: BlockMatrix, rng: np.random.Generator) 
         bk = len(Ik)
         for k2 in range(k, B.K):
             p = float(B.probs[k, k2])
-            if p == 0.0:
+            I2 = members[k2]
+            b2 = len(I2)
+            # A diagonal block holds the pairs i < j within one community.
+            count = bk * (bk - 1) // 2 if k == k2 else bk * b2
+            if p == 0.0 or count == 0:
                 continue
-            if k == k2:
-                count = bk * (bk - 1) // 2
-                if count == 0:
-                    continue
-                m = int(rng.binomial(count, p))
-                if m == 0:
-                    continue
-                t = rng.choice(count, size=m, replace=False)
-                li, lj = _tri_decode(t, bk)
-                us.append(Ik[li])
-                vs.append(Ik[lj])
-            else:
-                I2 = members[k2]
-                b2 = len(I2)
-                count = bk * b2
-                if count == 0:
-                    continue
-                m = int(rng.binomial(count, p))
-                if m == 0:
-                    continue
-                t = rng.choice(count, size=m, replace=False)
-                us.append(Ik[t // b2])
-                vs.append(I2[t % b2])
+            m = int(rng.binomial(count, p))
+            if m == 0:
+                continue
+            t = rng.choice(count, size=m, replace=False)
+            li, lj = _tri_decode(t, bk) if k == k2 else (t // b2, t % b2)
+            us.append(Ik[li])
+            vs.append(I2[lj])
 
     if us:
         pairs = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)

@@ -3,7 +3,8 @@
 The subsampled pipeline normalizes an N x n bi-adjacency slice by row and
 column degrees, eigendecomposes its n x n Gram matrix, and lifts the right
 eigenvectors back to embedding coordinates for every node. A full-network
-normalized Laplacian baseline is provided for comparison.
+normalized Laplacian baseline is provided for comparison. Spectra are plain
+(eigenvalues, eigenvectors) array pairs, eigenvalues in descending order.
 
 The module loads scipy.sparse and scipy.linalg. ``full_embed`` imports
 scipy.sparse.linalg (ARPACK) when it first runs, so a subsampled run never
@@ -53,27 +54,6 @@ class SubsampledLaplacian:
 
 
 @dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending eigenvalues of a Gram (PSD) matrix, tiny negatives clipped.
-
-    ``vectors``, when present, holds the matching eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-    @classmethod
-    def from_psd_eigenvalues(cls, values: np.ndarray,
-                             vectors: np.ndarray | None = None) -> "EigenSpectrum":
-        values = np.asarray(values, dtype=np.float64)
-        if np.any(np.diff(values) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if values.size and values.min() < -1e-10 * max(1.0, abs(values).max()):
-            raise ValueError("matrix is not PSD: eigenvalue below -1e-10")
-        return cls(values=np.maximum(values, 0.0), vectors=vectors)
-
-
-@dataclass(frozen=True)
 class Embedding:
     """N x K spectral coordinates plus the eigenvalues that produced them.
 
@@ -86,6 +66,17 @@ class Embedding:
     rank: int
     rank_deficient: bool
     n_zero_rows: int = 0
+
+
+def _clip_psd(values: np.ndarray) -> np.ndarray:
+    """Descending Gram (PSD) eigenvalues with tiny negatives clipped to 0;
+    values out of order, or below -1e-10 * max(1, |max|), raise ValueError."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.any(np.diff(values) > 0):
+        raise ValueError("eigenvalues must be sorted descending")
+    if values.size and values.min() < -1e-10 * max(1.0, abs(values).max()):
+        raise ValueError("matrix is not PSD: eigenvalue below -1e-10")
+    return np.maximum(values, 0.0)
 
 
 def _inv_sqrt(deg: np.ndarray) -> np.ndarray:
@@ -187,11 +178,11 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def subsampled_spectrum(ls: SubsampledLaplacian) -> EigenSpectrum:
-    """Full descending spectrum of the Gram matrix L^T L, with its
-    eigenvectors."""
+def subsampled_spectrum(ls: SubsampledLaplacian) -> tuple[np.ndarray, np.ndarray]:
+    """Full descending spectrum of the Gram matrix L^T L, as (eigenvalues,
+    eigenvectors) with tiny negative eigenvalues clipped to 0."""
     w, v = symmetric_eig(gram(ls))
-    return EigenSpectrum.from_psd_eigenvalues(w, v)
+    return _clip_psd(w), v
 
 
 def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
@@ -207,14 +198,15 @@ def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
     """
     n = ls.shape[1]
     if K == "auto":
-        spectrum = subsampled_spectrum(ls)
-        K = select_k(spectrum)
+        values, vectors = subsampled_spectrum(ls)
+        K = select_k(values)
     elif not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     else:
-        spectrum = EigenSpectrum.from_psd_eigenvalues(*symmetric_eig(gram(ls), K))
-    top = spectrum.values[:K]
-    vk = spectrum.vectors[:, :K]
+        values, vectors = symmetric_eig(gram(ls), K)
+        values = _clip_psd(values)
+    top = values[:K]
+    vk = vectors[:, :K]
 
     cutoff = RANK_TOL * top[0] if top[0] > 0 else 0.0
     keep = top > cutoff
@@ -279,7 +271,7 @@ def full_embed(L, K: int | str) -> Embedding:
         order = np.argsort(w)[::-1]
         top_w, top_v = w[order], v[:, order]
     if K == "auto":
-        K = select_k(EigenSpectrum(values=top_w))
+        K = select_k(top_w)
         top_w, top_v = top_w[:K], top_v[:, :K]
     return Embedding(
         matrix=top_v,
@@ -290,14 +282,14 @@ def full_embed(L, K: int | str) -> Embedding:
     )
 
 
-def select_k(spectrum: EigenSpectrum) -> int:
-    """Eigengap choice of the community count: argmax_k lambda_k - lambda_{k+1}.
+def select_k(vals: np.ndarray) -> int:
+    """Eigengap choice of the community count from descending eigenvalues
+    ``vals``: argmax_k lambda_k - lambda_{k+1}.
 
     Ties break toward the smallest k; the search starts at k = 1 and runs
     through k_max = min(len - 1, SELECT_K_MAX), so it reads at most the
     top k_max + 1 eigenvalues.
     """
-    vals = spectrum.values
     if len(vals) < 2:
         raise ValueError("spectrum must have at least 2 eigenvalues")
     k_max = min(len(vals) - 1, SELECT_K_MAX)

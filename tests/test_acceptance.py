@@ -82,7 +82,7 @@ def test_criterion_2_population_block_structure():
     sample = srs(300, 40, rng)
     assert sampling.coverage_event(sample, z, K)
 
-    ls = normalize_bi_adjacency(population_bi_adjacency(z, B, sample.ids))
+    ls = normalize_bi_adjacency(population_bi_adjacency(z, B, sample))
     emb = embed(ls, K)
 
     within = max(np.abs(emb.matrix[z == k] - emb.matrix[z == k][0]).max()
@@ -297,8 +297,8 @@ def test_criterion_8_embedding_convergence_trend():
         g = generate_adjacency(z, B, rng)
         for n in grid:
             s = srs(N, n, rng)
-            emp = embed(subsampled_laplacian(bi_adjacency(g, s.ids)), K)
-            pop = population_embedding(population_bi_adjacency(z, B, s.ids), K)
+            emp = embed(subsampled_laplacian(bi_adjacency(g, s)), K)
+            pop = population_embedding(population_bi_adjacency(z, B, s), K)
             dists[n].append(procrustes_distance(emp.matrix, pop))
     medians = [float(np.median(dists[n])) for n in grid]
 

@@ -17,7 +17,6 @@ from sscluster.metrics import misclustered_rate
 from sscluster.sampling import srs
 from sscluster.sbm import block_matrix, generate_adjacency, read_labels, sample_memberships
 from sscluster.spectral import (
-    EigenSpectrum,
     embed,
     full_laplacian,
     select_k,
@@ -393,7 +392,7 @@ class TestRunReal:
         # Replicate the pipeline in memory with the same draw order.
         rng = np.random.default_rng(seed)
         s = srs(g.n_nodes, 40, rng)
-        emb = embed(subsampled_laplacian(bi_adjacency(g, s.ids)), 3)
+        emb = embed(subsampled_laplacian(bi_adjacency(g, s)), 3)
         km = kmeans(emb.matrix, 3, rng=rng)
         assert np.array_equal(summary["labels"], km.labels)
         file_labels = read_labels(tmp_path / "out.labels")
@@ -420,8 +419,8 @@ class TestRunReal:
         assert len(calls) == 1
         # Two-solve route: the spectrum for K, then a fresh solve in embed.
         rng = np.random.default_rng(3)
-        ls = subsampled_laplacian(bi_adjacency(g, srs(g.n_nodes, 60, rng).ids))
-        K = select_k(subsampled_spectrum(ls))
+        ls = subsampled_laplacian(bi_adjacency(g, srs(g.n_nodes, 60, rng)))
+        K = select_k(subsampled_spectrum(ls)[0])
         km = kmeans(embed(ls, K).matrix, K, rng=rng)
         assert summary["K"] == K
         assert np.array_equal(summary["labels"], km.labels)
@@ -433,7 +432,7 @@ class TestRunReal:
         g = generate_adjacency(z, block_matrix(0.3, 0.05, 3), rng)
         # Two-solve route: the whole spectrum for K, then a top-K solve.
         w = np.linalg.eigvalsh(full_laplacian(g).toarray())[::-1]
-        K = select_k(EigenSpectrum(values=w))
+        K = select_k(w)
         labels, emb, _ = bench.run_full_sc(g, K, np.random.default_rng(seed))
         auto_labels, auto_emb, _ = bench.run_full_sc(g, "auto",
                                                      np.random.default_rng(seed))
@@ -771,10 +770,15 @@ class TestCli:
                      id="argv17"),
         pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--nodes",
                       "1000000000000000", "--n", "2", "--out", "{tmp}/r"], id="argv18"),
+        # An empty output path is rejected before any trial runs.
+        pytest.param(["bench", "s4", "--trials", "1", "--out", ""], id="argv19"),
+        pytest.param(["bench", "s4", "--trials", "1", "--config", "{tmp}/empty_out.cfg"],
+                     id="argv20"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
         (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
+        (tmp_path / "empty_out.cfg").write_text("out =\n")
         (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert rc == 2

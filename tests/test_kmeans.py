@@ -63,6 +63,11 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(points, 0, rng=np.random.default_rng(0))
 
+    def test_requires_a_generator(self):
+        # No silent seeding from OS entropy: every result is reproducible.
+        with pytest.raises(TypeError, match="rng"):
+            kmeans(np.zeros((3, 2)), 2)
+
     def test_nearest_centroid_invariant(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(40, 2))
@@ -243,7 +248,7 @@ def test_sbm_embedding_matches_oracle(seed):
     z = sbm.sample_memberships((1 / 3, 1 / 3, 1 / 3), 2000, rng)
     g = sbm.generate_adjacency(z, sbm.block_matrix(0.1, 0.05, 3), rng)
     sample = srs(g.n_nodes, 100, rng)
-    emb = spectral.embed(spectral.subsampled_laplacian(bi_adjacency(g, sample.ids)), 3)
+    emb = spectral.embed(spectral.subsampled_laplacian(bi_adjacency(g, sample)), 3)
     assert_bitwise_equal(kmeans(emb.matrix, 3, rng=np.random.default_rng(seed)),
                          ref.kmeans(emb.matrix, 3, rng=np.random.default_rng(seed)))
 

@@ -1,17 +1,13 @@
-"""The package's lazy exports, and which parts of scipy each command loads.
+"""The package's top level, and which parts of scipy each command loads.
 
 Each import check runs the CLI in a fresh interpreter, since this test
 process has scipy loaded already.
 """
 
-import importlib
 import json
 import subprocess
 import sys
-import types
 from pathlib import Path
-
-import pytest
 
 import sscluster
 from sscluster import bench, cli
@@ -59,31 +55,6 @@ class TestImportOnUse:
 
 
 class TestPackageExports:
-    def test_every_export_is_its_home_modules_object(self):
-        for name in sscluster.__all__:
-            value = getattr(sscluster, name)
-            if isinstance(value, types.ModuleType):
-                assert value is importlib.import_module(f"sscluster.{name}")
-            else:
-                home = sys.modules[value.__module__]
-                assert home.__name__.startswith("sscluster.")
-                assert getattr(home, name) is value, name
-        assert sscluster.srs is sscluster.sampling.srs
-        assert sscluster.misclustered_rate is sscluster.metrics.misclustered_rate
-
-    def test_dir_lists_every_export(self):
-        assert set(sscluster.__all__) <= set(dir(sscluster))
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            sscluster.no_such_name  # noqa: B018
-        assert not hasattr(sscluster, "kmeans_2d")
-
-    def test_star_import_gives_every_export(self):
-        namespace = {}
-        exec("from sscluster import *", namespace)
-        assert set(sscluster.__all__) <= set(namespace)
-
     def test_cli_scenario_choices_are_the_bench_sweeps(self):
         assert cli._SCENARIOS == tuple(bench.SWEEPS)
         for scenario in bench.SWEEPS:

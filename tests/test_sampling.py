@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sscluster.sampling as sampling_module
 from sscluster.graph import degrees, from_edge_list
 from sscluster.kmeans import kmeans_1d
 from sscluster.sampling import (
-    SampleSet,
     cluster_quotas,
     coverage_event,
     dcs,
     dcs_min_size,
     draw,
-    regularized_degrees,
     srs,
     srs_min_size,
     write_sample,
@@ -26,14 +25,27 @@ def complete_graph(n):
     return from_edge_list([(i, j) for i in range(n) for j in range(i + 1, n)], n)
 
 
+def regularized_degrees(monkeypatch, g, K=1):
+    """The values dcs partitions: what it hands to ``kmeans_1d``."""
+    seen = []
+
+    def spy(values, k):
+        seen.append(values)
+        return kmeans_1d(values, k)
+
+    monkeypatch.setattr(sampling_module, "kmeans_1d", spy)
+    dcs(g, 1, K)
+    return seen[0]
+
+
 class TestSrs:
     def test_exhaustive_sample(self):
-        s = srs(7, 7, np.random.default_rng(0))
-        assert sorted(s.ids.tolist()) == list(range(7))
+        ids = srs(7, 7, np.random.default_rng(0))
+        assert ids.dtype == np.int64
+        assert sorted(ids.tolist()) == list(range(7))
 
     def test_forced_single(self):
-        s = srs(1, 1, np.random.default_rng(0))
-        assert s.ids.tolist() == [0]
+        assert srs(1, 1, np.random.default_rng(0)).tolist() == [0]
 
     def test_no_silent_clamping(self):
         with pytest.raises(ValueError):
@@ -48,7 +60,7 @@ class TestSrs:
         counts = np.zeros(100)
         reps = 50_000
         for _ in range(reps):
-            counts[srs(100, 10, rng).ids] += 1
+            counts[srs(100, 10, rng)] += 1
         freqs = counts / reps
         assert np.all(np.abs(freqs - 0.1) < 0.01)
 
@@ -56,21 +68,21 @@ class TestSrs:
     @settings(max_examples=50, deadline=None)
     def test_ids_distinct_and_in_range(self, N, data):
         n = data.draw(st.integers(1, N))
-        s = srs(N, n, np.random.default_rng(0))
-        assert len(s.ids) == n
-        assert len(np.unique(s.ids)) == n
-        assert s.ids.min() >= 0 and s.ids.max() < N
+        ids = srs(N, n, np.random.default_rng(0))
+        assert len(ids) == n
+        assert len(np.unique(ids)) == n
+        assert ids.min() >= 0 and ids.max() < N
 
 
 class TestRegularizedDegrees:
-    def test_complete_k5(self):
-        assert np.allclose(regularized_degrees(complete_graph(5)), 4 / 5)
+    def test_complete_k5(self, monkeypatch):
+        assert np.allclose(regularized_degrees(monkeypatch, complete_graph(5)), 4 / 5)
 
-    def test_empty(self):
-        assert np.all(regularized_degrees(from_edge_list([], 6)) == 0)
+    def test_empty(self, monkeypatch):
+        assert np.all(regularized_degrees(monkeypatch, from_edge_list([], 6)) == 0)
 
-    def test_star(self, star5):
-        f = regularized_degrees(star5)
+    def test_star(self, monkeypatch, star5):
+        f = regularized_degrees(monkeypatch, star5, K=2)
         assert f[0] == pytest.approx(0.8)
         assert np.allclose(f[1:], 0.2)
 
@@ -104,9 +116,9 @@ class TestClusterQuotas:
 class TestDcs:
     def test_full_sample_selects_everyone(self):
         g = complete_graph(6)
-        s = dcs(g, 6, 2)
-        assert sorted(s.ids.tolist()) == list(range(6))
-        assert s.method == "dcs"
+        ids = dcs(g, 6, 2)
+        assert ids.dtype == np.int64
+        assert sorted(ids.tolist()) == list(range(6))
 
     def test_two_degree_classes(self):
         # Community one: K_12 minus a perfect matching (degree 10 each).
@@ -119,19 +131,17 @@ class TestDcs:
         d = degrees(g)
         assert set(d[:12]) == {10} and set(d[12:]) == {2}
 
-        s = dcs(g, 4, 2)
-        assert sorted(s.ids.tolist()) == [0, 1, 12, 13]
+        assert sorted(dcs(g, 4, 2).tolist()) == [0, 1, 12, 13]
 
     def test_selected_dominate_unselected_by_degree(self):
         rng = np.random.default_rng(8)
         z = sample_memberships((0.5, 0.5), 80, rng)
         g = generate_adjacency(z, block_matrix(0.4, 0.1, 2), rng)
-        s = dcs(g, 20, 2)
+        ids = dcs(g, 20, 2)
         d = degrees(g)
-        f = regularized_degrees(g)
-        labels = kmeans_1d(f, 2).labels
+        labels = kmeans_1d(d / 80, 2).labels
         chosen = np.zeros(80, dtype=bool)
-        chosen[s.ids] = True
+        chosen[ids] = True
         for k in (1, 2):
             members = np.flatnonzero(labels == k)
             sel = members[chosen[members]]
@@ -156,8 +166,7 @@ class TestDraw:
                                ("dcs", lambda r: dcs(g, 12, 2))):
             a = draw(method, g, 12, 2, np.random.default_rng(5))
             b = direct(np.random.default_rng(5))
-            assert a.method == method
-            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a, b)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="srs or dcs"):
@@ -227,22 +236,18 @@ class TestDcsMinSize:
 class TestCoverageEvent:
     def test_full_sample_covers(self):
         z = np.array([1, 2, 3, 1, 2, 3])
-        s = SampleSet(ids=np.arange(6), method="srs")
-        assert coverage_event(s, z, 3)
+        assert coverage_event(np.arange(6), z, 3)
 
     def test_single_node_cannot_cover_two(self):
         z = np.array([1, 2])
-        s = SampleSet(ids=np.array([0]), method="srs")
-        assert not coverage_event(s, z, 2)
+        assert not coverage_event(np.array([0]), z, 2)
 
     def test_missing_community(self):
         z = np.array([1, 1, 2, 3])
-        s = SampleSet(ids=np.array([0, 1, 2]), method="srs")
-        assert not coverage_event(s, z, 3)
+        assert not coverage_event(np.array([0, 1, 2]), z, 3)
 
 
 def test_write_sample(tmp_path):
-    s = SampleSet(ids=np.array([4, 0, 2]), method="srs")
     path = tmp_path / "sample.txt"
-    write_sample(s, path)
+    write_sample(np.array([4, 0, 2]), path)
     assert path.read_text().splitlines() == ["4", "0", "2"]

@@ -16,7 +16,6 @@ from sscluster.metrics import misclustered_rate
 from sscluster.sbm import block_matrix, generate_adjacency, sample_memberships
 from sscluster.sampling import srs
 from sscluster.spectral import (
-    EigenSpectrum,
     embed,
     full_embed,
     full_laplacian,
@@ -88,7 +87,7 @@ class TestSubsampledLaplacian:
             z = sample_memberships((0.3, 0.7), 60, r)
             g = generate_adjacency(z, block_matrix(0.4, 0.3, 2), r)
             s = srs(60, 15, r)
-            ls = subsampled_laplacian(bi_adjacency(g, s.ids))
+            ls = subsampled_laplacian(bi_adjacency(g, s))
             smax = np.linalg.svd(ls.matrix.toarray(), compute_uv=False)[0]
             assert smax <= 1 + 1e-10
 
@@ -97,7 +96,7 @@ class TestSubsampledLaplacian:
         r = np.random.default_rng(seed)
         z = sample_memberships((0.2, 0.3, 0.5), 900, r)
         g = generate_adjacency(z, block_matrix(0.02, 0.05, 3), r)
-        b = bi_adjacency(g, srs(900, 60, r).ids)
+        b = bi_adjacency(g, srs(900, 60, r))
         fast, general = subsampled_laplacian(b), normalize_bi_adjacency(to_csc(b))
         for attr in ("data", "indices", "indptr"):
             got, want = getattr(fast.matrix, attr), getattr(general.matrix, attr)
@@ -125,7 +124,7 @@ class TestGram:
         z = sample_memberships((0.5, 0.5), 50, rng)
         g = generate_adjacency(z, block_matrix(0.6, 0.2, 2), rng)
         s = srs(50, 12, rng)
-        ls = subsampled_laplacian(bi_adjacency(g, s.ids))
+        ls = subsampled_laplacian(bi_adjacency(g, s))
         dense = ls.matrix.toarray()
         assert np.allclose(gram(ls), dense.T @ dense, atol=1e-12)
 
@@ -134,7 +133,7 @@ class TestGram:
         z = sample_memberships((0.5, 0.5), 80, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.3, 2), rng)
         s = srs(80, 20, rng)
-        m = gram(subsampled_laplacian(bi_adjacency(g, s.ids)))
+        m = gram(subsampled_laplacian(bi_adjacency(g, s)))
         assert np.abs(m - m.T).max() <= 1e-12
 
     def test_resource_guard(self, monkeypatch):
@@ -223,7 +222,7 @@ class TestEmbed:
         rng = np.random.default_rng(6)
         z = np.repeat([1, 2, 3], [120, 100, 80])
         B = block_matrix(0.3, 0.1, 3)
-        sample = srs(300, 40, rng).ids
+        sample = srs(300, 40, rng)
         ls = normalize_bi_adjacency(population_bi_adjacency(z, B, sample))
         emb = embed(ls, 3)
         # Rows within a block coincide; rows across blocks stay separated.
@@ -239,7 +238,7 @@ class TestEmbed:
         rng = np.random.default_rng(7)
         z = np.repeat([1, 2, 3], [50, 30, 20])
         B = block_matrix(0.4, 0.15, 3)
-        sample = srs(100, 25, rng).ids
+        sample = srs(100, 25, rng)
         ls = normalize_bi_adjacency(population_bi_adjacency(z, B, sample))
         emb = embed(ls, 3)
         # Single linkage at threshold 1e-6 = connected components of the
@@ -254,7 +253,7 @@ class TestEmbed:
         z = sample_memberships((0.5, 0.5), 70, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.2, 2), rng)
         s = srs(70, 20, rng)
-        emb = embed(subsampled_laplacian(bi_adjacency(g, s.ids)), 2)
+        emb = embed(subsampled_laplacian(bi_adjacency(g, s)), 2)
         gram_u = emb.matrix.T @ emb.matrix
         assert np.allclose(gram_u, np.eye(2), atol=1e-8)
 
@@ -278,32 +277,32 @@ class TestEmbed:
         rng = np.random.default_rng(16)
         z = sample_memberships((0.5, 0.5), 80, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.1, 2), rng)
-        return subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng).ids))
+        return subsampled_laplacian(bi_adjacency(g, srs(80, 20, rng)))
 
     def test_auto_k_lifts_from_the_one_full_solve(self, monkeypatch):
         ls = self._two_block_laplacian()
-        spec = subsampled_spectrum(ls)
-        K = select_k(spec)
+        values, vectors = subsampled_spectrum(ls)
+        K = select_k(values)
         solve, asked = spectral.symmetric_eig, []
         monkeypatch.setattr(spectral, "symmetric_eig",
                             lambda m, k=None: asked.append(k) or solve(m, k))
         emb = embed(ls, "auto")
         assert asked == [None]
         assert K == 2
-        assert np.array_equal(emb.eigenvalues, spec.values[:K])
-        lift = spec.vectors[:, :K] * (1.0 / np.sqrt(spec.values[:K]))
+        assert np.array_equal(emb.eigenvalues, values[:K])
+        lift = vectors[:, :K] * (1.0 / np.sqrt(values[:K]))
         assert np.array_equal(emb.matrix, ls.matrix @ lift)
 
     def test_fixed_k_solves_only_the_top_pairs(self, monkeypatch):
         ls = self._two_block_laplacian()
-        spec = subsampled_spectrum(ls)
-        full = ls.matrix @ (spec.vectors[:, :2] * (1.0 / np.sqrt(spec.values[:2])))
+        values, vectors = subsampled_spectrum(ls)
+        full = ls.matrix @ (vectors[:, :2] * (1.0 / np.sqrt(values[:2])))
         solve, asked = spectral.symmetric_eig, []
         monkeypatch.setattr(spectral, "symmetric_eig",
                             lambda m, k=None: asked.append(k) or solve(m, k))
         fresh = embed(ls, 2)
         assert asked == [2]
-        assert np.abs(fresh.eigenvalues - spec.values[:2]).max() <= 1e-12
+        assert np.abs(fresh.eigenvalues - values[:2]).max() <= 1e-12
         assert projection_distance(fresh.matrix, full) <= 1e-10
 
 
@@ -490,7 +489,7 @@ class TestFullEmbed:
         else:
             lap = full_laplacian(components_graph())
         emb = full_embed(lap, "auto")
-        K = select_k(EigenSpectrum(values=np.linalg.eigvalsh(lap.toarray())[::-1]))
+        K = select_k(np.linalg.eigvalsh(lap.toarray())[::-1])
         assert emb.matrix.shape == (lap.shape[0], K)
         assert emb.rank == K
         top = full_embed(lap, min(lap.shape[0], spectral.SELECT_K_MAX + 1))
@@ -508,7 +507,7 @@ class TestFullEmbed:
         emb = full_embed(lap, "auto")
         assert asked == [40]
         w, _ = dense_top(lap, 40)
-        K = select_k(EigenSpectrum(values=w))
+        K = select_k(w)
         assert emb.matrix.shape == (40, K)
         assert np.abs(emb.eigenvalues - w[:K]).max() <= 1e-12
 
@@ -565,37 +564,33 @@ class TestFullEmbed:
 
 class TestSelectK:
     def test_gap_by_inspection(self):
-        spec = EigenSpectrum(values=np.array([0.9, 0.8, 0.75, 0.2, 0.1]))
-        assert select_k(spec) == 3
+        assert select_k(np.array([0.9, 0.8, 0.75, 0.2, 0.1])) == 3
 
     def test_first_gap_dominates(self):
-        spec = EigenSpectrum(values=np.array([1.0, 0.2, 0.19, 0.18]))
-        assert select_k(spec) == 1
+        assert select_k(np.array([1.0, 0.2, 0.19, 0.18])) == 1
 
     def test_tie_breaks_to_smallest_k(self):
-        spec = EigenSpectrum(values=np.array([1.0, 0.5, 0.0]))
-        assert select_k(spec) == 1
+        assert select_k(np.array([1.0, 0.5, 0.0])) == 1
 
     def test_planted_k_on_population_spectrum(self):
         rng = np.random.default_rng(12)
         z = np.repeat([1, 2, 3], 60)
         B = block_matrix(0.4, 0.1, 3)
-        sample = srs(180, 30, rng).ids
+        sample = srs(180, 30, rng)
         ls = normalize_bi_adjacency(population_bi_adjacency(z, B, sample))
-        assert select_k(subsampled_spectrum(ls)) == 3
+        assert select_k(subsampled_spectrum(ls)[0]) == 3
 
     def test_planted_k_on_strong_empirical_graph(self):
         rng = np.random.default_rng(13)
         z = sample_memberships((1 / 3, 1 / 3, 1 / 3), 600, rng)
         g = generate_adjacency(z, block_matrix(0.5, 0.05, 3), rng)
         s = srs(600, 80, rng)
-        ls = subsampled_laplacian(bi_adjacency(g, s.ids))
-        assert select_k(subsampled_spectrum(ls)) == 3
+        ls = subsampled_laplacian(bi_adjacency(g, s))
+        assert select_k(subsampled_spectrum(ls)[0]) == 3
 
     def test_validates_inputs(self):
-        spec = EigenSpectrum(values=np.array([1.0]))
         with pytest.raises(ValueError):
-            select_k(spec)
+            select_k(np.array([1.0]))
 
     @pytest.mark.parametrize("k_big, expected", [
         (spectral.SELECT_K_MAX, spectral.SELECT_K_MAX),
@@ -606,17 +601,17 @@ class TestSelectK:
         values = np.linspace(1.0, 0.5, spectral.SELECT_K_MAX + 5)
         values[1:] -= 0.01
         values[k_big:] -= 0.1
-        assert select_k(EigenSpectrum(values=values)) == expected
+        assert select_k(values) == expected
 
 
 class TestSpectrumClipping:
     def test_tiny_negatives_clipped(self):
-        spec = EigenSpectrum.from_psd_eigenvalues(np.array([1.0, 1e-13, -1e-12]))
-        assert np.all(spec.values >= 0)
+        values = spectral._clip_psd(np.array([1.0, 1e-13, -1e-12]))
+        assert np.all(values >= 0)
 
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):
-            EigenSpectrum.from_psd_eigenvalues(np.array([1.0, -1e-6]))
+            spectral._clip_psd(np.array([1.0, -1e-6]))
 
 
 class TestEmbeddingConvergence:
@@ -636,9 +631,9 @@ class TestEmbeddingConvergence:
                 r = np.random.default_rng(seed)
                 g = generate_adjacency(z, B, r)
                 s = srs(N, n, r)
-                emp = embed(subsampled_laplacian(bi_adjacency(g, s.ids)), K)
+                emp = embed(subsampled_laplacian(bi_adjacency(g, s)), K)
                 pop = embed(normalize_bi_adjacency(
-                    population_bi_adjacency(z, B, s.ids)), K)
+                    population_bi_adjacency(z, B, s)), K)
                 dists.append(procrustes_distance(emp.matrix, pop.matrix))
             medians.append(np.median(dists))
         assert medians[0] >= medians[1] >= medians[2]

@@ -58,3 +58,29 @@ def test_traced_dcs_records_one_kmeans_1d_span(perfbench_run):
     names = [s.name for s in tracer.spans]
     assert names.count("kmeans.kmeans_1d") == 1
     assert names.count("sampling.dcs") == 1
+
+
+def test_traced_cluster_reaches_every_wrapped_layer(perfbench_run, tmp_path, capsys):
+    # A call that routes around a wrapped name records no span, and the
+    # per-layer metric of that layer reads 0. N <= FULL_BASELINE_MAX_N, so
+    # the full-SC comparison runs too.
+    import spans
+
+    from sscluster import cli
+
+    edges, out = tmp_path / "g.edges", tmp_path / "result"
+    tracer = spans.Tracer()
+    with tracer.installed(perfbench_run.trace_targets()):
+        assert cli.main(["generate", "--nodes", "600", "--beta", "0.2",
+                         "--seed", "1", "--out", str(edges)]) == 0
+        assert cli.main(["cluster", "--edges", str(edges), "--method", "dcs",
+                         "--n", "60", "--k", "auto", "--seed", "1",
+                         "--out", str(out)]) == 0
+    assert "disagreement rate vs full SC" in capsys.readouterr().out
+    names = {s.name for s in tracer.spans}
+    expected = {"bench.run_ssc", "sampling.dcs", "kmeans.kmeans_1d",
+                "graph.bi_adjacency", "spectral.subsampled_laplacian",
+                "spectral.subsampled_spectrum", "spectral.select_k",
+                "spectral.symmetric_eig", "kmeans.kmeans", "spectral.full_embed",
+                "sampling.write_sample"}
+    assert expected - names == set()
