@@ -471,8 +471,11 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
 
     The summary's ``times`` holds the seconds of every stage that ran:
     load, sampling (subsampled runs only), laplacian, eig, kmeans, full_sc
-    (when the comparison runs) and write. Its ``sample`` holds the sampled
-    node ids, or None for ``method="full"``.
+    (when the comparison runs) and write. The load stage is
+    ``graph.graph_from_file``: it parses the text on a first run, and on a
+    later run on the same bytes hashes the file and loads and checks the
+    graph from the sidecar the first run wrote. The summary's ``sample``
+    holds the sampled node ids, or None for ``method="full"``.
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")

@@ -5,11 +5,24 @@ Graphs are stored once in a compressed per-node layout (``indptr`` /
 neighbor ids, which scipy's sparse matrices take without a copy. Node ids
 are dense 0-based integers below ``MAX_NODES``; external edge lists with
 sparse ids go through a relabeling pass that emits an id map alongside.
+
+``graph_from_file`` parses a text edge list once: it keeps the graph it
+built in a sidecar file, ``<edges>.sscluster.npz``, keyed by the SHA-256 of
+the edge list's bytes, and a later call on the same bytes loads and fully
+checks those arrays instead of parsing the text again, if the sidecar is
+the user's or the edge list owner's own. No other module knows the
+sidecar format.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
+import tempfile
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +87,8 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
     remainder in place, so a duplicate-free list of E edges without
     self-loops peaks at 5 bytes per stored entry (2E entries) beyond its
     input with ``uint32`` keys, 12 with int64 keys.
+
+    Sidecars keep what it returns: changing that must bump ``_SIDECAR_VERSION``.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be nonnegative, got {n_nodes}")
@@ -94,11 +109,10 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
         u, v = u[keep], v[keep]
     del keep
 
-    # Every key, and the end mark n_nodes**2 of the last row, fits 32 bits
-    # when n_nodes**2 < 2**32; sorting 4-byte keys moves half the bytes.
-    # The int64 ids are written straight into the key type: every product
-    # and sum is a key, so the unsafe cast never truncates.
-    key_type = np.uint32 if n_nodes**2 < 2**32 else np.int64
+    # Sorting 4-byte keys moves half the bytes of int64 ones. The int64 ids
+    # are written straight into the key type: every product and sum is a
+    # key, so the unsafe cast never truncates.
+    key_type = _key_type(n_nodes)
     width = key_type(n_nodes)
     key = np.empty(2 * n_kept, dtype=key_type)
     fwd, rev = key[:n_kept], key[n_kept:]
@@ -123,6 +137,12 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
         n_edges=len(key) // 2,
         n_self_loops_dropped=len(arr) - n_kept,
     )
+
+
+def _key_type(n_nodes: int):
+    """The packed key type of an n_nodes graph: ``uint32`` when every key
+    i * n_nodes + j, and the end mark n_nodes**2, fits 32 bits."""
+    return np.uint32 if n_nodes**2 < 2**32 else np.int64
 
 
 def _sorted_unique(key: np.ndarray) -> np.ndarray:
@@ -184,7 +204,10 @@ _WRITE_CHUNK_ROWS = 1 << 16
 
 
 def read_edge_list(path) -> np.ndarray:
-    """Read raw (u, v) id pairs from an edge-list file."""
+    """Read raw (u, v) id pairs from an edge-list file.
+
+    Sidecars keep what it returns: changing that must bump ``_SIDECAR_VERSION``.
+    """
     try:
         with warnings.catch_warnings():
             # An empty or comment-only file is an empty edge list.
@@ -267,6 +290,8 @@ def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (relabeled pairs, external id of each internal id). External
     ids are assigned internal ids in ascending order.
+
+    Sidecars keep what it returns: changing that must bump ``_SIDECAR_VERSION``.
     """
     ext = _sorted_unique(np.array(pairs, dtype=np.int64).ravel())
     relabeled = np.searchsorted(ext, pairs)
@@ -284,7 +309,25 @@ def graph_from_file(path, n_nodes: int | None = None) -> tuple[SparseGraph, np.n
     internal node i, or None when the file's ids were used directly.
     Passing ``n_nodes`` pins the node count (preserving trailing isolated
     nodes) and disables relabeling.
+
+    The text of a regular file is parsed once: its result is kept in the
+    file's sidecar (see "Sidecar files" below) and read back from there
+    while the file's bytes and ``n_nodes`` stay the same. Either way the
+    result is the same.
     """
+    key = _sidecar_key(path)
+    if key is not None:
+        cached = _load_sidecar(key, n_nodes)
+        if cached is not None:
+            return cached
+    g, ext_ids = _parse_graph(path, n_nodes)
+    if key is not None:
+        _write_sidecar(key, path, g, ext_ids, n_nodes)
+    return g, ext_ids
+
+
+def _parse_graph(path, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | None]:
+    """``graph_from_file`` from the text of the file."""
     pairs = read_edge_list(path)
     if pairs.size == 0 and n_nodes is None:
         raise ValueError(f"{path}: no edges found")
@@ -296,3 +339,257 @@ def graph_from_file(path, n_nodes: int | None = None) -> tuple[SparseGraph, np.n
         return from_edge_list(pairs, int(hi) + 1), None
     relabeled, ext = relabel_pairs(pairs)
     return from_edge_list(relabeled, len(ext)), ext
+
+
+# ---------------------------------------------------------------------------
+# Sidecar files
+#
+# "<edges>.sscluster.npz", written by np.savez (uncompressed), holds the
+# graph_from_file result of "<edges>": int64 indptr, int32 indices, int64
+# ext_ids when the ids were relabeled, and the integers n_edges and
+# n_self_loops_dropped. Its keys are the SHA-256 of the edge list's bytes
+# (sha256), the n_nodes argument of the parse (n_nodes, -1 for None) and
+# the format version (version). A sidecar is used only if _trusted passes
+# it and its keys match and its arrays pass _checked_graph; any other
+# trusted sidecar is replaced by a fresh parse of the text, and an
+# untrusted one is left alone and ignored.
+#
+# A sidecar stands for the output of read_edge_list, relabel_pairs and
+# from_edge_list: a change to what any of them returns for some file must
+# bump _SIDECAR_VERSION, or older sidecars would keep the old result.
+# ---------------------------------------------------------------------------
+
+SIDECAR_SUFFIX = ".sscluster.npz"
+_SIDECAR_VERSION = 1
+# Bytes read per hash update, and entries per step of the sidecar checks.
+_HASH_CHUNK = 1 << 20
+_CHECK_CHUNK = 1 << 16
+# What np.load and the checks raise on a damaged or foreign sidecar.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, MemoryError,
+               zipfile.BadZipFile, zlib.error)
+
+
+@dataclass(frozen=True)
+class _SidecarKey:
+    path: str                # the sidecar file
+    sha256: str              # hex digest of the edge list's bytes
+    edges: os.stat_result    # the edge list's status before hashing
+
+
+def _sidecar_key(path) -> _SidecarKey | None:
+    """The sidecar key of the edge list ``path``, or None when it has no
+    usable sidecar: ``path`` is not a regular file (a FIFO is never read
+    twice), its sidecar exists but is not _trusted, or no sidecar exists
+    and its directory is not writable."""
+    try:
+        path = os.fsdecode(path)
+        st = os.stat(path)
+    except (TypeError, OSError):
+        return None  # not a path, or one the text parse reports
+    sidecar = path + SIDECAR_SUFFIX
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    try:
+        if not _trusted(os.stat(sidecar), st):
+            _debug("sidecar %s not used: not trusted", sidecar)
+            return None
+    except FileNotFoundError:
+        if not os.access(os.path.dirname(sidecar) or ".", os.W_OK):
+            return None
+    except OSError:
+        return None
+    import hashlib  # see _debug
+
+    digest = hashlib.sha256()
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buf):
+                digest.update(view[:size])
+    except OSError:
+        return None
+    return _SidecarKey(sidecar, digest.hexdigest(), st)
+
+
+def _trusted(sidecar: os.stat_result, edges: os.stat_result) -> bool:
+    """Whether a file with status ``sidecar`` may stand for the parse of an
+    edge list with status ``edges``: a regular file, owned by this user or
+    the edge list's owner, that no group or other user may write unless
+    they may write the edge list too. In a shared directory another user
+    could otherwise plant a sidecar holding a different graph under the
+    edge list's digest, which anyone who can read the edge list can
+    compute."""
+    return (stat.S_ISREG(sidecar.st_mode)
+            and sidecar.st_uid in (os.geteuid(), edges.st_uid)
+            and not sidecar.st_mode & 0o022 & ~edges.st_mode)
+
+
+def _load_sidecar(key: _SidecarKey,
+                  n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | None] | None:
+    """The sidecar's (graph, ext_ids) if its keys match and its arrays pass
+    every check, else None."""
+    try:
+        # Checked on the open file, which a later rename cannot swap; a
+        # FIFO put in its place does not block the open.
+        with open(os.open(key.path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+            if not _trusted(os.fstat(fh.fileno()), key.edges):
+                raise ValueError("not trusted")
+            z = np.load(fh)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            if (_scalar(z, "version", "i") != _SIDECAR_VERSION
+                    or _scalar(z, "sha256", "U") != key.sha256
+                    or _scalar(z, "n_nodes", "i") != (-1 if n_nodes is None else n_nodes)):
+                return None
+            return _checked_graph(z, n_nodes)
+    except FileNotFoundError:
+        return None
+    except _UNREADABLE as exc:
+        _debug("sidecar %s not used: %s", key.path, exc)
+        return None
+
+
+def _debug(msg: str, *args) -> None:
+    """One debug line on this module's logger.
+
+    logging, like hashlib, is imported where the sidecar code first needs
+    it: ``generate`` imports this module but never touches a sidecar, and
+    the two imports added about 20 ms to each fresh process (2 cores, no
+    cached bytecode).
+    """
+    import logging
+
+    logging.getLogger(__name__).debug(msg, *args)
+
+
+def _scalar(z, name: str, kind: str):
+    """The 0-d member ``name`` of dtype kind ``kind`` as a Python value."""
+    value = z[name]
+    if value.shape != () or value.dtype.kind != kind:
+        raise ValueError(f"{name} is not a scalar of kind {kind!r}")
+    return value.item()
+
+
+def _vector(z, name: str, dtype) -> np.ndarray:
+    """The 1-d member ``name`` of exactly ``dtype``."""
+    value = z[name]
+    if value.ndim != 1 or value.dtype != dtype:
+        raise ValueError(f"{name} is not a 1-d {np.dtype(dtype)} array")
+    return value
+
+
+def _checked_graph(z, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | None]:
+    """(graph, ext_ids) from a sidecar's members; ValueError unless they
+    hold what from_edge_list and relabel_pairs could have built."""
+    indptr = _vector(z, "indptr", np.int64)
+    indices = _vector(z, "indices", np.int32)
+    ext_ids = _vector(z, "ext_ids", np.int64) if "ext_ids" in z.files else None
+    n_edges = _scalar(z, "n_edges", "i")
+    n_loops = _scalar(z, "n_self_loops_dropped", "i")
+    n = len(indptr) - 1
+    if not 0 <= n <= MAX_NODES:
+        raise ValueError(f"node count {n} out of range")
+    if n_nodes is not None and (n != n_nodes or ext_ids is not None):
+        raise ValueError("graph does not have the pinned node count")
+    if ext_ids is not None and (len(ext_ids) != n or not _ascends(ext_ids)):
+        raise ValueError("ext_ids are not one strictly ascending id per node")
+    if n_edges != len(indices) // 2 or n_loops < 0:
+        raise ValueError("edge counts do not match the arrays")
+    _check_adjacency(indptr, indices)
+    return SparseGraph(n_nodes=n, indptr=indptr, indices=indices, n_edges=n_edges,
+                       n_self_loops_dropped=n_loops), ext_ids
+
+
+def _ascends(a: np.ndarray, strict: bool = True) -> bool:
+    """Whether the 1-d array ``a`` ascends (strictly: without repeats),
+    compared by chunks."""
+    fails = np.less_equal if strict else np.less
+    for start in range(0, len(a) - 1, _CHECK_CHUNK):
+        chunk = a[start:start + _CHECK_CHUNK + 1]
+        if fails(chunk[1:], chunk[:-1]).any():
+            return False
+    return True
+
+
+def _check_adjacency(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """ValueError unless ``indptr``/``indices`` are a symmetric adjacency
+    without self-loops whose rows ascend strictly, as from_edge_list builds.
+
+    The transposed key ``j * n + i`` of every entry (i, j) goes into one
+    array of from_edge_list's key type. Sorted, it must ascend strictly and
+    equal the row-major keys ``i * n + j`` entry by entry. Every other
+    temporary covers one block of rows.
+    """
+    n, size = len(indptr) - 1, len(indices)
+    if indptr[0] != 0 or indptr[-1] != size or not _ascends(indptr, strict=False):
+        raise ValueError("indptr does not run from 0 up to len(indices)")
+    if size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("neighbor id out of range")
+    key_type = _key_type(n)
+    width = key_type(n)
+    # Ids in range are the same bits as uint32, which compares and
+    # multiplies with uint32 keys without widening.
+    ids = indices.view(np.uint32) if key_type is np.uint32 else indices
+    # Row blocks of about _CHECK_CHUNK rows or entries: each cut is a
+    # multiple of the chunk or the row holding such an entry.
+    cuts = np.union1d(
+        np.arange(0, n, _CHECK_CHUNK),
+        np.searchsorted(indptr, np.arange(0, size, _CHECK_CHUNK), side="right") - 1)
+    blocks = list(zip(cuts.tolist(), [*cuts[1:].tolist(), n]))
+
+    def block(r0, r1):
+        """The row id of each entry of rows r0..r1-1, and their ids."""
+        rows = np.repeat(np.arange(r0, r1, dtype=key_type), np.diff(indptr[r0:r1 + 1]))
+        return rows, ids[indptr[r0]:indptr[r1]]
+
+    keys = np.empty(size, dtype=key_type)
+    for r0, r1 in blocks:
+        rows, cols = block(r0, r1)
+        if np.any(rows == cols):
+            raise ValueError("self-loop")
+        transposed = keys[indptr[r0]:indptr[r1]]
+        np.multiply(cols, width, out=transposed, casting="unsafe")
+        np.add(transposed, rows, out=transposed)
+    keys.sort()
+    if not _ascends(keys):
+        raise ValueError("repeated entry")
+    for r0, r1 in blocks:
+        rows, cols = block(r0, r1)
+        rows *= width
+        rows += cols
+        if not np.array_equal(rows, keys[indptr[r0]:indptr[r1]]):
+            raise ValueError("adjacency is not symmetric with ascending rows")
+
+
+def _write_sidecar(key: _SidecarKey, path, g: SparseGraph,
+                   ext_ids: np.ndarray | None, n_nodes: int | None) -> None:
+    """Keep the parse of ``path`` in its sidecar, written to a temporary
+    file in the same directory and renamed over it. Skipped, with one debug
+    line, when the file changed since it was hashed or the write fails."""
+    members = {"indptr": g.indptr, "indices": g.indices, "n_edges": g.n_edges,
+               "n_self_loops_dropped": g.n_self_loops_dropped,
+               "n_nodes": -1 if n_nodes is None else n_nodes,
+               "version": _SIDECAR_VERSION, "sha256": key.sha256}
+    if ext_ids is not None:
+        members["ext_ids"] = ext_ids
+    try:
+        st = os.stat(path)
+        if (st.st_size, st.st_mtime_ns) != (key.edges.st_size, key.edges.st_mtime_ns):
+            _debug("sidecar %s not written: the edge list changed", key.path)
+            return
+        directory, name = os.path.split(key.path)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name.removesuffix(SIDECAR_SUFFIX)}.",
+                                   suffix=SIDECAR_SUFFIX, dir=directory or ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                # Whoever may read the edge list may read its sidecar.
+                os.chmod(tmp, stat.S_IMODE(st.st_mode) & 0o666)
+                np.savez(fh, **members)
+            os.replace(tmp, key.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _debug("sidecar %s not written: %s", key.path, exc)

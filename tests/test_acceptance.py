@@ -7,9 +7,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from sscluster import bench, sampling, sbm
+from sscluster import sampling
 from sscluster.bench import derive_seed, run_ssc, subsample_size_rule
 from sscluster.graph import bi_adjacency
 from sscluster.kmeans import kmeans

@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sscluster import bench, cli, sampling, spectral
+from sscluster import bench, cli, graph, sampling, spectral
 from sscluster.graph import bi_adjacency, from_edge_list, write_edge_list
 from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
@@ -493,6 +495,107 @@ class TestRunReal:
         summary = bench.run_real(path, n=2, k=2, method="srs", seed=0,
                                  n_nodes=5)
         assert summary["n_disconnected_from_sample"] >= 1
+
+
+class TestSidecarRuns:
+    """A second ``cluster`` on an unchanged edge list reads the graph from
+    the sidecar the first one wrote, with the same outputs byte for byte."""
+
+    N = 240
+    # External ids of each id kind, and the extra cluster arguments.
+    IDS = {"dense": (lambda i: i, []),
+           "relabeled": (lambda i: 7 * i - 500, []),
+           "nodes": (lambda i: i, ["--nodes", str(N + 1)])}
+
+    @pytest.fixture(scope="class")
+    def edges_text(self):
+        rng = np.random.default_rng(31)
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), self.N, rng)
+        g = generate_adjacency(z, block_matrix(0.3, 0.03, 3), rng)
+        rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+        upper = g.indices > rows
+        return lambda ext: "".join(f"{ext(u)} {ext(v)}\n"
+                                   for u, v in zip(rows[upper], g.indices[upper]))
+
+    @staticmethod
+    def cluster(edges, out, argv, capsys):
+        """stdout but its "stages:" line, and each output file's bytes."""
+        assert cli.main(["cluster", "--edges", str(edges), *argv, "--seed", "4",
+                         "--out", str(out)]) == 0
+        stdout = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("stages:")]
+        files = {}
+        for ext in ("labels", "sample", "idmap"):
+            path = Path(f"{out}.{ext}")
+            if path.exists():
+                files[ext] = path.read_bytes()
+                path.unlink()
+        return stdout, files
+
+    @pytest.mark.parametrize("ids", list(IDS))
+    @pytest.mark.parametrize("k", ["3", "auto"])
+    @pytest.mark.parametrize("method", ["srs", "dcs", "full"])
+    def test_warm_run_matches_cold_run(self, edges_text, tmp_path, monkeypatch,
+                                       capsys, method, k, ids):
+        ext, extra = self.IDS[ids]
+        edges, out = tmp_path / "net.edges", tmp_path / "out" / "result"
+        out.parent.mkdir()
+        edges.write_text(edges_text(ext))
+        argv = ["--method", method, "--k", k, *extra,
+                *(["--n", "40"] if method != "full" else [])]
+        cold = self.cluster(edges, out, argv, capsys)
+        assert Path(f"{edges}{graph.SIDECAR_SUFFIX}").is_file()
+        assert ("idmap" in cold[1]) == (ids == "relabeled")
+
+        def parse(path):
+            raise AssertionError("warm run parsed the text")
+        monkeypatch.setattr(graph, "read_edge_list", parse)
+        assert self.cluster(edges, out, argv, capsys) == cold
+
+    def test_unwritable_directory_is_neither_hashed_nor_written(
+            self, edges_text, tmp_path, monkeypatch, capsys):
+        argv = ["--method", "dcs", "--n", "40", "--k", "auto"]
+        writable, locked = tmp_path / "writable", tmp_path / "locked"
+        for d in (writable, locked):
+            d.mkdir()
+            (d / "net.edges").write_text(edges_text(lambda i: 3 * i))
+        want = self.cluster(writable / "net.edges", tmp_path / "result", argv, capsys)
+
+        # What os.access reports to a user who may not write there (root may).
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: False
+                            if Path(path) == locked and mode & os.W_OK
+                            else access(path, mode, **kw))
+
+        def sha256():
+            raise AssertionError("hashed an edge list whose sidecar cannot be written")
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        locked.chmod(0o555)
+        try:
+            got = self.cluster(locked / "net.edges", tmp_path / "result", argv, capsys)
+        finally:
+            locked.chmod(0o755)
+        assert got == want
+        assert [p.name for p in locked.iterdir()] == ["net.edges"]
+
+    def test_fifo_is_read_once_and_gets_no_sidecar(self, edges_text, tmp_path, capsys):
+        argv = ["--method", "srs", "--n", "40", "--k", "3"]
+        text = edges_text(lambda i: i)
+        regular, piped = tmp_path / "regular", tmp_path / "piped"
+        for d in (regular, piped):
+            d.mkdir()
+        (regular / "net.edges").write_text(text)
+        want = self.cluster(regular / "net.edges", tmp_path / "result", argv, capsys)
+
+        fifo = piped / "net.edges"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        got = self.cluster(fifo, tmp_path / "result", argv, capsys)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == want
+        assert [p.name for p in piped.iterdir()] == ["net.edges"]
 
 
 class TestConfigFile:

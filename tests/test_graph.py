@@ -1,5 +1,9 @@
+import hashlib
+import logging
+import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +380,400 @@ class TestFiles:
         relabeled, ext = relabel_pairs(pairs)
         assert ext.tolist() == [3, 7, 9]
         assert relabeled.tolist() == [[1, 0], [0, 2]]
+
+
+# ---------------------------------------------------------------------------
+# Sidecar files: graph_from_file keeps each parse next to the edge list.
+# ---------------------------------------------------------------------------
+
+SIDECAR = graph_module.SIDECAR_SUFFIX
+# Two 6-cliques joined by the edge (5, 6), on external ids 3 + 10 i, listed
+# with a duplicate, a reversed pair and a self-loop.
+CLIQUES = ([(i, j) for i in range(6) for j in range(i + 1, 6)]
+           + [(j, i) for i in range(6, 12) for j in range(i + 1, 12)]
+           + [(5, 6), (1, 0), (2, 2)])
+
+
+def write_pairs(path, pairs, ext=lambda i: 3 + 10 * i):
+    path.write_text("".join(f"{ext(u)} {ext(v)}\n" for u, v in pairs))
+
+
+def sidecar_members(path) -> dict:
+    with np.load(f"{path}{SIDECAR}") as z:
+        return {name: z[name] for name in z.files}
+
+
+def write_sidecar_members(path, members, **savez) -> None:
+    with open(f"{path}{SIDECAR}", "wb") as fh:
+        np.savez(fh, **members, **savez)
+
+
+def forbid_text_parse(monkeypatch):
+    def parse(path):
+        raise AssertionError(f"{path} parsed as text")
+    monkeypatch.setattr(graph_module, "read_edge_list", parse)
+
+
+def assert_same_result(got, want):
+    (g, ext), (g_want, ext_want) = got, want
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, g_want.indptr)
+    assert np.array_equal(g.indices, g_want.indices)
+    assert (g.n_nodes, g.n_edges, g.n_self_loops_dropped) == (
+        g_want.n_nodes, g_want.n_edges, g_want.n_self_loops_dropped)
+    assert type(g.n_edges) is int and type(g.n_self_loops_dropped) is int
+    if ext_want is None:
+        assert ext is None
+    else:
+        assert ext.dtype == np.int64 and np.array_equal(ext, ext_want)
+
+
+def text_result(path, n_nodes=None):
+    return graph_module._parse_graph(path, n_nodes)
+
+
+def with_entry(members, row, col):
+    """``members`` with ``col`` inserted into ``row``'s neighbor list in
+    ascending position, and ``indptr`` shifted to match."""
+    indptr, indices = members["indptr"].copy(), members["indices"]
+    lo, hi = indptr[row], indptr[row + 1]
+    at = lo + np.searchsorted(indices[lo:hi], col)
+    indptr[row + 1:] += 1
+    return {**members, "indptr": indptr,
+            "indices": np.insert(indices, at, np.int32(col))}
+
+
+def replaced(members, name, fn):
+    value = members[name].copy()
+    return {**members, name: fn(value)}
+
+
+def set_item(index, value):
+    def fn(a):
+        a[index] = value
+        return a
+    return fn
+
+
+def _repeat_edge_0_1(m):
+    m = with_entry(with_entry(m, 0, 1), 1, 0)
+    return {**m, "n_edges": m["n_edges"] + 1}
+
+
+def _two_self_loops(m):
+    # Symmetric, in range and ascending: only the self-loop check fails.
+    m = with_entry(with_entry(m, 2, 2), 7, 7)
+    return {**m, "n_edges": m["n_edges"] + 1}
+
+
+def _two_extra_entries(m):
+    # n_edges matches len(indices) // 2, but indptr ends short of it.
+    return {**m, "indices": np.append(m["indices"], np.int32([0, 1])),
+            "n_edges": m["n_edges"] + 1}
+
+
+# One bad sidecar per load check (and per key), each made from the good
+# sidecar of CLIQUES.
+BAD_MEMBERS = {
+    "indptr_dtype": lambda m: replaced(m, "indptr", lambda a: a.astype(np.int32)),
+    "indices_dtype": lambda m: replaced(m, "indices", lambda a: a.astype(np.int64)),
+    "indices_shape": lambda m: replaced(m, "indices", lambda a: a.reshape(-1, 2)),
+    "ext_ids_dtype": lambda m: replaced(m, "ext_ids", lambda a: a.astype(np.float64)),
+    "n_edges_shape": lambda m: {**m, "n_edges": np.array([m["n_edges"]])},
+    "n_edges_kind": lambda m: {**m, "n_edges": np.float64(m["n_edges"])},
+    "no_indices": lambda m: {k: v for k, v in m.items() if k != "indices"},
+    "version": lambda m: {**m, "version": np.int64(0)},
+    "digest": lambda m: {**m, "sha256": np.str_("0" * 64)},
+    "n_nodes_key": lambda m: {**m, "n_nodes": np.int64(12)},
+    "indptr_start": lambda m: replaced(m, "indptr", set_item(0, 1)),
+    "indptr_decreases": lambda m: replaced(m, "indptr", set_item(1, 11)),
+    "indptr_end": _two_extra_entries,
+    "id_above_range": lambda m: replaced(m, "indices", set_item(-1, 12)),
+    "id_below_range": lambda m: replaced(m, "indices", set_item(0, -1)),
+    "row_descends": lambda m: replaced(m, "indices", lambda a: np.r_[a[:5][::-1], a[5:]]),
+    "repeated_entry": _repeat_edge_0_1,
+    "self_loops": _two_self_loops,
+    "asymmetric": lambda m: replaced(m, "indices", set_item(4, 7)),  # (0, 5) -> (0, 7)
+    "n_edges": lambda m: {**m, "n_edges": m["n_edges"] + 1},
+    "self_loop_count": lambda m: {**m, "n_self_loops_dropped": np.int64(-1)},
+    "ext_ids_order": lambda m: replaced(m, "ext_ids", lambda a: a[[1, 0, *range(2, 12)]]),
+    "ext_ids_length": lambda m: replaced(m, "ext_ids", lambda a: a[:-1]),
+    "no_rows": lambda m: {**m, "indptr": np.array([], dtype=np.int64)},
+}
+
+
+class TestSidecar:
+    @pytest.fixture
+    def edges(self, tmp_path, monkeypatch):
+        # Several check blocks even on a small graph.
+        monkeypatch.setattr(graph_module, "_CHECK_CHUNK", 4)
+        path = tmp_path / "net.edges"
+        write_pairs(path, CLIQUES)
+        return path
+
+    @pytest.mark.parametrize("ids, n_nodes", [
+        ("dense", None), ("sparse", None), ("dense", 14)])
+    def test_second_call_reads_the_sidecar(self, tmp_path, monkeypatch, ids, n_nodes):
+        monkeypatch.setattr(graph_module, "_CHECK_CHUNK", 4)
+        path = tmp_path / "net.edges"
+        write_pairs(path, CLIQUES, (lambda i: i) if ids == "dense" else (lambda i: 3 + 10 * i))
+        want = text_result(path, n_nodes)
+        assert_same_result(graph_from_file(path, n_nodes), want)
+        members = sidecar_members(path)
+        assert ("ext_ids" in members) == (ids == "sparse")
+        assert members["n_nodes"] == (-1 if n_nodes is None else n_nodes)
+        forbid_text_parse(monkeypatch)
+        assert_same_result(graph_from_file(path, n_nodes), want)
+        assert_same_result(graph_from_file(str(path).encode(), n_nodes), want)
+
+    def test_node_count_is_part_of_the_key(self, edges, monkeypatch):
+        write_pairs(edges, CLIQUES, lambda i: i)
+        graph_from_file(edges)
+        pinned = graph_from_file(edges, n_nodes=14)
+        assert pinned[1] is None and pinned[0].n_nodes == 14
+        forbid_text_parse(monkeypatch)
+        assert_same_result(graph_from_file(edges, n_nodes=14), pinned)
+        with pytest.raises(AssertionError, match="parsed as text"):
+            graph_from_file(edges)
+
+    def test_edit_with_same_size_and_mtime_is_reparsed(self, edges):
+        graph_from_file(edges)
+        before = edges.stat()
+        text = edges.read_text()
+        edited = text.replace("53 63\n", "53 73\n")   # edge (5, 6) -> (5, 7)
+        assert edited != text and len(edited) == len(text)
+        edges.write_text(edited)
+        os.utime(edges, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = edges.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        got = graph_from_file(edges)
+        assert_same_result(got, text_result(edges))
+        assert has_edge(got[0], 5, 7) and not has_edge(got[0], 5, 6)
+        assert sidecar_members(edges)["sha256"] == hashlib.sha256(edited.encode()).hexdigest()
+
+    @pytest.mark.parametrize("bad", BAD_MEMBERS)
+    def test_bad_sidecar_is_rejected_and_rewritten(self, edges, bad):
+        want = text_result(edges)
+        graph_from_file(edges)
+        good = sidecar_members(edges)
+        write_sidecar_members(edges, BAD_MEMBERS[bad](dict(good)))
+        assert_same_result(graph_from_file(edges), want)
+        rewritten = sidecar_members(edges)
+        assert rewritten.keys() == good.keys()
+        for name, value in good.items():
+            assert rewritten[name].dtype == value.dtype and np.array_equal(rewritten[name], value)
+
+    def test_id_that_wraps_the_packed_keys_is_rejected(self, tmp_path):
+        # At n = 3 the uint32 key of an entry (i, i + 2**31) equals its
+        # transpose's, and in the last rows such keys still ascend, so only
+        # the range check rejects these ids.
+        path = tmp_path / "net.edges"
+        path.write_text("0 1\n1 2\n")
+        want = text_result(path)
+        graph_from_file(path)
+        good = sidecar_members(path)
+        wrap = np.iinfo(np.int32).min
+        write_sidecar_members(path, {
+            **good, "indptr": np.array([0, 1, 3, 4], dtype=np.int64),
+            "indices": np.array([1, 0, wrap + 1, wrap + 2], dtype=np.int32)})
+        assert_same_result(graph_from_file(path), want)
+        assert np.array_equal(sidecar_members(path)["indices"], good["indices"])
+
+    def test_pinned_sidecar_with_ext_ids_is_rejected(self, edges):
+        write_pairs(edges, CLIQUES, lambda i: i)
+        want = text_result(edges, 12)
+        graph_from_file(edges, n_nodes=12)
+        members = sidecar_members(edges)
+        write_sidecar_members(edges, {**members, "ext_ids": np.arange(12)})
+        assert_same_result(graph_from_file(edges, n_nodes=12), want)
+        assert "ext_ids" not in sidecar_members(edges)
+
+    @pytest.mark.parametrize("content", ["empty", "garbage", "truncated", "npy", "object",
+                                         "deflated"])
+    def test_unreadable_sidecar_is_rewritten(self, edges, content):
+        want = text_result(edges)
+        graph_from_file(edges)
+        sidecar = Path(f"{edges}{SIDECAR}")
+        good = sidecar.read_bytes()
+        if content == "npy":
+            with sidecar.open("wb") as fh:
+                np.save(fh, np.arange(5))
+        elif content == "object":
+            write_sidecar_members(edges, {**sidecar_members(edges),
+                                          "indices": np.array([None, 1], dtype=object)})
+        elif content == "deflated":
+            # A compressed archive whose indices stream is damaged.
+            members = sidecar_members(edges)
+            with sidecar.open("wb") as fh:
+                np.savez_compressed(fh, **{**members, "indices": np.arange(4000, dtype=np.int32)})
+            damaged = bytearray(sidecar.read_bytes())
+            at = damaged.index(b"indices.npy") + 200
+            damaged[at:at + 16] = bytes(16)
+            sidecar.write_bytes(bytes(damaged))
+        else:
+            sidecar.write_bytes({"empty": b"", "garbage": b"not a sidecar\n",
+                                 "truncated": good[:len(good) // 2]}[content])
+        assert_same_result(graph_from_file(edges), want)
+        assert sidecar.read_bytes() == good
+
+    @pytest.mark.parametrize("text", ["0 1\n2\n", "# no edges\n", "0 1.5\n"])
+    def test_failed_parse_leaves_no_sidecar(self, tmp_path, text):
+        path = tmp_path / "net.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            graph_from_file(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.edges"]
+
+    def test_file_changed_during_parse_gets_no_sidecar(self, edges, monkeypatch):
+        parse = graph_module.read_edge_list
+
+        def parse_then_touch(path):
+            pairs = parse(path)
+            os.utime(path, ns=(0, 0))
+            return pairs
+
+        monkeypatch.setattr(graph_module, "read_edge_list", parse_then_touch)
+        graph_from_file(edges)
+        assert not Path(f"{edges}{SIDECAR}").exists()
+
+    def test_failed_write_leaves_nothing_behind(self, edges, monkeypatch, caplog):
+        def full_disk(fh, **members):
+            fh.write(b"PK")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(graph_module.np, "savez", full_disk)
+        with caplog.at_level(logging.DEBUG, logger="sscluster.graph"):
+            assert_same_result(graph_from_file(edges), text_result(edges))
+        assert sorted(p.name for p in edges.parent.iterdir()) == ["net.edges"]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sidecar {edges}{SIDECAR} not written: [Errno 28] No space left on device"]
+
+    def plant(self, edges, tmp_path):
+        """Put at ``edges``' sidecar a valid sidecar of another graph (the
+        cliques without their bridge) under ``edges``' own digest, as
+        anyone who may read ``edges`` could; returns that graph."""
+        other = tmp_path / "other.edges"
+        write_pairs(other, CLIQUES[:-3])
+        graph_from_file(other)
+        digest = hashlib.sha256(edges.read_bytes()).hexdigest()
+        write_sidecar_members(edges, {**sidecar_members(other), "sha256": np.str_(digest)})
+        return text_result(other)
+
+    @pytest.mark.parametrize("edges_mode, used", [(0o644, False), (0o666, True)])
+    def test_sidecar_others_may_write_is_used_only_if_they_may_write_the_edges(
+            self, edges, tmp_path, edges_mode, used):
+        planted = self.plant(edges, tmp_path)
+        sidecar = Path(f"{edges}{SIDECAR}")
+        sidecar.chmod(0o666)
+        edges.chmod(edges_mode)
+        planted_bytes = sidecar.read_bytes()
+        got = graph_from_file(edges)
+        # Whoever may write the edge list may change the graph anyway.
+        assert_same_result(got, planted if used else text_result(edges))
+        assert sidecar.read_bytes() == planted_bytes
+
+    @pytest.mark.parametrize("seen_by", ["stat", "fstat"])
+    def test_sidecar_of_another_owner_is_not_used(self, edges, tmp_path, monkeypatch, seen_by):
+        # The sidecar reads as owned by a user who owns neither the edge list
+        # nor this process: to os.stat before hashing and to os.fstat of the
+        # open file, or only to the latter (it was swapped in between).
+        self.plant(edges, tmp_path)
+        sidecar = Path(f"{edges}{SIDECAR}")
+        planted_bytes, planted_inode = sidecar.read_bytes(), sidecar.stat().st_ino
+        real_stat, real_fstat = os.stat, os.fstat
+
+        def foreign(st):
+            return os.stat_result((*st[:4], st.st_uid + 1, *st[5:]))
+
+        def fake_stat(path, *args, **kwargs):
+            st = real_stat(path, *args, **kwargs)
+            return foreign(st) if os.fspath(path).endswith(SIDECAR) else st
+
+        def fake_fstat(fd):
+            st = real_fstat(fd)
+            return foreign(st) if st.st_ino == planted_inode else st
+
+        monkeypatch.setattr(os, "fstat", fake_fstat)
+        if seen_by == "stat":
+            monkeypatch.setattr(os, "stat", fake_stat)
+        assert_same_result(graph_from_file(edges), text_result(edges))
+        monkeypatch.undo()
+        if seen_by == "stat":
+            # Neither used nor replaced: it may not be ours to replace.
+            assert sidecar.read_bytes() == planted_bytes
+        else:
+            assert_same_result(graph_from_file(edges), text_result(edges))
+            assert sidecar.stat().st_ino != planted_inode
+
+    def test_fifo_in_place_of_the_sidecar_is_left_alone(self, edges):
+        sidecar = Path(f"{edges}{SIDECAR}")
+        os.mkfifo(sidecar)
+        assert_same_result(graph_from_file(edges), text_result(edges))
+        assert sidecar.is_fifo()
+
+    @pytest.mark.parametrize("ext, n_nodes", [("sparse", None), ("dense", 14)])
+    def test_sidecar_members_are_pinned(self, tmp_path, ext, n_nodes):
+        # A sidecar stands for the parse of its edge list. If this fails
+        # because parsing, relabeling or building now gives a different
+        # result, bump graph._SIDECAR_VERSION and then update these values,
+        # or sidecars written before the change keep serving the old graph.
+        ids = (lambda i: 3 + 10 * i) if ext == "sparse" else (lambda i: i)
+        path = tmp_path / "net.edges"
+        write_pairs(path, CLIQUES, ids)
+        # A comment line, a blank line, a third column and a trailing
+        # comment; the edge (0, 1) repeats.
+        path.write_text(f"# two 6-cliques\n\n{path.read_text()}{ids(0)} {ids(1)} 7  # again\n")
+        graph_from_file(path, n_nodes)
+        members = sidecar_members(path)
+        indptr = [0, 5, 10, 15, 20, 25, 31, 37, 42, 47, 52, 57, 62]
+        indices = [1, 2, 3, 4, 5,  0, 2, 3, 4, 5,  0, 1, 3, 4, 5,
+                   0, 1, 2, 4, 5,  0, 1, 2, 3, 5,  0, 1, 2, 3, 4, 6,
+                   5, 7, 8, 9, 10, 11,  6, 8, 9, 10, 11,  6, 7, 9, 10, 11,
+                   6, 7, 8, 10, 11,  6, 7, 8, 9, 11,  6, 7, 8, 9, 10]
+        want = {"indptr": indptr + [62, 62] * (n_nodes is not None),
+                "indices": indices, "n_edges": 31, "n_self_loops_dropped": 1,
+                "n_nodes": -1 if n_nodes is None else n_nodes, "version": 1,
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        if ext == "sparse":
+            want["ext_ids"] = [3 + 10 * i for i in range(12)]
+        dtypes = {"indptr": np.int64, "indices": np.int32, "ext_ids": np.int64,
+                  "sha256": np.dtype("<U64")}
+        assert sorted(members) == sorted(want)
+        for name, value in want.items():
+            assert members[name].dtype == dtypes.get(name, np.int64), name
+            assert members[name].tolist() == value, name
+
+    @given(edge_lists(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_every_built_graph_passes_the_checks(self, case, chunk):
+        pairs, n = case
+        g = from_edge_list(pairs, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_CHECK_CHUNK", chunk)
+            graph_module._check_adjacency(g.indptr, g.indices)
+
+    def test_hit_peaks_below_the_text_path(self, tmp_path, monkeypatch):
+        # The text path holds the int64 pairs, then builds; a hit holds the
+        # loaded arrays and one array of sorted keys.
+        n_nodes = 30_000
+        u, v = np.random.default_rng(5).integers(0, n_nodes, size=(2, 200_000))
+        key = np.unique(np.minimum(u, v) * n_nodes + np.maximum(u, v))
+        pairs = np.stack(np.divmod(key, n_nodes), axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        path = tmp_path / "net.edges"
+        write_int_rows(path, pairs[:, 0], pairs[:, 1])
+        graph_from_file(path, n_nodes=n_nodes)
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        text_peak, g = traced_peak(lambda: from_edge_list(read_edge_list(path), n_nodes))
+        forbid_text_parse(monkeypatch)
+        hit_peak, (hit, _) = traced_peak(lambda: graph_from_file(path, n_nodes=n_nodes))
+        assert np.array_equal(hit.indices, g.indices)
+        assert hit_peak <= text_peak

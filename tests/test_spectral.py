@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import connected_components
 from sscluster import spectral
 from sscluster.errors import DegenerateInputError, ResourceLimitError
 from sscluster.graph import bi_adjacency, from_edge_list
-from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
 from sscluster.sbm import block_matrix, generate_adjacency, sample_memberships
 from sscluster.sampling import srs

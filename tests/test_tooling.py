@@ -84,3 +84,29 @@ def test_traced_cluster_reaches_every_wrapped_layer(perfbench_run, tmp_path, cap
                 "spectral.symmetric_eig", "kmeans.kmeans", "spectral.full_embed",
                 "sampling.write_sample"}
     assert expected - names == set()
+
+
+def test_second_traced_cluster_reads_the_sidecar(perfbench_run, tmp_path):
+    # The second run on an unchanged file loads the graph its sidecar holds:
+    # the file-workload layers `graph.read_edge_list.s` and
+    # `graph.from_edge_list.s` read 0 there, and the load sits in
+    # `graph.graph_from_file.self_s`.
+    import spans
+
+    from sscluster import cli
+
+    edges = tmp_path / "g.edges"
+    assert cli.main(["generate", "--nodes", "600", "--beta", "0.2",
+                     "--seed", "1", "--out", str(edges)]) == 0
+    argv = ["cluster", "--edges", str(edges), "--method", "srs", "--n", "60",
+            "--k", "3", "--seed", "1", "--out", str(tmp_path / "result")]
+    names = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        with tracer.installed(perfbench_run.trace_targets()):
+            assert cli.main(argv) == 0
+        names.append([s.name for s in tracer.spans])
+    cold, warm = names
+    assert {"graph.read_edge_list", "graph.from_edge_list"} <= set(cold)
+    assert "graph.graph_from_file" in warm
+    assert not {"graph.read_edge_list", "graph.from_edge_list"} & set(warm)
