@@ -14,10 +14,14 @@ with ``read_records_csv``. Rows, TRIAL, AGG and TREND alike, are dicts
 keyed by ``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
-strength, and community imbalance. Every trial is driven by a seed derived
-from (master seed, scenario, cell index, trial index), so identical
-configurations reproduce the CSV byte for byte except for the timing
-columns.
+strength, and community imbalance. ``SWEEPS`` states each scenario's
+swept axes (its ``*_grid`` settings); its cells are the product of the
+axes N, n, beta, zeta and delta, each a grid or a single value, and its
+TREND rows follow its one swept axis (s3 sweeps two and has none). Every
+cell passes the model's own checks before any trial runs. Every trial is
+driven by a seed derived from (master seed, scenario, cell index, trial
+index), so identical configurations reproduce the CSV byte for byte
+except for the timing columns.
 
 CSV schema (version header "# sscluster bench csv v1"):
     row_type   TRIAL | AGG | TREND
@@ -276,46 +280,24 @@ def default_config(scenario: str) -> ScenarioConfig:
     return ScenarioConfig(scenario=scenario, full_sc=scenario == "s1")
 
 
-def _s1_cells(cfg: ScenarioConfig) -> list[_Cell]:
-    """Consistency sweep: N grows, n follows ceil(2 (log N)^2)."""
-    if list(cfg.N_grid) != sorted(cfg.N_grid):
+def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
+    """The product of the sweep's axes N, n, beta, zeta and delta, in that
+    order (delta varies fastest), each the scenario's grid when set, else
+    its single value (delta 0). An unset n follows ``subsample_size_rule``
+    (s1), and a delta grid sets pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
+    if cfg.N_grid is not None and list(cfg.N_grid) != sorted(cfg.N_grid):
         raise ValueError("N grid must be ascending")
-    return [_Cell(index=i, N=N, n=subsample_size_rule(N), beta=cfg.beta,
-                  zeta=cfg.zeta, delta=0.0, pi=cfg.pi)
-            for i, N in enumerate(cfg.N_grid)]
-
-
-def _s2_cells(cfg: ScenarioConfig) -> list[_Cell]:
-    """Subsample-size sweep at fixed N."""
-    return [_Cell(index=i, N=cfg.N, n=n, beta=cfg.beta, zeta=cfg.zeta,
-                  delta=0.0, pi=cfg.pi)
-            for i, n in enumerate(cfg.n_grid)]
-
-
-def _s3_cells(cfg: ScenarioConfig) -> list[_Cell]:
-    """Signal-strength grid over (beta, zeta) at fixed N and n."""
-    betas, zetas = cfg.beta_grid, cfg.zeta_grid
-    if min(betas) < 0 or max(betas) > 1 or min(zetas) < 0 or max(zetas) > 1:
-        raise ValueError("beta and zeta grids must lie in [0, 1]")
-    return [_Cell(index=i * len(zetas) + j, N=cfg.N, n=cfg.n, beta=b, zeta=zt,
-                  delta=0.0, pi=cfg.pi)
-            for i, b in enumerate(betas) for j, zt in enumerate(zetas)]
-
-
-def _s4_cells(cfg: ScenarioConfig) -> list[_Cell]:
-    """Imbalance sweep: pi = (1/3 - d, 1/3, 1/3 + d) over a delta grid."""
-    if cfg.K != 3:
+    if cfg.delta_grid is not None and cfg.K != 3:
         raise ValueError("the imbalance sweep is defined for K = 3")
-    if max(cfg.delta_grid) > 1 / 3 + 1e-12:
-        raise ValueError("delta must satisfy 1/3 - delta >= 0")
-    return [_Cell(index=i, N=cfg.N, n=cfg.n, beta=cfg.beta, zeta=cfg.zeta,
-                  delta=d, pi=(1 / 3 - d, 1 / 3, 1 / 3 + d))
-            for i, d in enumerate(cfg.delta_grid)]
-
-
-# Each scenario's cell builder and the axis its TREND rows follow.
-_SWEEP_CELLS = {"s1": (_s1_cells, "N"), "s2": (_s2_cells, "n"),
-                "s3": (_s3_cells, None), "s4": (_s4_cells, "delta")}
+    grids = (cfg.N_grid, cfg.n_grid, cfg.beta_grid, cfg.zeta_grid, cfg.delta_grid)
+    values = (cfg.N, cfg.n, cfg.beta, cfg.zeta, 0.0)
+    axes = [grid if grid is not None else (value,)
+            for grid, value in zip(grids, values)]
+    return [_Cell(index=i, N=N, n=subsample_size_rule(N) if n is None else n,
+                  beta=beta, zeta=zeta, delta=delta,
+                  pi=cfg.pi if cfg.delta_grid is None
+                  else (1 / 3 - delta, 1 / 3, 1 / 3 + delta))
+            for i, (N, n, beta, zeta, delta) in enumerate(itertools.product(*axes))]
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[dict]:
@@ -346,24 +328,30 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     if not all(m in ("srs", "dcs") for m in cfg.methods):
         raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
 
-    build_cells, trend_axis = _SWEEP_CELLS[cfg.scenario]
-    cells = build_cells(cfg)
+    cells = _sweep_cells(cfg)
     _check_cells(cells, cfg)
     rows = _run_sweep(cfg, cells)
+    # TREND rows follow the one axis a scenario sweeps; s3 sweeps two.
+    swept = [key.removesuffix("_grid") for key in reads if key.endswith("_grid")]
+    trend_axis = swept[0] if len(swept) == 1 else None
     write_records_csv(rows, cfg.out, trend_axis=trend_axis)
     return rows
 
 
 def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
-    """Validate every cell against the pipeline preconditions up front, so
-    an invalid config fails before any trial runs (no partial CSV)."""
+    """Validate every cell against the pipeline preconditions and the
+    model's own checks up front, so an invalid config fails before any
+    trial runs (no partial CSV)."""
     for c in cells:
-        if not 1 <= c.n <= c.N:
-            raise ValueError(f"cell {c.index}: need 1 <= n <= N, got n={c.n}, N={c.N}")
-        if cfg.K > c.n:
-            raise ValueError(f"cell {c.index}: K={cfg.K} exceeds subsample size {c.n}")
-        if any(p < 0 for p in c.pi):
-            raise ValueError(f"cell {c.index}: negative pi entry")
+        try:
+            if not 1 <= c.n <= c.N:
+                raise ValueError(f"need 1 <= n <= N, got n={c.n}, N={c.N}")
+            if cfg.K > c.n:
+                raise ValueError(f"K={cfg.K} exceeds subsample size {c.n}")
+            sbm.block_matrix(c.beta, c.zeta, cfg.K)
+            sbm.community_probs(c.pi, cfg.K)
+        except ValueError as exc:
+            raise ValueError(f"cell {c.index}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger(__name__)
+# Where the application configures no logging, the package's warnings (here
+# and in ``sampling.dcs``, which imports this module) go nowhere rather than
+# to logging's last-resort stderr handler.
+logging.getLogger("sscluster").addHandler(logging.NullHandler())
 
 MOVE_TOL = 1e-6
 MAX_ITER = 100

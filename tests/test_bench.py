@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import logging
 import math
 import os
 import re
@@ -41,6 +42,14 @@ def tiny_cfg(scenario, out, **kw):
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg
+
+
+@pytest.fixture
+def no_trial(monkeypatch):
+    """Fail the test if any trial of a sweep runs."""
+    def trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(bench, "_sbm_trial", trial)
 
 
 class TestSeedDerivation:
@@ -110,9 +119,11 @@ class TestScenario1:
         assert [r["rate"] for r in trials if r["method"] == "full"] == ["", ""]
 
     def test_rejects_descending_grid(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80, 60))
-        with pytest.raises(ValueError):
+        out = tmp_path / "s1.csv"
+        cfg = tiny_cfg("s1", out, N_grid=(80, 60))
+        with pytest.raises(ValueError, match="^N grid must be ascending$"):
             bench.run_scenario(cfg)
+        assert not out.exists()
 
     def test_no_partial_csv_on_invalid_config(self, tmp_path):
         out = tmp_path / "s1.csv"
@@ -135,6 +146,17 @@ class TestScenario2:
         assert {r["method"] for r in trend_rows} == {"srs", "dcs"}
         assert all(r["trend"].startswith("n:") for r in trend_rows)
 
+    def test_rejects_zero_in_n_grid_before_any_trial(self, tmp_path, capsys,
+                                                     no_trial):
+        # An explicit n is never replaced by s1's subsample-size rule.
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text("n_grid = 0 5\nnodes = 60\ntrials = 1\n")
+        out = tmp_path / "s2.csv"
+        rc = cli.main(["bench", "s2", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: cell 0: need 1 <= n <= N, got n=0, N=60"]
+
 
 class TestScenario3:
     def test_table_layout(self, tmp_path):
@@ -156,9 +178,13 @@ class TestScenario3:
             assert 0.4 <= r["rate"] <= 0.8
 
     def test_rejects_out_of_range_grid(self, tmp_path):
-        cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.5, 1.5))
-        with pytest.raises(ValueError):
+        # The second beta meets the first of the four default zetas: cell 4.
+        out = tmp_path / "s3.csv"
+        cfg = tiny_cfg("s3", out, beta_grid=(0.5, 1.5))
+        with pytest.raises(ValueError,
+                           match=r"^cell 4: beta must be in \[0, 1\], got 1.5$"):
             bench.run_scenario(cfg)
+        assert not out.exists()
 
     def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
         cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
@@ -186,9 +212,31 @@ class TestScenario4:
         assert balanced  # delta = 0 reduces to the balanced setting
 
     def test_rejects_delta_above_third(self, tmp_path):
-        cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.4,))
-        with pytest.raises(ValueError):
+        out = tmp_path / "s4.csv"
+        cfg = tiny_cfg("s4", out, delta_grid=(0.1, 0.4))
+        with pytest.raises(ValueError,
+                           match="^cell 1: pi entries must be >= 0 and sum to 1$"):
             bench.run_scenario(cfg)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, setting, cell, message", [
+    ("s1", {"beta": 1.5}, 0, "beta must be in [0, 1], got 1.5"),
+    ("s1", {"zeta": -0.1}, 0, "zeta must be in [0, 1], got -0.1"),
+    ("s2", {"beta": -0.1, "n_grid": (8,)}, 0, "beta must be in [0, 1], got -0.1"),
+    ("s2", {"zeta": 1.5, "n_grid": (8,)}, 0, "zeta must be in [0, 1], got 1.5"),
+    ("s3", {"beta_grid": (0.5, 1.5)}, 4, "beta must be in [0, 1], got 1.5"),
+    ("s3", {"zeta_grid": (0.1, -0.2)}, 1, "zeta must be in [0, 1], got -0.2"),
+    ("s4", {"beta": 1.5}, 0, "beta must be in [0, 1], got 1.5"),
+    ("s4", {"zeta": -0.1}, 0, "zeta must be in [0, 1], got -0.1"),
+], ids=["s1-beta", "s1-zeta", "s2-beta", "s2-zeta", "s3-beta", "s3-zeta", "s4-beta",
+        "s4-zeta"])
+def test_out_of_range_signal_rejected_before_any_trial(tmp_path, no_trial, scenario,
+                                                       setting, cell, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'cell {cell}: {message}')}$"):
+        bench.run_scenario(tiny_cfg(scenario, out, **setting))
+    assert not out.exists()
 
 
 class TestUnreadConfigFields:
@@ -612,6 +660,11 @@ class TestConfigFile:
             bench.read_config_file(cfgfile)
 
 
+# A 4-cycle: every degree is 2, so a degree partition into 3 leaves two
+# clusters empty.
+CYCLE = "0 1\n1 2\n2 3\n3 0\n"
+
+
 class TestCli:
     def test_generate_cluster_eval_round_trip(self, tmp_path, capsys):
         edges = tmp_path / "net.edges"
@@ -877,14 +930,45 @@ class TestCli:
         pytest.param(["bench", "s4", "--trials", "1", "--out", ""], id="argv19"),
         pytest.param(["bench", "s4", "--trials", "1", "--config", "{tmp}/empty_out.cfg"],
                      id="argv20"),
+        # dcs's degree partition of a 4-cycle leaves two clusters empty,
+        # which it logs as warnings, before n < K stops it.
+        pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--method", "dcs",
+                      "--n", "2", "--k", "3", "--out", "{tmp}/r"], id="argv21"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
         (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
         (tmp_path / "empty_out.cfg").write_text("out =\n")
         (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
+        (tmp_path / "cycle.edges").write_text(CYCLE)
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(("error: ", "config error: "))
+
+    @pytest.mark.parametrize("n, stderr", [
+        ("4", []), ("2", ["error: need 1 <= K <= n, got K=3, n=2"])],
+        ids=["runs", "fails"])
+    def test_warnings_stay_off_stderr(self, tmp_path, n, stderr):
+        # In a fresh process, where nothing has configured logging: pytest's
+        # own log handlers would keep logging's last-resort handler quiet.
+        (tmp_path / "cycle.edges").write_text(CYCLE)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sscluster.cli", "cluster", "--edges",
+             str(tmp_path / "cycle.edges"), "--method", "dcs", "--n", n, "--k", "3",
+             "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stderr.splitlines() == stderr
+
+    def test_dcs_warnings_are_still_logged(self, tmp_path, caplog):
+        (tmp_path / "cycle.edges").write_text(CYCLE)
+        with caplog.at_level(logging.WARNING, logger="sscluster"):
+            rc = cli.main(["cluster", "--edges", str(tmp_path / "cycle.edges"),
+                           "--method", "dcs", "--n", "4", "--k", "3",
+                           "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("sscluster.kmeans", logging.WARNING), ("sscluster.sampling", logging.WARNING)]

@@ -648,6 +648,26 @@ class TestSidecar:
         assert [r.getMessage() for r in caplog.records] == [
             f"sidecar {edges}{SIDECAR} not written: [Errno 28] No space left on device"]
 
+    @pytest.mark.parametrize("present", [False, True])
+    def test_unwritable_directory(self, edges, monkeypatch, present):
+        want = text_result(edges)
+        if present:
+            graph_from_file(edges)
+        # What os.access reports to a user who may not write the directory
+        # (root always may).
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: False
+                            if mode & os.W_OK else access(path, mode, **kw))
+        if present:
+            forbid_text_parse(monkeypatch)
+        else:
+            def sha256(*args):
+                raise AssertionError("hashed an edge list whose sidecar cannot be written")
+            monkeypatch.setattr(hashlib, "sha256", sha256)
+        assert_same_result(graph_from_file(edges), want)
+        assert Path(f"{edges}{SIDECAR}").exists() == present
+        assert len(list(edges.parent.iterdir())) == 1 + present
+
     def plant(self, edges, tmp_path):
         """Put at ``edges``' sidecar a valid sidecar of another graph (the
         cliques without their bridge) under ``edges``' own digest, as

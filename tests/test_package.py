@@ -1,4 +1,5 @@
-"""The package's top level, and which parts of scipy each command loads.
+"""The package's top level, and which parts of scipy (and whether logging)
+each command loads.
 
 Each import check runs the CLI in a fresh interpreter, since this test
 process has scipy loaded already.
@@ -13,23 +14,27 @@ import sscluster
 from sscluster import bench, cli
 
 # Runs ``sscluster.cli.main(argv)`` when given arguments, then prints the
-# loaded scipy modules as the last line of standard output.
+# loaded modules as the last line of standard output.
 _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import sscluster.cli
 if len(sys.argv) > 2:
     assert sscluster.cli.main(sys.argv[2:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 SRC = str(Path(sscluster.__file__).resolve().parent.parent)
 
 
-def scipy_modules_loaded(*argv) -> set[str]:
+def modules_loaded(*argv) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", _CHILD, SRC, *map(str, argv)],
                           capture_output=True, text=True, timeout=120, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules_loaded(*argv) -> set[str]:
+    return {m for m in modules_loaded(*argv) if m.split(".")[0] == "scipy"}
 
 
 class TestImportOnUse:
@@ -40,6 +45,12 @@ class TestImportOnUse:
         assert scipy_modules_loaded(
             "generate", "--nodes", "300", "--seed", "1",
             "--out", tmp_path / "g.edges", "--labels-out", tmp_path / "g.labels") == set()
+
+    def test_importing_the_cli_and_generate_load_no_logging(self, tmp_path):
+        # The package's logging set-up sits in kmeans, which neither loads.
+        assert "logging" not in modules_loaded()
+        assert "logging" not in modules_loaded(
+            "generate", "--nodes", "300", "--seed", "1", "--out", tmp_path / "g.edges")
 
     def test_large_subsampled_cluster_loads_neither_optimize_nor_arpack(self, tmp_path):
         edges = tmp_path / "g.edges"
