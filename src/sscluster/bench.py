@@ -463,7 +463,9 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     ``graph.graph_from_file``: it parses the text on a first run, and on a
     later run on the same bytes hashes the file and loads and checks the
     graph from the sidecar the first run wrote. The summary's ``sample``
-    holds the sampled node ids, or None for ``method="full"``.
+    holds the sampled node ids, or None for ``method="full"``, and its
+    ``relabeled`` whether the file's ids were relabeled, which writes the
+    id map ``<out_prefix>.idmap``.
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
@@ -487,6 +489,7 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
         "n": g.n_nodes if ids is None else n, "K": k,
         "method": method, "seed": seed,
         "n_disconnected_from_sample": emb.n_zero_rows,
+        "relabeled": ext_ids is not None,
         "times": times,
         "labels": labels,
         "sample": ids,

@@ -173,7 +173,8 @@ def cmd_cluster(args) -> int:
     if "disagreement_rate" in summary:
         print(f"disagreement rate vs full SC: {summary['disagreement_rate']:.4f}")
     print(f"labels -> {out_prefix}.labels"
-          + (f", sample -> {out_prefix}.sample" if sampled else ""))
+          + (f", sample -> {out_prefix}.sample" if sampled else "")
+          + (f", idmap -> {out_prefix}.idmap" if summary["relabeled"] else ""))
     return 0
 
 

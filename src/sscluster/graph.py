@@ -346,13 +346,13 @@ def _parse_graph(path, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | N
 #
 # "<edges>.sscluster.npz", written by np.savez (uncompressed), holds the
 # graph_from_file result of "<edges>": int64 indptr, int32 indices, int64
-# ext_ids when the ids were relabeled, and the integers n_edges and
-# n_self_loops_dropped. Its keys are the SHA-256 of the edge list's bytes
-# (sha256), the n_nodes argument of the parse (n_nodes, -1 for None) and
-# the format version (version). A sidecar is used only if _trusted passes
-# it and its keys match and its arrays pass _checked_graph; any other
-# trusted sidecar is replaced by a fresh parse of the text, and an
-# untrusted one is left alone and ignored.
+# ext_ids when the ids were relabeled, and the integer n_self_loops_dropped;
+# the edge count is len(indices) // 2. Its keys are the SHA-256 of the edge
+# list's bytes (sha256), the n_nodes argument of the parse (n_nodes, -1 for
+# None) and the format version (version). A sidecar is used only if
+# _trusted passes it and its keys match and its arrays pass _checked_graph;
+# any other trusted sidecar, one of another version too, is replaced by a
+# fresh parse of the text, and an untrusted one is left alone and ignored.
 #
 # A sidecar stands for the output of read_edge_list, relabel_pairs and
 # from_edge_list: a change to what any of them returns for some file must
@@ -360,7 +360,7 @@ def _parse_graph(path, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | N
 # ---------------------------------------------------------------------------
 
 SIDECAR_SUFFIX = ".sscluster.npz"
-_SIDECAR_VERSION = 1
+_SIDECAR_VERSION = 2
 # Bytes read per hash update, and entries per step of the sidecar checks.
 _HASH_CHUNK = 1 << 20
 _CHECK_CHUNK = 1 << 16
@@ -485,31 +485,29 @@ def _checked_graph(z, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | No
     indptr = _vector(z, "indptr", np.int64)
     indices = _vector(z, "indices", np.int32)
     ext_ids = _vector(z, "ext_ids", np.int64) if "ext_ids" in z.files else None
-    n_edges = _scalar(z, "n_edges", "i")
     n_loops = _scalar(z, "n_self_loops_dropped", "i")
     n = len(indptr) - 1
     if not 0 <= n <= MAX_NODES:
         raise ValueError(f"node count {n} out of range")
     if n_nodes is not None and (n != n_nodes or ext_ids is not None):
         raise ValueError("graph does not have the pinned node count")
-    if ext_ids is not None and (len(ext_ids) != n or not _ascends(ext_ids)):
+    if ext_ids is not None and (len(ext_ids) != n
+                                or np.any(ext_ids[1:] <= ext_ids[:-1])):
         raise ValueError("ext_ids are not one strictly ascending id per node")
-    if n_edges != len(indices) // 2 or n_loops < 0:
-        raise ValueError("edge counts do not match the arrays")
+    if n_loops < 0:
+        raise ValueError("negative self-loop count")
     _check_adjacency(indptr, indices)
-    return SparseGraph(n_nodes=n, indptr=indptr, indices=indices, n_edges=n_edges,
-                       n_self_loops_dropped=n_loops), ext_ids
+    return SparseGraph(n_nodes=n, indptr=indptr, indices=indices,
+                       n_edges=len(indices) // 2, n_self_loops_dropped=n_loops), ext_ids
 
 
-def _ascends(a: np.ndarray, strict: bool = True) -> bool:
-    """Whether the 1-d array ``a`` ascends (strictly: without repeats),
-    compared by chunks."""
-    fails = np.less_equal if strict else np.less
-    for start in range(0, len(a) - 1, _CHECK_CHUNK):
-        chunk = a[start:start + _CHECK_CHUNK + 1]
-        if fails(chunk[1:], chunk[:-1]).any():
-            return False
-    return True
+def _entry_rows(indptr: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:
+    """The row id, as ``dtype``, of each entry start..stop-1 (stop > start)
+    of the valid compressed layout ``indptr``."""
+    # Rows first - 1 and last - 1 hold the first and the last entry.
+    first, last = np.searchsorted(indptr, [start, stop - 1], side="right")
+    lengths = np.diff(np.clip(indptr[first - 1:last + 1], start, stop))
+    return np.repeat(np.arange(first - 1, last, dtype=dtype), lengths)
 
 
 def _check_adjacency(indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -519,10 +517,10 @@ def _check_adjacency(indptr: np.ndarray, indices: np.ndarray) -> None:
     The transposed key ``j * n + i`` of every entry (i, j) goes into one
     array of from_edge_list's key type. Sorted, it must ascend strictly and
     equal the row-major keys ``i * n + j`` entry by entry. Every other
-    temporary covers one block of rows.
+    temporary covers one slice of ``_CHECK_CHUNK`` entries.
     """
     n, size = len(indptr) - 1, len(indices)
-    if indptr[0] != 0 or indptr[-1] != size or not _ascends(indptr, strict=False):
+    if indptr[0] != 0 or indptr[-1] != size or np.any(indptr[1:] < indptr[:-1]):
         raise ValueError("indptr does not run from 0 up to len(indices)")
     if size and (indices.min() < 0 or indices.max() >= n):
         raise ValueError("neighbor id out of range")
@@ -531,34 +529,24 @@ def _check_adjacency(indptr: np.ndarray, indices: np.ndarray) -> None:
     # Ids in range are the same bits as uint32, which compares and
     # multiplies with uint32 keys without widening.
     ids = indices.view(np.uint32) if key_type is np.uint32 else indices
-    # Row blocks of about _CHECK_CHUNK rows or entries: each cut is a
-    # multiple of the chunk or the row holding such an entry.
-    cuts = np.union1d(
-        np.arange(0, n, _CHECK_CHUNK),
-        np.searchsorted(indptr, np.arange(0, size, _CHECK_CHUNK), side="right") - 1)
-    blocks = list(zip(cuts.tolist(), [*cuts[1:].tolist(), n]))
-
-    def block(r0, r1):
-        """The row id of each entry of rows r0..r1-1, and their ids."""
-        rows = np.repeat(np.arange(r0, r1, dtype=key_type), np.diff(indptr[r0:r1 + 1]))
-        return rows, ids[indptr[r0]:indptr[r1]]
-
+    slices = [(start, min(start + _CHECK_CHUNK, size))
+              for start in range(0, size, _CHECK_CHUNK)]
     keys = np.empty(size, dtype=key_type)
-    for r0, r1 in blocks:
-        rows, cols = block(r0, r1)
+    for start, stop in slices:
+        rows, cols = _entry_rows(indptr, start, stop, key_type), ids[start:stop]
         if np.any(rows == cols):
             raise ValueError("self-loop")
-        transposed = keys[indptr[r0]:indptr[r1]]
+        transposed = keys[start:stop]
         np.multiply(cols, width, out=transposed, casting="unsafe")
         np.add(transposed, rows, out=transposed)
     keys.sort()
-    if not _ascends(keys):
+    if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("repeated entry")
-    for r0, r1 in blocks:
-        rows, cols = block(r0, r1)
+    for start, stop in slices:
+        rows = _entry_rows(indptr, start, stop, key_type)
         rows *= width
-        rows += cols
-        if not np.array_equal(rows, keys[indptr[r0]:indptr[r1]]):
+        rows += ids[start:stop]
+        if not np.array_equal(rows, keys[start:stop]):
             raise ValueError("adjacency is not symmetric with ascending rows")
 
 
@@ -567,7 +555,7 @@ def _write_sidecar(key: _SidecarKey, path, g: SparseGraph,
     """Keep the parse of ``path`` in its sidecar, written to a temporary
     file in the same directory and renamed over it. Skipped, with one debug
     line, when the file changed since it was hashed or the write fails."""
-    members = {"indptr": g.indptr, "indices": g.indices, "n_edges": g.n_edges,
+    members = {"indptr": g.indptr, "indices": g.indices,
                "n_self_loops_dropped": g.n_self_loops_dropped,
                "n_nodes": -1 if n_nodes is None else n_nodes,
                "version": _SIDECAR_VERSION, "sha256": key.sha256}

@@ -38,15 +38,12 @@ class SubsampledLaplacian:
     """Degree-normalized bi-adjacency L = D_r^{-1/2} A D_c^{-1/2}.
 
     Rows or columns with zero degree are left identically zero (the
-    0^{-1/2} -> 0 convention); their counts are reported. All singular
-    values lie in [0, 1].
+    0^{-1/2} -> 0 convention); ``n_zero_rows`` counts the rows, nodes with
+    no connection to the sample. All singular values lie in [0, 1].
     """
 
     matrix: sp.csc_matrix               # N x n
-    row_degrees: np.ndarray             # length N
-    col_degrees: np.ndarray             # length n
     n_zero_rows: int
-    n_zero_cols: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -100,13 +97,7 @@ def subsampled_laplacian(biadj: BiAdjacency) -> SubsampledLaplacian:
         _inv_sqrt(col_deg), np.diff(biadj.col_indptr))
     norm = sp.csc_matrix((data, biadj.row_indices, biadj.col_indptr),
                          shape=(biadj.n_rows, biadj.n_cols))
-    return SubsampledLaplacian(
-        matrix=norm,
-        row_degrees=row_deg,
-        col_degrees=col_deg,
-        n_zero_rows=int((row_deg == 0).sum()),
-        n_zero_cols=int((col_deg == 0).sum()),
-    )
+    return SubsampledLaplacian(matrix=norm, n_zero_rows=int((row_deg == 0).sum()))
 
 
 def gram(ls: SubsampledLaplacian) -> np.ndarray:

@@ -48,13 +48,8 @@ def normalize_bi_adjacency(mat) -> SubsampledLaplacian:
     with np.errstate(divide="ignore"):
         r = np.where(row_deg > 0, 1.0 / np.sqrt(row_deg), 0.0)
         c = np.where(col_deg > 0, 1.0 / np.sqrt(col_deg), 0.0)
-    return SubsampledLaplacian(
-        matrix=(sp.diags(r) @ mat @ sp.diags(c)).tocsc(),
-        row_degrees=row_deg,
-        col_degrees=col_deg,
-        n_zero_rows=int((row_deg == 0).sum()),
-        n_zero_cols=int((col_deg == 0).sum()),
-    )
+    return SubsampledLaplacian(matrix=(sp.diags(r) @ mat @ sp.diags(c)).tocsc(),
+                               n_zero_rows=int((row_deg == 0).sum()))
 
 
 def full_laplacian_by_diagonal_products(g) -> sp.csr_matrix:

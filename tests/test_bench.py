@@ -341,6 +341,15 @@ class TestCsvContract:
                     continue
                 assert r1[col] == r2[col], col
 
+    def test_trend_label_mixed(self):
+        assert bench._trend_label([0.1, 0.3, 0.2]) == "mixed"
+
+    def test_reads_csv_without_version_line(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("row_type,cell\nTRIAL,0\nAGG,0\n")
+        assert bench.read_records_csv(path) == [
+            {"row_type": "TRIAL", "cell": "0"}, {"row_type": "AGG", "cell": "0"}]
+
     def test_version_header(self, tmp_path):
         out = tmp_path / "s2.csv"
         bench.run_scenario(tiny_cfg("s2", out, n_grid=(8,)))
@@ -700,6 +709,23 @@ class TestCli:
         assert (tmp_path / "result.idmap").read_bytes() == "".join(
             f"{e} {i}\n" for i, e in enumerate(ids)).encode()
 
+    @pytest.mark.parametrize("ids", [[10, 20, 30, 40, 50, 60], [0, 1, 2, 3, 4, 5]],
+                             ids=["sparse", "dense"])
+    def test_cluster_names_the_id_map_it_writes(self, tmp_path, capsys, ids):
+        # A path on six nodes; only sparse ids are relabeled.
+        idmap = ids[0] != 0
+        (tmp_path / "net.edges").write_text(
+            "".join(f"{a} {b}\n" for a, b in zip(ids, ids[1:])))
+        prefix = tmp_path / "r"
+        rc = cli.main(["cluster", "--edges", str(tmp_path / "net.edges"), "--n", "3",
+                       "--k", "2", "--out", str(prefix)])
+        assert rc == 0
+        written = f"labels -> {prefix}.labels, sample -> {prefix}.sample"
+        if idmap:
+            written += f", idmap -> {prefix}.idmap"
+        assert capsys.readouterr().out.splitlines()[-1] == written
+        assert Path(f"{prefix}.idmap").exists() == idmap
+
     @pytest.fixture(scope="class")
     def big_network(self, tmp_path_factory):
         # N = 6000: above the full-comparison limit and, for n > 4000, the
@@ -934,18 +960,30 @@ class TestCli:
         # which it logs as warnings, before n < K stops it.
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--method", "dcs",
                       "--n", "2", "--k", "3", "--out", "{tmp}/r"], id="argv21"),
+        pytest.param(["bench", "s1", "--trials", "0", "--out", "{tmp}/x.csv"], id="argv22"),
+        pytest.param(["bench", "s4", "--config", "{tmp}/unknown_key.cfg",
+                      "--out", "{tmp}/x.csv"], id="argv23"),
+        pytest.param(["eval", "{tmp}/three.labels", "{tmp}/two.labels"], id="argv24"),
+        pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--n", "2", "--k", "0",
+                      "--out", "{tmp}/r"], id="argv25"),
+        # The imbalance sweep is defined for K = 3 only.
+        pytest.param(["bench", "s4", "--k", "4", "--out", "{tmp}/x.csv"], id="argv26"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
         (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
         (tmp_path / "empty_out.cfg").write_text("out =\n")
+        (tmp_path / "unknown_key.cfg").write_text("colour = red\n")
         (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
         (tmp_path / "cycle.edges").write_text(CYCLE)
+        (tmp_path / "three.labels").write_text("0 1\n1 2\n2 1\n")
+        (tmp_path / "two.labels").write_text("0 1\n1 2\n")
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(("error: ", "config error: "))
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("n, stderr", [
         ("4", []), ("2", ["error: need 1 <= K <= n, got K=3, n=2"])],

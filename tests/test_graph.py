@@ -456,20 +456,17 @@ def set_item(index, value):
 
 
 def _repeat_edge_0_1(m):
-    m = with_entry(with_entry(m, 0, 1), 1, 0)
-    return {**m, "n_edges": m["n_edges"] + 1}
+    return with_entry(with_entry(m, 0, 1), 1, 0)
 
 
 def _two_self_loops(m):
     # Symmetric, in range and ascending: only the self-loop check fails.
-    m = with_entry(with_entry(m, 2, 2), 7, 7)
-    return {**m, "n_edges": m["n_edges"] + 1}
+    return with_entry(with_entry(m, 2, 2), 7, 7)
 
 
 def _two_extra_entries(m):
-    # n_edges matches len(indices) // 2, but indptr ends short of it.
-    return {**m, "indices": np.append(m["indices"], np.int32([0, 1])),
-            "n_edges": m["n_edges"] + 1}
+    # indptr ends short of len(indices).
+    return {**m, "indices": np.append(m["indices"], np.int32([0, 1]))}
 
 
 # One bad sidecar per load check (and per key), each made from the good
@@ -479,8 +476,10 @@ BAD_MEMBERS = {
     "indices_dtype": lambda m: replaced(m, "indices", lambda a: a.astype(np.int64)),
     "indices_shape": lambda m: replaced(m, "indices", lambda a: a.reshape(-1, 2)),
     "ext_ids_dtype": lambda m: replaced(m, "ext_ids", lambda a: a.astype(np.float64)),
-    "n_edges_shape": lambda m: {**m, "n_edges": np.array([m["n_edges"]])},
-    "n_edges_kind": lambda m: {**m, "n_edges": np.float64(m["n_edges"])},
+    "self_loop_count_shape": lambda m: {
+        **m, "n_self_loops_dropped": np.array([m["n_self_loops_dropped"]])},
+    "self_loop_count_kind": lambda m: {
+        **m, "n_self_loops_dropped": np.float64(m["n_self_loops_dropped"])},
     "no_indices": lambda m: {k: v for k, v in m.items() if k != "indices"},
     "version": lambda m: {**m, "version": np.int64(0)},
     "digest": lambda m: {**m, "sha256": np.str_("0" * 64)},
@@ -488,13 +487,13 @@ BAD_MEMBERS = {
     "indptr_start": lambda m: replaced(m, "indptr", set_item(0, 1)),
     "indptr_decreases": lambda m: replaced(m, "indptr", set_item(1, 11)),
     "indptr_end": _two_extra_entries,
+    "indptr_past_end": lambda m: replaced(m, "indptr", set_item(-1, 63)),
     "id_above_range": lambda m: replaced(m, "indices", set_item(-1, 12)),
     "id_below_range": lambda m: replaced(m, "indices", set_item(0, -1)),
     "row_descends": lambda m: replaced(m, "indices", lambda a: np.r_[a[:5][::-1], a[5:]]),
     "repeated_entry": _repeat_edge_0_1,
     "self_loops": _two_self_loops,
     "asymmetric": lambda m: replaced(m, "indices", set_item(4, 7)),  # (0, 5) -> (0, 7)
-    "n_edges": lambda m: {**m, "n_edges": m["n_edges"] + 1},
     "self_loop_count": lambda m: {**m, "n_self_loops_dropped": np.int64(-1)},
     "ext_ids_order": lambda m: replaced(m, "ext_ids", lambda a: a[[1, 0, *range(2, 12)]]),
     "ext_ids_length": lambda m: replaced(m, "ext_ids", lambda a: a[:-1]),
@@ -578,6 +577,22 @@ class TestSidecar:
             "indices": np.array([1, 0, wrap + 1, wrap + 2], dtype=np.int32)})
         assert_same_result(graph_from_file(path), want)
         assert np.array_equal(sidecar_members(path)["indices"], good["indices"])
+
+    def test_decreasing_indptr_is_rejected(self, tmp_path, monkeypatch):
+        # At one entry per check slice, indptr [0, 2, 1, 2] cuts the entries
+        # [2, 0] into rows that read as the edge (0, 2) both ways, so only
+        # the order check rejects it.
+        monkeypatch.setattr(graph_module, "_CHECK_CHUNK", 1)
+        path = tmp_path / "net.edges"
+        path.write_text("0 1\n1 2\n")
+        want = text_result(path)
+        graph_from_file(path)
+        good = sidecar_members(path)
+        write_sidecar_members(path, {
+            **good, "indptr": np.array([0, 2, 1, 2], dtype=np.int64),
+            "indices": np.array([2, 0], dtype=np.int32)})
+        assert_same_result(graph_from_file(path), want)
+        assert np.array_equal(sidecar_members(path)["indptr"], good["indptr"])
 
     def test_pinned_sidecar_with_ext_ids_is_rejected(self, edges):
         write_pairs(edges, CLIQUES, lambda i: i)
@@ -751,8 +766,8 @@ class TestSidecar:
                    5, 7, 8, 9, 10, 11,  6, 8, 9, 10, 11,  6, 7, 9, 10, 11,
                    6, 7, 8, 10, 11,  6, 7, 8, 9, 11,  6, 7, 8, 9, 10]
         want = {"indptr": indptr + [62, 62] * (n_nodes is not None),
-                "indices": indices, "n_edges": 31, "n_self_loops_dropped": 1,
-                "n_nodes": -1 if n_nodes is None else n_nodes, "version": 1,
+                "indices": indices, "n_self_loops_dropped": 1,
+                "n_nodes": -1 if n_nodes is None else n_nodes, "version": 2,
                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
         if ext == "sparse":
             want["ext_ids"] = [3 + 10 * i for i in range(12)]
@@ -762,6 +777,23 @@ class TestSidecar:
         for name, value in want.items():
             assert members[name].dtype == dtypes.get(name, np.int64), name
             assert members[name].tolist() == value, name
+
+    def test_version_1_sidecar_is_replaced(self, edges, monkeypatch):
+        # Version 1 sidecars also held the edge count, n_edges.
+        want = text_result(edges)
+        graph_from_file(edges)
+        v2 = sidecar_members(edges)
+        write_sidecar_members(edges, {**v2, "n_edges": np.int64(31), "version": np.int64(1)})
+        parse, parsed = graph_module.read_edge_list, []
+        monkeypatch.setattr(graph_module, "read_edge_list",
+                            lambda path: parsed.append(path) or parse(path))
+        assert_same_result(graph_from_file(edges), want)
+        assert parsed == [edges]
+        rewritten = sidecar_members(edges)
+        assert "n_edges" not in rewritten and rewritten["version"] == 2
+        assert rewritten.keys() == v2.keys()
+        assert_same_result(graph_from_file(edges), want)
+        assert parsed == [edges]
 
     @given(edge_lists(), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
