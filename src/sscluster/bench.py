@@ -455,7 +455,8 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     eigengap, and the full-SC comparison uses that K. When N is at most
     ``FULL_BASELINE_MAX_N``, subsampled runs also report the disagreement
     rate against full spectral clustering. Nodes with no connection to the
-    sample are counted, not fatal.
+    sample are counted, not fatal, and so are the self-loops the edge list
+    held (``n_self_loops_dropped``).
 
     The summary's ``times`` holds the seconds of every stage that ran:
     load, sampling (subsampled runs only), laplacian, eig, kmeans, full_sc
@@ -486,6 +487,7 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
 
     summary = {
         "N": g.n_nodes, "n_edges": g.n_edges,
+        "n_self_loops_dropped": g.n_self_loops_dropped,
         "n": g.n_nodes if ids is None else n, "K": k,
         "method": method, "seed": seed,
         "n_disconnected_from_sample": emb.n_zero_rows,

@@ -165,6 +165,8 @@ def cmd_cluster(args) -> int:
     sampled = summary["sample"] is not None
     print(f"N={summary['N']} edges={summary['n_edges']} n={summary['n']} "
           f"K={summary['K']} method={summary['method']}")
+    if summary["n_self_loops_dropped"]:
+        print(f"self-loops dropped: {summary['n_self_loops_dropped']}")
     if sampled:
         print(f"nodes with no connection to the sample: "
               f"{summary['n_disconnected_from_sample']}")

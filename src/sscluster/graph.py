@@ -41,6 +41,11 @@ class SparseGraph:
     ``indptr`` (length n_nodes + 1) is int64 and ``indices`` (one entry
     per edge orientation) int32. ``n_edges`` counts each undirected edge
     once.
+
+    A graph is checked once, where it enters: ``from_edge_list`` builds
+    these invariants from any pairs, and a sidecar load checks them in
+    full. Every later stage relies on them unchecked; the exact symmetry
+    of ``spectral.full_laplacian`` rests on the first.
     """
 
     n_nodes: int

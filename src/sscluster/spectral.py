@@ -115,11 +115,10 @@ def _symmetrized(m):
     """``m`` as float64, checked symmetric within ``SYMMETRY_ATOL`` and
     symmetrized to ``(m + m.T) / 2``.
 
-    A sparse input stays sparse (the check runs without densifying). It is
-    returned as is when it is a canonical CSR matrix (sorted indices, no
-    duplicates) and exactly symmetric, since symmetrizing would give back
-    the same entries. A dense input always gives a fresh array, which
-    ``symmetric_eig`` overwrites.
+    A sparse input stays sparse (the check runs without densifying). Every
+    input gives a fresh matrix, so ``symmetric_eig`` may overwrite a dense
+    result. ``full_embed``'s Lanczos route does not come here: a
+    ``FullLaplacian`` is exactly symmetric as built.
     """
     sparse = sp.issparse(m)
     if sparse:
@@ -128,17 +127,24 @@ def _symmetrized(m):
         m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
-    # One transpose in the input's own format serves every test and the sum.
+    # One transpose in the input's own format serves the test and the sum.
     mt = m.T.asformat(m.format) if sparse else m.T
-    if sparse and m.format == "csr" and m.has_canonical_format and all(
-            np.array_equal(a, b) for a, b in ((m.indptr, mt.indptr),
-                                              (m.indices, mt.indices),
-                                              (m.data, mt.data))):
-        return m
     # Written so that a NaN anywhere fails the check.
     if not abs(m - mt).max() <= SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
     return (m + mt) * 0.5
+
+
+def _eigh(sym, k: int | None):
+    """``scipy.linalg.eigh`` of a ``_symmetrized`` matrix, ascending, for
+    its top ``k`` pairs (all of them for None); a dense ``sym`` is
+    overwritten."""
+    # ``sym`` equals its transpose, so the Fortran-ordered array LAPACK
+    # wants is taken without a copy.
+    a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
+    n = a.shape[0]
+    subset = None if k is None else [n - k, n - 1]
+    return scipy.linalg.eigh(a, subset_by_index=subset, overwrite_a=True)
 
 
 def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -147,9 +153,16 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with eigenvector columns matching
     the eigenvalue order; with ``k`` only the k largest pairs are computed.
     Values are returned unclipped so that reconstruction
-    M = V diag(w) V^T holds for indefinite inputs too. A sparse input is
-    checked and symmetrized in sparse form and densified once, so the
-    solve holds a single dense copy of it.
+    M = V diag(w) V^T holds for indefinite inputs too. Every input is
+    checked for symmetry (``ValueError`` past ``SYMMETRY_ATOL`` or on a
+    NaN) and symmetrized; a sparse one in sparse form, densified once, so
+    the solve holds a single dense copy of it.
+
+    LAPACK's subset solve can come back with fewer than k pairs, or fail,
+    when the top eigenvalue has a high multiplicity (a 500 x 500 Gram
+    matrix whose eigenvalue 1 has multiplicity 463 returned none). Then the
+    full spectrum is solved from ``m`` again and its top k pairs are kept;
+    a subset solve that succeeds keeps its bits.
 
     A matrix of up to ``SERIAL_EIG_MAX`` rows is solved on one BLAS
     thread. On 2 cores that is as fast as threading there (200 x 200: 6.1
@@ -159,13 +172,18 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     (800 x 800: 129 ms threaded, 145 ms on one thread).
     """
     sym = _symmetrized(m)
-    # The symmetrized matrix equals its transpose, so the Fortran-ordered
-    # array LAPACK wants is taken without a copy and overwritten in place.
-    a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
-    n = a.shape[0]
-    subset = None if k is None else [n - k, n - 1]
+    n = sym.shape[0]
     with blas.threads(1) if n <= SERIAL_EIG_MAX else contextlib.nullcontext():
-        w, v = scipy.linalg.eigh(a, subset_by_index=subset, overwrite_a=True)
+        try:
+            w, v = _eigh(sym, k)
+        except np.linalg.LinAlgError:
+            if k is None:
+                raise
+            w = ()
+        if k is not None and len(w) < k:
+            # The failed solve may have overwritten ``sym``.
+            w, v = _eigh(_symmetrized(m), None)
+            w, v = w[n - k:], v[:, n - k:]
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -214,7 +232,22 @@ def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
     )
 
 
-def full_laplacian(g: SparseGraph) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class FullLaplacian:
+    """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2} of a whole graph,
+    the full-network twin of ``SubsampledLaplacian``.
+
+    ``matrix`` equals its transpose bit for bit, and ``full_embed`` hands
+    it to the eigensolver as is, with no symmetry check. ``full_laplacian``
+    gives that by construction: its entries d_i^{-1/2} d_j^{-1/2} sit on a
+    ``SparseGraph``'s own symmetric ``indptr`` / ``indices``. Any other
+    matrix wrapped in one must be exactly symmetric too.
+    """
+
+    matrix: sp.csr_matrix               # N x N
+
+
+def full_laplacian(g: SparseGraph) -> FullLaplacian:
     """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2} (sparse N x N).
 
     The entries are d_i^{-1/2} d_j^{-1/2} on the graph's own ``indptr`` /
@@ -225,26 +258,29 @@ def full_laplacian(g: SparseGraph) -> sp.csr_matrix:
     deg = degrees(g)
     dinv = _inv_sqrt(deg.astype(np.float64))
     data = np.repeat(dinv, deg) * dinv[g.indices]
-    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n_nodes, g.n_nodes))
+    return FullLaplacian(
+        sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n_nodes, g.n_nodes)))
 
 
-def full_embed(L, K: int | str) -> Embedding:
+def full_embed(lap: FullLaplacian, K: int | str) -> Embedding:
     """Top-K eigenvectors of the full Laplacian by algebraic eigenvalue.
 
-    Lanczos (ARPACK ``eigsh``) on the sparse matrix, in O(|E| + N K)
-    memory. The start vector, and any restart vector ARPACK asks for, come
-    from a generator seeded with N, so a result depends on neither the
-    caller's generator nor earlier solves (restart vectors only where
-    eigsh takes ``rng``). ARPACK needs K < N; K = N takes the dense solve.
-    ``K="auto"`` solves for the top min(N, SELECT_K_MAX + 1) pairs, the
-    most ``select_k`` reads, and keeps the first K, as ``select_k`` picks.
-    An all-zero ``L`` (a graph with no edges) raises DegenerateInputError.
+    Lanczos (ARPACK ``eigsh``) on the sparse matrix as built, in
+    O(|E| + N K) memory. The start vector, and any restart vector ARPACK
+    asks for, come from a generator seeded with N, so a result depends on
+    neither the caller's generator nor earlier solves (restart vectors only
+    where eigsh takes ``rng``). ARPACK needs K < N; K = N takes the dense
+    solve. ``K="auto"`` solves for the top min(N, SELECT_K_MAX + 1) pairs,
+    the most ``select_k`` reads, and keeps the first K, as ``select_k``
+    picks. A graph with no edges (no stored entry) raises
+    DegenerateInputError.
     """
+    L = lap.matrix
     N = L.shape[0]
     k = min(N, SELECT_K_MAX + 1) if K == "auto" else K
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    if L.count_nonzero() == 0:
+    if L.nnz == 0:
         raise DegenerateInputError("Laplacian is all zero; the graph has no edges")
     if k == N:
         top_w, top_v = symmetric_eig(L, k)
@@ -257,7 +293,7 @@ def full_embed(L, K: int | str) -> Embedding:
         takes_rng = "rng" in inspect.signature(eigsh).parameters
         start = np.random.default_rng(N)
         v0 = start.uniform(-1.0, 1.0, N)
-        w, v = eigsh(_symmetrized(L), k=k, which="LA", v0=v0,
+        w, v = eigsh(L, k=k, which="LA", v0=v0,
                      **({"rng": start} if takes_rng else {}))
         order = np.argsort(w)[::-1]
         top_w, top_v = w[order], v[:, order]

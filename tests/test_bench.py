@@ -490,13 +490,25 @@ class TestRunReal:
         z = sample_memberships((0.3, 0.3, 0.4), 240, rng)
         g = generate_adjacency(z, block_matrix(0.3, 0.05, 3), rng)
         # Two-solve route: the whole spectrum for K, then a top-K solve.
-        w = np.linalg.eigvalsh(full_laplacian(g).toarray())[::-1]
+        w = np.linalg.eigvalsh(full_laplacian(g).matrix.toarray())[::-1]
         K = select_k(w)
         labels, emb, _ = bench.run_full_sc(g, K, np.random.default_rng(seed))
         auto_labels, auto_emb, _ = bench.run_full_sc(g, "auto",
                                                      np.random.default_rng(seed))
         assert auto_emb.matrix.shape == emb.matrix.shape == (240, K)
         assert np.array_equal(auto_labels, labels)
+
+    def test_full_sc_hands_its_laplacian_to_arpack_unchecked(self, network,
+                                                               monkeypatch):
+        # full_laplacian's matrix is exactly symmetric as built, so K < N
+        # runs no symmetry check; the check stays for symmetric_eig.
+        g, z, path = network
+        calls = []
+        check = spectral._symmetrized
+        monkeypatch.setattr(spectral, "_symmetrized",
+                            lambda m: calls.append(1) or check(m))
+        bench.run_full_sc(g, 3, np.random.default_rng(0))
+        assert calls == []
 
     @pytest.mark.parametrize("K", [3, "auto"])
     def test_full_sc_draws_only_in_kmeans(self, network, K):
@@ -634,6 +646,26 @@ class TestSidecarRuns:
             locked.chmod(0o755)
         assert got == want
         assert [p.name for p in locked.iterdir()] == ["net.edges"]
+
+    @pytest.mark.parametrize("text, loops", [
+        ("0 1\n1 2\n2 2\n2 0\n", 1),
+        ("0 1\n1 2\n2 0\n", 0),
+    ], ids=["self-loop", "none"])
+    def test_dropped_self_loops_are_reported_cold_and_warm(
+            self, tmp_path, monkeypatch, capsys, text, loops):
+        edges = tmp_path / "net.edges"
+        edges.write_text(text)
+        argv = ["--method", "srs", "--n", "2", "--k", "2"]
+        cold = self.cluster(edges, tmp_path / "result", argv, capsys)
+        assert Path(f"{edges}{graph.SIDECAR_SUFFIX}").is_file()
+
+        def parse(path):
+            raise AssertionError("warm run parsed the text")
+        monkeypatch.setattr(graph, "read_edge_list", parse)
+        warm = self.cluster(edges, tmp_path / "result", argv, capsys)
+        reported = [line for line in cold[0] if line.startswith("self-loops")]
+        assert reported == ([f"self-loops dropped: {loops}"] if loops else [])
+        assert warm == cold
 
     def test_fifo_is_read_once_and_gets_no_sidecar(self, edges_text, tmp_path, capsys):
         argv = ["--method", "srs", "--n", "40", "--k", "3"]

@@ -1,4 +1,5 @@
-"""The benchmark harness under perfbench/ still finds every name it traces.
+"""The benchmark harness under perfbench/ still finds every name it traces,
+and the test settings report a failing test as a failure.
 
 ``perfbench/run.py --trace 1`` wraps ``(module, attr)`` pairs of the
 package; a renamed or deleted function would only show up there as a
@@ -7,6 +8,7 @@ layer metric reading 0. These tests load the harness without running it.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 
 from sscluster import sampling, sbm
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -110,3 +113,22 @@ def test_second_traced_cluster_reads_the_sidecar(perfbench_run, tmp_path):
     assert {"graph.read_edge_list", "graph.from_edge_list"} <= set(cold)
     assert "graph.graph_from_file" in warm
     assert not {"graph.read_edge_list", "graph.from_edge_list"} & set(warm)
+
+
+def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Under the repository's warning filters, Hypothesis's failure reporter
+    # must not turn a failing test into an INTERNALERROR (exit 3) that
+    # stops the rest of the run.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
