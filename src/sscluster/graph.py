@@ -39,8 +39,8 @@ class SparseGraph:
     Invariants: symmetric (j in neighbors(i) iff i in neighbors(j)), no
     self-loops, neighbor lists sorted ascending without duplicates.
     ``indptr`` (length n_nodes + 1) is int64 and ``indices`` (one entry
-    per edge orientation) int32. ``n_edges`` counts each undirected edge
-    once.
+    per edge orientation) int32. ``n_edges``, ``len(indices) // 2``,
+    counts each undirected edge once.
 
     A graph is checked once, where it enters: ``from_edge_list`` builds
     these invariants from any pairs, and a sidecar load checks them in
@@ -51,8 +51,11 @@ class SparseGraph:
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    n_edges: int
     n_self_loops_dropped: int = 0
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.indices) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -68,9 +71,12 @@ class BiAdjacency:
     """
 
     n_rows: int
-    n_cols: int
     col_indptr: np.ndarray
     row_indices: np.ndarray
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.col_indptr) - 1
 
 
 def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
@@ -139,7 +145,6 @@ def from_edge_list(pairs, n_nodes: int) -> SparseGraph:
         n_nodes=n_nodes,
         indptr=indptr.astype(np.int64, copy=False),
         indices=indices,
-        n_edges=len(key) // 2,
         n_self_loops_dropped=len(arr) - n_kept,
     )
 
@@ -187,12 +192,7 @@ def bi_adjacency(g: SparseGraph, sample) -> BiAdjacency:
     # Entry t of column j sits at g.indptr[ids[j]] + (t - col_indptr[j]).
     offsets = np.repeat(g.indptr[ids] - col_indptr[:-1], lengths)
     row_indices = g.indices[offsets + np.arange(col_indptr[-1])]
-    return BiAdjacency(
-        n_rows=g.n_nodes,
-        n_cols=len(ids),
-        col_indptr=col_indptr,
-        row_indices=row_indices,
-    )
+    return BiAdjacency(n_rows=g.n_nodes, col_indptr=col_indptr, row_indices=row_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def _checked_graph(z, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | No
         raise ValueError("negative self-loop count")
     _check_adjacency(indptr, indices)
     return SparseGraph(n_nodes=n, indptr=indptr, indices=indices,
-                       n_edges=len(indices) // 2, n_self_loops_dropped=n_loops), ext_ids
+                       n_self_loops_dropped=n_loops), ext_ids
 
 
 def _entry_rows(indptr: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:

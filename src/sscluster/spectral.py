@@ -55,14 +55,18 @@ class Embedding:
     """N x K spectral coordinates plus the eigenvalues that produced them.
 
     Columns whose eigenvalue falls below the pseudo-inverse tolerance are
-    identically zero; ``rank`` counts the columns above it.
+    identically zero; ``rank`` counts the columns above it, and
+    ``rank_deficient`` says whether any column is zero.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     rank: int
-    rank_deficient: bool
-    n_zero_rows: int = 0
+    n_zero_rows: int
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.rank < self.matrix.shape[1]
 
 
 def _clip_psd(values: np.ndarray) -> np.ndarray:
@@ -111,13 +115,13 @@ def gram(ls: SubsampledLaplacian) -> np.ndarray:
     return (ls.matrix.T @ ls.matrix).toarray()
 
 
-def _symmetrized(m):
-    """``m`` as float64, checked symmetric within ``SYMMETRY_ATOL`` and
-    symmetrized to ``(m + m.T) / 2``.
+def _symmetrized(m) -> np.ndarray:
+    """``m`` checked symmetric within ``SYMMETRY_ATOL`` and symmetrized to
+    ``(m + m.T) / 2``, as a fresh dense float64 array (which
+    ``symmetric_eig`` may overwrite).
 
-    A sparse input stays sparse (the check runs without densifying). Every
-    input gives a fresh matrix, so ``symmetric_eig`` may overwrite a dense
-    result. ``full_embed``'s Lanczos route does not come here: a
+    A sparse input is checked and symmetrized in sparse form and densified
+    once, at the end. ``full_embed``'s Lanczos route does not come here: a
     ``FullLaplacian`` is exactly symmetric as built.
     """
     sparse = sp.issparse(m)
@@ -132,19 +136,8 @@ def _symmetrized(m):
     # Written so that a NaN anywhere fails the check.
     if not abs(m - mt).max() <= SYMMETRY_ATOL:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    return (m + mt) * 0.5
-
-
-def _eigh(sym, k: int | None):
-    """``scipy.linalg.eigh`` of a ``_symmetrized`` matrix, ascending, for
-    its top ``k`` pairs (all of them for None); a dense ``sym`` is
-    overwritten."""
-    # ``sym`` equals its transpose, so the Fortran-ordered array LAPACK
-    # wants is taken without a copy.
-    a = sym.toarray(order="F") if sp.issparse(sym) else sym.T
-    n = a.shape[0]
-    subset = None if k is None else [n - k, n - 1]
-    return scipy.linalg.eigh(a, subset_by_index=subset, overwrite_a=True)
+    sym = (m + mt) * 0.5
+    return sym.toarray() if sparse else sym
 
 
 def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -153,67 +146,72 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with eigenvector columns matching
     the eigenvalue order; with ``k`` only the k largest pairs are computed.
     Values are returned unclipped so that reconstruction
-    M = V diag(w) V^T holds for indefinite inputs too. Every input is
-    checked for symmetry (``ValueError`` past ``SYMMETRY_ATOL`` or on a
-    NaN) and symmetrized; a sparse one in sparse form, densified once, so
-    the solve holds a single dense copy of it.
+    M = V diag(w) V^T holds for indefinite inputs too. Every input goes
+    through ``_symmetrized`` (``ValueError`` past ``SYMMETRY_ATOL`` or on a
+    NaN), so the solve holds a single dense copy of it.
 
     LAPACK's subset solve can come back with fewer than k pairs, or fail,
     when the top eigenvalue has a high multiplicity (a 500 x 500 Gram
     matrix whose eigenvalue 1 has multiplicity 463 returned none). Then the
-    full spectrum is solved from ``m`` again and its top k pairs are kept;
-    a subset solve that succeeds keeps its bits.
+    top k pairs of the full solve ``symmetric_eig(m)`` are returned; a
+    subset solve that succeeds keeps its bits.
 
     A matrix of up to ``SERIAL_EIG_MAX`` rows is solved on one BLAS
-    thread. On 2 cores that is as fast as threading there (200 x 200: 6.1
-    ms against 6.3 ms in the median) and far steadier: threaded solves of
-    100 x 100 to 500 x 500 stalled for 0.1-1 s now and then. Larger
-    matrices keep the threaded BLAS, which is faster from about 400 rows
-    (800 x 800: 129 ms threaded, 145 ms on one thread).
+    thread, so its pairs have the same bits at any thread count. On 2
+    cores that is about as fast as threading in the median (300 x 300 Gram
+    matrices, top 3 pairs: 4.8-5.0 ms against 4.8 ms), and threaded first
+    solves of 300-350 rows stalled for 0.7-0.8 s in 2 of 20 processes.
+    Larger matrices keep the threaded BLAS, faster in the median from 500
+    rows (top 3 pairs: 13.7-16.0 against 11.2-14.1 ms; all pairs 41.7-48.0
+    against 38.4-43.5 ms). Their pairs depend on the thread count in bits:
+    at 500, 1,000 and 2,000 rows the md5s under OPENBLAS_NUM_THREADS=1 and
+    the default differ, though 48 of 48 ``run_ssc`` labelings (n = 500 to
+    1,100) agreed.
     """
     sym = _symmetrized(m)
     n = sym.shape[0]
     with blas.threads(1) if n <= SERIAL_EIG_MAX else contextlib.nullcontext():
         try:
-            w, v = _eigh(sym, k)
+            # ``sym`` equals its transpose, so the Fortran-ordered array
+            # LAPACK wants is taken without a copy.
+            w, v = scipy.linalg.eigh(sym.T, overwrite_a=True, subset_by_index=(
+                None if k is None else [n - k, n - 1]))
         except np.linalg.LinAlgError:
             if k is None:
                 raise
             w = ()
-        if k is not None and len(w) < k:
-            # The failed solve may have overwritten ``sym``.
-            w, v = _eigh(_symmetrized(m), None)
-            w, v = w[n - k:], v[:, n - k:]
+    if k is not None and len(w) < k:
+        w, v = symmetric_eig(m)
+        return w[:k].copy(), v[:, :k].copy()
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def subsampled_spectrum(ls: SubsampledLaplacian) -> tuple[np.ndarray, np.ndarray]:
-    """Full descending spectrum of the Gram matrix L^T L, as (eigenvalues,
-    eigenvectors) with tiny negative eigenvalues clipped to 0."""
-    w, v = symmetric_eig(gram(ls))
+def subsampled_spectrum(ls: SubsampledLaplacian,
+                        k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``k`` (all for None) descending pairs of the Gram matrix
+    L^T L, as (eigenvalues, eigenvectors) with tiny negative eigenvalues
+    clipped to 0 (``symmetric_eig``'s ``k``)."""
+    w, v = symmetric_eig(gram(ls), k)
     return _clip_psd(w), v
 
 
 def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
     """Top-K embedding U = L V_K pinv(Lambda_K^{1/2}).
 
-    V_K and Lambda_K come from the Gram matrix of L. ``K="auto"`` solves
-    the full spectrum (``subsampled_spectrum``), takes K from its eigengap
-    (``select_k``) and lifts from that same solve. An int K solves for the
-    top K pairs only (100 x 100, K=3: about 0.4 ms, against 1.8 ms for the
-    full spectrum); the two routes agree to rounding, not bit for bit.
+    V_K and Lambda_K come from one ``subsampled_spectrum`` call. An int K
+    asks it for the top K Gram pairs only (100 x 100, K=3: about 0.4 ms,
+    against 1.8 ms for the full spectrum); ``K="auto"`` asks for the full
+    spectrum, takes K from its eigengap (``select_k``) and lifts from that
+    same solve. The two routes agree to rounding, not bit for bit.
     Eigenvalues at or below RANK_TOL * lambda_1 are treated as zero in the
     pseudo-inverse, which zeroes the corresponding embedding columns.
     """
     n = ls.shape[1]
-    if K == "auto":
-        values, vectors = subsampled_spectrum(ls)
-        K = select_k(values)
-    elif not 1 <= K <= n:
+    if K != "auto" and not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
-    else:
-        values, vectors = symmetric_eig(gram(ls), K)
-        values = _clip_psd(values)
+    values, vectors = subsampled_spectrum(ls, None if K == "auto" else K)
+    if K == "auto":
+        K = select_k(values)
     top = values[:K]
     vk = vectors[:, :K]
 
@@ -222,14 +220,8 @@ def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
     u = ls.matrix @ (vk * inv_sqrt[None, :])
-    rank = int(keep.sum())
-    return Embedding(
-        matrix=u,
-        eigenvalues=top,
-        rank=rank,
-        rank_deficient=rank < K,
-        n_zero_rows=ls.n_zero_rows,
-    )
+    return Embedding(matrix=u, eigenvalues=top, rank=int(keep.sum()),
+                     n_zero_rows=ls.n_zero_rows)
 
 
 @dataclass(frozen=True)
@@ -300,13 +292,7 @@ def full_embed(lap: FullLaplacian, K: int | str) -> Embedding:
     if K == "auto":
         K = select_k(top_w)
         top_w, top_v = top_w[:K], top_v[:, :K]
-    return Embedding(
-        matrix=top_v,
-        eigenvalues=top_w,
-        rank=K,
-        rank_deficient=False,
-        n_zero_rows=0,
-    )
+    return Embedding(matrix=top_v, eigenvalues=top_w, rank=K, n_zero_rows=0)
 
 
 def select_k(vals: np.ndarray) -> int:

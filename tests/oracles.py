@@ -176,6 +176,5 @@ def from_edge_list_int64_keys(pairs, n_nodes: int) -> SparseGraph:
         n_nodes=n_nodes,
         indptr=np.searchsorted(key, starts).astype(np.int64),
         indices=key % n_nodes,
-        n_edges=len(key) // 2,
         n_self_loops_dropped=int(loops.sum()),
     )

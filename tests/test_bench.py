@@ -118,6 +118,12 @@ class TestScenario1:
         assert {r["status"] for r in trials} == {"degenerate"}
         assert [r["rate"] for r in trials if r["method"] == "full"] == ["", ""]
 
+    def test_rejects_an_unknown_scenario(self, tmp_path):
+        out = tmp_path / "s9.csv"
+        with pytest.raises(ValueError, match="^unknown scenario 's9'$"):
+            bench.run_scenario(bench.ScenarioConfig(scenario="s9", out=str(out)))
+        assert not out.exists()
+
     def test_rejects_descending_grid(self, tmp_path):
         out = tmp_path / "s1.csv"
         cfg = tiny_cfg("s1", out, N_grid=(80, 60))
@@ -1000,6 +1006,9 @@ class TestCli:
                       "--out", "{tmp}/r"], id="argv25"),
         # The imbalance sweep is defined for K = 3 only.
         pytest.param(["bench", "s4", "--k", "4", "--out", "{tmp}/x.csv"], id="argv26"),
+        # A negative node count reaches the graph build's own check.
+        pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--nodes", "-4",
+                      "--n", "2", "--out", "{tmp}/r"], id="argv27"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")

@@ -45,6 +45,10 @@ class TestFromEdgeList:
         # Hand enumeration: a 3-cycle gives every node two neighbors.
         assert [degrees(triangle)[i] for i in range(3)] == [2, 2, 2]
 
+    def test_rejects_pairs_of_three_columns(self):
+        with pytest.raises(ValueError, match=r"^edge list must be a sequence of \(u, v\) pairs$"):
+            from_edge_list([(0, 1, 2)], 3)
+
     def test_out_of_range_id(self):
         with pytest.raises(ValueError):
             from_edge_list([(0, 3)], 3)
@@ -141,6 +145,14 @@ class TestBiAdjacency:
             bi_adjacency(triangle, [0, 0])
         with pytest.raises(ValueError):
             bi_adjacency(triangle, [5])
+
+    def test_rejects_an_empty_sample(self, triangle):
+        with pytest.raises(ValueError, match="^sample must be a nonempty 1-d sequence"):
+            bi_adjacency(triangle, [])
+
+    def test_column_count_is_the_sample_size(self, triangle):
+        ba = bi_adjacency(triangle, [2, 0])
+        assert ba.n_cols == 2 and type(ba.n_cols) is int
 
 
 def reference_csr(pairs, n):

@@ -63,6 +63,17 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(points, 0, rng=np.random.default_rng(0))
 
+    def test_one_dimensional_points_are_one_column(self):
+        points = np.array([0.0, 0.1, 5.0, 5.1])
+        flat = kmeans(points, 2, rng=np.random.default_rng(0))
+        column = kmeans(points[:, None], 2, rng=np.random.default_rng(0))
+        assert np.array_equal(flat.labels, column.labels)
+        assert np.array_equal(flat.centroids, column.centroids)
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+            kmeans(np.zeros((3, 2)), 2, restarts=0, rng=np.random.default_rng(0))
+
     def test_requires_a_generator(self):
         # No silent seeding from OS entropy: every result is reproducible.
         with pytest.raises(TypeError, match="rng"):

@@ -91,6 +91,10 @@ class TestClusterQuotas:
     def test_exact_proportionality(self):
         assert cluster_quotas(np.array([50, 30, 20]), 10).tolist() == [5, 3, 2]
 
+    def test_rejects_n_above_the_total(self):
+        with pytest.raises(ValueError, match="^need 0 <= n <= sum"):
+            cluster_quotas(np.array([3, 4]), 8)
+
     def test_remainder_goes_to_largest_fraction(self):
         # n*size/N = 3.5, 2.1, 1.4: floors (3,2,1), remainder 1 goes to
         # the 0.5 fractional part.
@@ -183,6 +187,12 @@ class TestSrsMinSize:
 
     def test_floor_at_one_draw(self):
         assert srs_min_size(1, 1.0, 0.999) == 1
+
+    @pytest.mark.parametrize("K, eps, message", [
+        (3, 0.0, "eps must be in"), (3, 1.0, "eps must be in"), (0, 0.05, "K must be >= 1")])
+    def test_rejects_bad_eps_and_k(self, K, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            srs_min_size(K, 0.2, eps)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sscluster.sbm import (
+    BlockMatrix,
     block_matrix,
     generate_adjacency,
     read_labels,
     sample_memberships,
+    validate_labels,
     write_labels,
 )
 
@@ -33,6 +35,15 @@ class TestBlockMatrix:
 
     def test_beta_zero_is_zero(self):
         assert np.all(block_matrix(0.0, 0.3, 2).probs == 0)
+
+    @pytest.mark.parametrize("probs, message", [
+        (np.eye(3), "probs must be 2x2"),
+        ([[0.0, 0.1], [0.2, 0.0]], "block matrix must be symmetric"),
+        ([[1.5, 0.0], [0.0, 0.0]], r"block probabilities must lie in \[0, 1\]"),
+    ], ids=["shape", "asymmetric", "range"])
+    def test_block_matrix_checks_its_probs(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockMatrix(K=2, probs=probs)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -60,6 +71,19 @@ class TestSampleMemberships:
                                np.random.default_rng(11))
         freqs = np.bincount(z, minlength=4)[1:] / 30_000
         assert np.allclose(freqs, [1 / 3 - delta, 1 / 3, 1 / 3 + delta], atol=0.01)
+
+    def test_rejects_a_two_dimensional_pi(self):
+        with pytest.raises(ValueError, match="^pi must be a 1-d probability vector$"):
+            sample_memberships(np.full((1, 2), 0.5), 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("z, message", [
+        (np.ones((2, 2)), "labels must be 1-d"),
+        ([0, 1], r"labels must lie in 1\.\.2"),
+        ([1, 3], r"labels must lie in 1\.\.2"),
+    ], ids=["2d", "zero", "above_k"])
+    def test_validate_labels_rejects(self, z, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_labels(z, 2)
 
     def test_rejects_bad_pi(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -39,6 +42,7 @@ from oracles import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense_projection_distance(a, b):
@@ -230,6 +234,43 @@ class TestSymmetricEig:
         assert np.abs(m @ v - v * w).max() <= 1e-12
         assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
 
+    def test_full_solve_failure_propagates(self, monkeypatch):
+        def failing(a, **kw):
+            raise np.linalg.LinAlgError("Internal Error")
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^Internal Error$"):
+            symmetric_eig(np.eye(4))
+
+    def test_same_bits_at_any_thread_count_up_to_the_cut_off(self):
+        # A Gram matrix of SERIAL_EIG_MAX rows: an srs sample of an N=4000,
+        # beta=0.05, zeta=0.3 SBM, seed 3, solved in fresh processes under
+        # OPENBLAS_NUM_THREADS=1 and under the default thread count.
+        code = """if True:
+            import hashlib
+            import numpy as np
+            from sscluster import sbm, spectral
+            from sscluster.graph import bi_adjacency
+            from sscluster.sampling import srs
+            rng = np.random.default_rng(3)
+            z = sbm.sample_memberships(np.full(3, 1 / 3), 4000, rng)
+            g = sbm.generate_adjacency(z, sbm.block_matrix(0.05, 0.3, 3), rng)
+            ids = srs(4000, spectral.SERIAL_EIG_MAX, rng)
+            m = spectral.gram(spectral.subsampled_laplacian(bi_adjacency(g, ids)))
+            for k in (3, None):
+                w, v = spectral.symmetric_eig(m, k)
+                print(hashlib.md5(w.tobytes() + v.tobytes()).hexdigest())
+        """
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        one, default = (
+            subprocess.run([sys.executable, "-c", code], env=run_env, check=True,
+                           capture_output=True, text=True).stdout
+            for run_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env))
+        assert len(one.split()) == 2
+        assert one == default
+
     def test_one_blas_thread_only_up_to_the_cut_off(self, monkeypatch):
         limits = []
         real = spectral.blas.threads
@@ -398,8 +439,8 @@ class TestSymmetryCheck:
         d = np.array([[0.0, 1.0, 0.0], [1.0 + 1e-10, 0.0, 2.0], [0.0, 2.0, 1.0]])
         m = sp.csr_matrix(d)
         out = spectral._symmetrized(m)
-        assert out is not m
-        assert np.array_equal(out.toarray(), (d + d.T) / 2)
+        assert type(out) is np.ndarray
+        assert out.tobytes() == ((d + d.T) / 2).tobytes()
         assert np.array_equal(m.toarray(), d)
 
     @pytest.mark.parametrize("d", [
@@ -411,6 +452,12 @@ class TestSymmetryCheck:
     def test_rejection_message(self, d, kind):
         m = np.array(d) if kind == "dense" else sp.csr_matrix(d).asformat(kind)
         with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            spectral._symmetrized(m)
+
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_non_square_rejected(self, kind):
+        m = np.ones((2, 3)) if kind == "dense" else sp.csr_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^input must be a square matrix$"):
             spectral._symmetrized(m)
 
     @pytest.mark.parametrize("data, indices, indptr", [
@@ -428,11 +475,9 @@ class TestSymmetryCheck:
         assert not m.has_canonical_format
         indices = m.indices.copy()
         out = spectral._symmetrized(m)
-        want = (m + m.T) * 0.5
-        assert out is not m
-        assert np.array_equal(out.indptr, want.indptr)
-        assert np.array_equal(out.indices, want.indices)
-        assert out.data.tobytes() == want.data.tobytes()
+        want = ((m + m.T) * 0.5).toarray()
+        assert type(out) is np.ndarray
+        assert out.tobytes() == want.tobytes()
         assert np.array_equal(m.indices, indices)
 
 
@@ -644,6 +689,10 @@ class TestSelectK:
 
 
 class TestSpectrumClipping:
+    def test_unsorted_values_rejected(self):
+        with pytest.raises(ValueError, match="^eigenvalues must be sorted descending$"):
+            spectral._clip_psd(np.array([1.0, 2.0]))
+
     def test_tiny_negatives_clipped(self):
         values = spectral._clip_psd(np.array([1.0, 1e-13, -1e-12]))
         assert np.all(values >= 0)
