@@ -220,9 +220,9 @@ def read_edge_list(path) -> np.ndarray:
                                     UserWarning)
             return np.loadtxt(path, dtype=np.int64, usecols=(0, 1),
                               comments="#", ndmin=2)
-    except ValueError:
+    except ValueError as exc:
         _raise_on_single_id_line(path)
-        raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _raise_on_single_id_line(path) -> None:

@@ -115,40 +115,16 @@ def gram(ls: SubsampledLaplacian) -> np.ndarray:
     return (ls.matrix.T @ ls.matrix).toarray()
 
 
-def _symmetrized(m) -> np.ndarray:
-    """``m`` checked symmetric within ``SYMMETRY_ATOL`` and symmetrized to
-    ``(m + m.T) / 2``, as a fresh dense float64 array (which
-    ``symmetric_eig`` may overwrite).
-
-    A sparse input is checked and symmetrized in sparse form and densified
-    once, at the end. ``full_embed``'s Lanczos route does not come here: a
-    ``FullLaplacian`` is exactly symmetric as built.
-    """
-    sparse = sp.issparse(m)
-    if sparse:
-        m = m.astype(np.float64, copy=False)
-    else:
-        m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("input must be a square matrix")
-    # One transpose in the input's own format serves the test and the sum.
-    mt = m.T.asformat(m.format) if sparse else m.T
-    # Written so that a NaN anywhere fails the check.
-    if not abs(m - mt).max() <= SYMMETRY_ATOL:
-        raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    sym = (m + mt) * 0.5
-    return sym.toarray() if sparse else sym
-
-
-def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, descending order.
+def symmetric_eig(m: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a square dense symmetric array, descending.
 
     Returns (eigenvalues, eigenvectors) with eigenvector columns matching
     the eigenvalue order; with ``k`` only the k largest pairs are computed.
     Values are returned unclipped so that reconstruction
-    M = V diag(w) V^T holds for indefinite inputs too. Every input goes
-    through ``_symmetrized`` (``ValueError`` past ``SYMMETRY_ATOL`` or on a
-    NaN), so the solve holds a single dense copy of it.
+    M = V diag(w) V^T holds for indefinite inputs too. ``m`` is solved as a
+    fresh ``(m + m.T) / 2``, so it is never written to. Past SYMMETRY_ATOL,
+    on a NaN or when not square it raises ValueError; a sparse matrix raises
+    TypeError, and must be densified with ``.toarray()`` first.
 
     LAPACK's subset solve can come back with fewer than k pairs, or fail,
     when the top eigenvalue has a high multiplicity (a 500 x 500 Gram
@@ -168,7 +144,15 @@ def symmetric_eig(m, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     the default differ, though 48 of 48 ``run_ssc`` labelings (n = 500 to
     1,100) agreed.
     """
-    sym = _symmetrized(m)
+    if sp.issparse(m):
+        raise TypeError("symmetric_eig takes a dense array; call .toarray() first")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("input must be a square matrix")
+    # Written so that a NaN anywhere fails the check.
+    if not abs(m - m.T).max() <= SYMMETRY_ATOL:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
+    sym = (m + m.T) * 0.5
     n = sym.shape[0]
     with blas.threads(1) if n <= SERIAL_EIG_MAX else contextlib.nullcontext():
         try:
@@ -275,7 +259,7 @@ def full_embed(lap: FullLaplacian, K: int | str) -> Embedding:
     if L.nnz == 0:
         raise DegenerateInputError("Laplacian is all zero; the graph has no edges")
     if k == N:
-        top_w, top_v = symmetric_eig(L, k)
+        top_w, top_v = symmetric_eig(L.toarray(), k)
     else:
         from scipy.sparse.linalg import eigsh
 

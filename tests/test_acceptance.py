@@ -259,7 +259,7 @@ def test_criterion_7_complexity_shape():
 
     rng = np.random.default_rng(derive_seed(0, "acc7full", 0, 0))
     t1 = time.perf_counter()
-    _, vectors = symmetric_eig(full_laplacian(graphs[4000]).matrix, K)
+    _, vectors = symmetric_eig(full_laplacian(graphs[4000]).matrix.toarray(), K)
     kmeans(vectors, K, rng=rng)
     t_full_4000 = time.perf_counter() - t1
     t_full_extrapolated = t_full_4000 * (8000 / 4000) ** 3

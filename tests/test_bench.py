@@ -507,12 +507,12 @@ class TestRunReal:
     def test_full_sc_hands_its_laplacian_to_arpack_unchecked(self, network,
                                                                monkeypatch):
         # full_laplacian's matrix is exactly symmetric as built, so K < N
-        # runs no symmetry check; the check stays for symmetric_eig.
+        # goes to ARPACK without symmetric_eig's symmetry check.
         g, z, path = network
         calls = []
-        check = spectral._symmetrized
-        monkeypatch.setattr(spectral, "_symmetrized",
-                            lambda m: calls.append(1) or check(m))
+        solve = spectral.symmetric_eig
+        monkeypatch.setattr(spectral, "symmetric_eig",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         bench.run_full_sc(g, 3, np.random.default_rng(0))
         assert calls == []
 
@@ -1009,6 +1009,8 @@ class TestCli:
         # A negative node count reaches the graph build's own check.
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--nodes", "-4",
                       "--n", "2", "--out", "{tmp}/r"], id="argv27"),
+        # A label that is no integer: the error names the file it is in.
+        pytest.param(["eval", "{tmp}/float.labels", "{tmp}/two.labels"], id="argv28"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
@@ -1019,11 +1021,15 @@ class TestCli:
         (tmp_path / "cycle.edges").write_text(CYCLE)
         (tmp_path / "three.labels").write_text("0 1\n1 2\n2 1\n")
         (tmp_path / "two.labels").write_text("0 1\n1 2\n")
-        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+        (tmp_path / "float.labels").write_text("0 1\n1 1.5\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        rc = cli.main(argv)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(("error: ", "config error: "))
+        if str(tmp_path / "float.labels") in argv:
+            assert f"error: {tmp_path / 'float.labels'}: " in err[0]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("n, stderr", [

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import os
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -276,7 +277,7 @@ class TestFiles:
     def test_non_integer_id_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1.5 2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'1.5'"):
             read_edge_list(path)
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
@@ -757,6 +758,23 @@ class TestSidecar:
         os.mkfifo(sidecar)
         assert_same_result(graph_from_file(edges), text_result(edges))
         assert sidecar.is_fifo()
+
+    def test_sidecar_path_that_cannot_be_statted_is_left_alone(self, edges):
+        # A symlink to itself: os.stat of the sidecar path raises ELOOP.
+        sidecar = Path(f"{edges}{SIDECAR}")
+        sidecar.symlink_to(sidecar)
+        assert_same_result(graph_from_file(edges), text_result(edges))
+        assert sidecar.is_symlink() and sidecar.readlink() == sidecar
+
+    def test_edges_unreadable_for_the_hash_get_no_sidecar(self, edges, monkeypatch):
+        def open_(file, mode="r", buffering=-1, **kwargs):
+            if buffering == 0:  # the hash's read
+                raise OSError(5, "Input/output error")
+            return open(file, mode, buffering, **kwargs)
+
+        monkeypatch.setattr(graph_module, "open", open_, raising=False)
+        assert_same_result(graph_from_file(edges), text_result(edges))
+        assert sorted(p.name for p in edges.parent.iterdir()) == ["net.edges"]
 
     @pytest.mark.parametrize("ext, n_nodes", [("sparse", None), ("dense", 14)])
     def test_sidecar_members_are_pinned(self, tmp_path, ext, n_nodes):

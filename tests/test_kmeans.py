@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sscluster.kmeans as kmeans_module
 from sscluster import bench, sbm, spectral
 from sscluster.graph import bi_adjacency, degrees
 from sscluster.kmeans import KMeansResult, _expansion, _nearest, kmeans, kmeans_1d
@@ -42,6 +43,23 @@ class TestKMeans:
         assert len(set(res.labels[6:])) == 1
         assert res.labels[0] != res.labels[6]
         assert res.wcss == pytest.approx(brute_force_wcss(points, 2), rel=1e-9)
+
+    def test_rising_objective_raises(self, monkeypatch):
+        # Push the centroids away from their clusters on the second pass:
+        # the third pass's assignment then costs more than the second's.
+        sums, passes = kmeans_module._cluster_sums, []
+
+        def pushed(points, labels, K):
+            counts, totals = sums(points, labels, K)
+            passes.append(1)
+            return counts, totals * (3.0 if len(passes) == 2 else 1.0)
+
+        monkeypatch.setattr(kmeans_module, "_cluster_sums", pushed)
+        rng = np.random.default_rng(0)
+        points = np.vstack([rng.normal(-5, 0.3, size=(6, 2)),
+                            rng.normal(5, 0.3, size=(6, 2))])
+        with pytest.raises(RuntimeError, match=r"^Lloyd objective increased: \S+ -> \S+$"):
+            kmeans(points, 2, restarts=1, rng=np.random.default_rng(1))
 
     def test_identical_points_single_cluster(self):
         points = np.ones((8, 3)) * 2.5

@@ -437,48 +437,32 @@ class TestSymmetryCheck:
 
     def test_asymmetry_within_tolerance_is_averaged(self):
         d = np.array([[0.0, 1.0, 0.0], [1.0 + 1e-10, 0.0, 2.0], [0.0, 2.0, 1.0]])
-        m = sp.csr_matrix(d)
-        out = spectral._symmetrized(m)
-        assert type(out) is np.ndarray
-        assert out.tobytes() == ((d + d.T) / 2).tobytes()
-        assert np.array_equal(m.toarray(), d)
+        w, v = symmetric_eig(d)
+        want_w, want_v = symmetric_eig((d + d.T) / 2)
+        assert w.tobytes() == want_w.tobytes()
+        assert v.tobytes() == want_v.tobytes()
 
     @pytest.mark.parametrize("d", [
         [[0.0, 1.0], [1.0 + 2e-8, 0.0]],     # past the tolerance
         [[0.0, 1.0], [1.0, np.nan]],         # NaN on the diagonal
         [[0.0, np.nan], [np.nan, 0.0]],      # NaN in a symmetric pair
     ])
-    @pytest.mark.parametrize("kind", ["csr", "csc", "dense"])
+    # "list" hands over the nested list itself, which np.asarray takes too.
+    @pytest.mark.parametrize("kind", ["dense", "list"])
     def test_rejection_message(self, d, kind):
-        m = np.array(d) if kind == "dense" else sp.csr_matrix(d).asformat(kind)
+        m = np.array(d) if kind == "dense" else d
         with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
-            spectral._symmetrized(m)
+            symmetric_eig(m)
 
-    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    @pytest.mark.parametrize("kind", ["dense", "list"])
     def test_non_square_rejected(self, kind):
-        m = np.ones((2, 3)) if kind == "dense" else sp.csr_matrix(np.ones((2, 3)))
+        m = np.ones((2, 3)) if kind == "dense" else [[1.0, 1.0, 1.0]] * 2
         with pytest.raises(ValueError, match="^input must be a square matrix$"):
-            spectral._symmetrized(m)
+            symmetric_eig(m)
 
-    @pytest.mark.parametrize("data, indices, indptr", [
-        # Duplicates in row 0 and unsorted indices in row 1; symmetric
-        # once the duplicates are summed.
-        ([0.25, 0.25, 0.3, 0.5, 0.3], [1, 1, 2, 0, 1], [0, 2, 4, 5]),
-        # Duplicates mirrored entry by entry: the stored arrays equal
-        # those of the transpose.
-        ([0.25, 0.5, 0.25, 0.5], [1, 1, 0, 0], [0, 2, 4]),
-    ])
-    def test_non_canonical_csr_is_symmetrized_as_before(self, data, indices, indptr):
-        n = len(indptr) - 1
-        m = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)),
-                          shape=(n, n))
-        assert not m.has_canonical_format
-        indices = m.indices.copy()
-        out = spectral._symmetrized(m)
-        want = ((m + m.T) * 0.5).toarray()
-        assert type(out) is np.ndarray
-        assert out.tobytes() == want.tobytes()
-        assert np.array_equal(m.indices, indices)
+    def test_sparse_input_rejected(self):
+        with pytest.raises(TypeError, match=re.escape(".toarray()")):
+            symmetric_eig(sp.eye(3, format="csr"))
 
 
 def components_graph():

@@ -8,6 +8,7 @@ layer metric reading 0. These tests load the harness without running it.
 """
 
 import importlib.util
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,22 @@ def test_every_trace_target_exists(perfbench_run):
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_every_workload_command_line_parses(perfbench_run, tmp_path):
+    # run.py calls cli.main with fixed flags; a flag renamed or removed
+    # here would only show up as every operation of a workload failing.
+    from sscluster import cli
+
+    for name in perfbench_run.WORKLOADS:
+        runner = perfbench_run.Runner(name, 7, tmp_path)
+        for argv in (runner.setup_argv(), runner.op_argv()):
+            if not argv:
+                continue  # a sweep has no set-up command
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name} command does not parse: sscluster {shlex.join(argv)}")
 
 
 def test_traced_dcs_records_one_kmeans_1d_span(perfbench_run):
