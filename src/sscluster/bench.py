@@ -67,8 +67,8 @@ COLUMNS = [
 ]
 TIMING_COLUMNS = [col for col in COLUMNS if col.startswith("t_")]
 
-# Largest N at which run_real adds the full-SC comparison by default and
-# scenario sweeps add full rows (larger cells are marked skipped).
+# Largest N at which run_real adds the full-SC comparison and the s1 sweep
+# runs its full rows (larger cells are marked skipped).
 FULL_BASELINE_MAX_N = 5000
 
 # Degree-partition count of dcs sampling when run_real picks K by eigengap,
@@ -114,7 +114,6 @@ class ScenarioConfig:
     out: str = "bench.csv"
     jobs: int = 1
     methods: tuple[str, ...] = ("srs", "dcs")
-    full_sc: bool = False               # add full-SC baseline rows (1 per cell)
 
 
 @dataclass(frozen=True)
@@ -190,12 +189,14 @@ def _trial_row(times: dict, **fields) -> dict:
 
 
 def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
-               methods: tuple[str, ...], with_full: bool) -> list[dict]:
+               methods: tuple[str, ...]) -> list[dict]:
     """Run one seeded replication of a scenario cell.
 
-    Draws labels and a graph, then evaluates each subsampling method (and
-    optionally the full-SC baseline) against the planted communities.
-    Returns one TRIAL row per method, in the order srs/dcs, then full.
+    Draws labels and a graph, then evaluates each subsampling method
+    against the planted communities. The consistency sweep (s1) also
+    compares with full spectral clustering: its trial 0 adds the one
+    full-SC baseline row of the cell. Returns one TRIAL row per method, in
+    the order srs/dcs, then full.
     """
     rng = np.random.default_rng(seed)
     z = sbm.sample_memberships(cell.pi, cell.N, rng)
@@ -223,7 +224,7 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
             times, **base, method=method, status=status, covered=int(covered),
             rate=metrics.misclustered_rate(labels, z, K)))
 
-    if with_full:
+    if scenario == "s1" and trial == 0:
         times, status, rate = {}, "skipped", None
         if cell.N <= FULL_BASELINE_MAX_N:
             try:
@@ -246,9 +247,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
     for cell in cells:
         for t in range(cfg.trials):
             seed = derive_seed(cfg.master_seed, cfg.scenario, cell.index, t)
-            with_full = cfg.full_sc and t == 0
-            tasks.append((cfg.scenario, cell, t, seed, cfg.K, cfg.methods,
-                          with_full))
+            tasks.append((cfg.scenario, cell, t, seed, cfg.K, cfg.methods))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -273,11 +272,6 @@ SWEEPS = {
     "s4": {"N": 2000, "n": 100, "beta": 0.1, "zeta": 0.05,
            "delta_grid": (0.0, 0.1, 0.2, 0.3)},
 }
-
-
-def default_config(scenario: str) -> ScenarioConfig:
-    """Desk-scale defaults: s1 adds the full-SC baseline rows."""
-    return ScenarioConfig(scenario=scenario, full_sc=scenario == "s1")
 
 
 def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:

@@ -42,16 +42,6 @@ def _grid(parse):
     return parse_grid
 
 
-_BOOLS = {"1": True, "true": True, "yes": True,
-          "0": False, "false": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError(f"must be one of 1/0/true/false/yes/no, got {text!r}")
-    return _BOOLS[text.lower()]
-
-
 def _parse_methods(text: str) -> tuple[str, ...]:
     return ("srs", "dcs") if text == "both" else (text,)
 
@@ -70,7 +60,6 @@ _BENCH_KEYS = {
     "beta_grid": ("beta_grid", _grid(float)),
     "zeta_grid": ("zeta_grid", _grid(float)),
     "delta_grid": ("delta_grid", _grid(float)),
-    "full_sc": ("full_sc", _parse_bool),
 }
 
 # The bench keys that are also flags, with their help; a flag overrides the
@@ -147,7 +136,7 @@ def cmd_cluster(args) -> int:
 
     if args.k == "auto":
         k = "auto"
-    elif args.k.isdigit():
+    elif args.k.isdecimal():
         k = int(args.k)
     else:
         raise ValueError(f"--k must be an integer or 'auto', got {args.k!r}")
@@ -185,8 +174,7 @@ def _bench_config(args):
     config file, then the flags."""
     from . import bench
 
-    cfg = bench.default_config(args.scenario)
-    cfg.out = f"bench_{args.scenario}.csv"
+    cfg = bench.ScenarioConfig(scenario=args.scenario, out=f"bench_{args.scenario}.csv")
     settings = list(bench.read_config_file(args.config).items()) if args.config else []
     settings += [(key, getattr(args, key)) for key in _BENCH_FLAGS
                  if getattr(args, key) is not None]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import stat
 import tempfile
 import warnings
@@ -200,12 +201,16 @@ def bi_adjacency(g: SparseGraph, sample) -> BiAdjacency:
 #
 # Format: one edge per line, two whitespace-separated int64 ids; further
 # columns are ignored. '#' starts a comment, to the end of the line, and
-# blank lines are ignored. A line with a single id is an error. Relabel map
-# files carry "external_id internal_id" per line.
+# blank lines are ignored. A line with a single id, or with an id that is
+# no int64, is an error that names the file line ("path:LINE: ..."). Relabel
+# map files carry "external_id internal_id" per line.
 # ---------------------------------------------------------------------------
 
 # Rows formatted per write call in write_int_rows.
 _WRITE_CHUNK_ROWS = 1 << 16
+# An id as loadtxt reads it into an int64: a sign, then ASCII digits.
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -221,18 +226,26 @@ def read_edge_list(path) -> np.ndarray:
             return np.loadtxt(path, dtype=np.int64, usecols=(0, 1),
                               comments="#", ndmin=2)
     except ValueError as exc:
-        _raise_on_single_id_line(path)
+        _raise_on_bad_line(path)
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _raise_on_single_id_line(path) -> None:
-    # loadtxt reports a one-field line by column index only; name the line.
-    with open(path) as fh:
+def _raise_on_bad_line(path) -> None:
+    # loadtxt counts rows over data lines only, from 0 or from 1 by the
+    # kind of error; rescan the file to name the first bad line instead. A
+    # byte that is no UTF-8 reads as U+FFFD, so its id is reported as bad.
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
-            if len(line.split("#", 1)[0].split()) == 1:
+            fields = line.split("#", 1)[0].split()
+            if len(fields) == 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected two ids, got {line.strip()!r}"
                 ) from None
+            for field in fields[:2]:
+                if not (_INT_FIELD.fullmatch(field)
+                        and _INT64.min <= int(field) <= _INT64.max):
+                    raise ValueError(f"{path}:{lineno}: could not convert "
+                                     f"string {field!r} to int64") from None
 
 
 def write_int_rows(path, *columns) -> None:

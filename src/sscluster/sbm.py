@@ -66,7 +66,7 @@ def community_probs(pi, K: int) -> tuple[float, ...]:
         return (1.0 / K,) * K
     if len(pi) != K:
         raise ValueError(f"pi must have K={K} entries, got {len(pi)}")
-    if any(p < 0 for p in pi) or abs(sum(pi) - 1.0) > 1e-9:
+    if not (all(p >= 0 for p in pi) and abs(sum(pi) - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("pi entries must be >= 0 and sum to 1")
     return tuple(pi)
 
@@ -76,7 +76,7 @@ def sample_memberships(pi, N: int, rng: np.random.Generator) -> np.ndarray:
     pi = np.asarray(pi, dtype=np.float64)
     if pi.ndim != 1 or pi.size < 1:
         raise ValueError("pi must be a 1-d probability vector")
-    if pi.min() < 0 or abs(pi.sum() - 1.0) > 1e-9:
+    if not (pi.min() >= 0 and abs(pi.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("pi entries must be >= 0 and sum to 1 (tol 1e-9)")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")

@@ -201,8 +201,7 @@ def embed(ls: SubsampledLaplacian, K: int | str) -> Embedding:
 
     cutoff = RANK_TOL * top[0] if top[0] > 0 else 0.0
     keep = top > cutoff
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, top, 1.0)), 0.0)
     u = ls.matrix @ (vk * inv_sqrt[None, :])
     return Embedding(matrix=u, eigenvalues=top, rank=int(keep.sum()),
                      n_zero_rows=ls.n_zero_rows)

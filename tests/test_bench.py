@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_cfg(scenario, out, **kw):
-    cfg = bench.default_config(scenario)
+    cfg = bench.ScenarioConfig(scenario=scenario)
     if "N" in bench.SWEEPS[scenario]:
         cfg.N = 60
     if "n" in bench.SWEEPS[scenario]:
@@ -75,7 +75,7 @@ class TestSubsampleSizeRule:
 
 class TestScenario1:
     def test_record_counts(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=True)
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80))
         records = bench.run_scenario(cfg)
         trial_srs_dcs = [r for r in records if r["method"] in ("srs", "dcs")]
         assert len(trial_srs_dcs) == 2 * 2 * 2  # cells x trials x methods
@@ -83,21 +83,20 @@ class TestScenario1:
         assert len(full_rows) == 2  # one baseline per cell
 
     def test_n_follows_rule(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80), full_sc=False)
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80))
         records = bench.run_scenario(cfg)
         for r in records:
             assert r["n"] == bench.subsample_size_rule(r["N"])
 
     def test_single_point_grid_valid(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80,), full_sc=False)
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80,))
         records = bench.run_scenario(cfg)
         assert {r["N"] for r in records} == {80}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_keep_the_order_they_are_made_in(self, tmp_path, jobs):
         out = tmp_path / "s1.csv"
-        bench.run_scenario(tiny_cfg("s1", out, N_grid=(60, 80), full_sc=True,
-                                    jobs=jobs))
+        bench.run_scenario(tiny_cfg("s1", out, N_grid=(60, 80), jobs=jobs))
         rows = bench.read_records_csv(out)
         assert [(r["cell"], r["method"]) for r in rows if r["row_type"] == "AGG"] == [
             (cell, method) for cell in ("0", "1") for method in ("srs", "dcs", "full")]
@@ -145,6 +144,7 @@ class TestScenario2:
         cfg = tiny_cfg("s2", out, n_grid=(8, 16))
         records = bench.run_scenario(cfg)
         assert len(records) == 2 * 2 * 2  # cells x trials x methods
+        assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         assert sorted({r["n"] for r in records}) == [8, 16]
         rows = bench.read_records_csv(out)
         assert "trend" in rows[0]
@@ -169,6 +169,7 @@ class TestScenario3:
         out = tmp_path / "s3.csv"
         cfg = tiny_cfg("s3", out, beta_grid=(0.3, 0.6), zeta_grid=(0.05, 0.5))
         records = bench.run_scenario(cfg)
+        assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         aggs = bench.aggregate(records)
         assert len(aggs) == 2 * 2 * 2  # beta x zeta x method
         cells = {(a["beta"], a["zeta"]) for a in aggs}
@@ -195,7 +196,7 @@ class TestScenario3:
     def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
         cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
                            pi=(1 / 3, 1 / 3, 1 / 3))
-        records = bench._sbm_trial("s3", cell, 0, 11, 3, ("srs", "dcs"), False)
+        records = bench._sbm_trial("s3", cell, 0, 11, 3, ("srs", "dcs"))
         # Replay the draws: a degenerate trial runs no k-means, so the
         # generator state after the first sample is the state dcs sees.
         rng = np.random.default_rng(11)
@@ -213,6 +214,7 @@ class TestScenario4:
     def test_delta_grid_echo(self, tmp_path):
         cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.0, 0.2))
         records = bench.run_scenario(cfg)
+        assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         assert sorted({r["delta"] for r in records}) == [0.0, 0.2]
         balanced = [r for r in records if r["delta"] == 0.0]
         assert balanced  # delta = 0 reduces to the balanced setting
@@ -321,16 +323,15 @@ def test_full_scale_config_files(tmp_path, monkeypatch, scenario, n_cells):
     out = str(tmp_path / f"{scenario}.csv")
     cfg = cli._bench_config(cli.build_parser().parse_args(
         ["bench", scenario, "--config", str(path), "--out", out]))
-    assert cfg == dataclasses.replace(bench.default_config(scenario), out=out,
-                                      **FULL_SCALE[scenario])
+    assert cfg == bench.ScenarioConfig(scenario=scenario, out=out,
+                                       **FULL_SCALE[scenario])
     # The settings pass run_scenario's checks; no trial runs.
     swept = []
     monkeypatch.setattr(bench, "_run_sweep",
                         lambda cfg, cells: swept.append((cfg, cells)) or [])
     assert bench.run_scenario(cfg) == []
-    (run_cfg, cells), = swept
+    (_, cells), = swept
     assert len(cells) == n_cells
-    assert run_cfg.full_sc == (scenario == "s1")
 
 
 class TestCsvContract:
@@ -711,6 +712,20 @@ class TestConfigFile:
 # clusters empty.
 CYCLE = "0 1\n1 2\n2 3\n3 0\n"
 
+# The whole error line of the test_bad_input_is_one_error_line cases that
+# pin one ({tmp}: the test's directory).
+EXACT_ERRORS = {
+    "argv4": "config error: unknown key 'full_sc'",
+    "argv28": "error: {tmp}/float.labels:2: could not convert string '1.5' to int64",
+    "argv29": "error: {tmp}/float.edges:4: could not convert string '2.5' to int64",
+    "argv30": "error: {tmp}/big.edges:5: could not convert string "
+              "'99999999999999999999' to int64",
+    "argv31": "error: {tmp}/x.labels:4: could not convert string 'x' to int64",
+    "argv32": "error: --k must be an integer or 'auto', got '²'",
+    "argv33": "error: pi entries must be >= 0 and sum to 1",
+    "argv34": "config error: pi entries must be >= 0 and sum to 1",
+}
+
 
 class TestCli:
     def test_generate_cluster_eval_round_trip(self, tmp_path, capsys):
@@ -864,20 +879,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: methods must be srs/dcs")
 
-    @pytest.mark.parametrize("value, expected", [
-        ("1", True), ("Yes", True), ("FALSE", False), ("no", False),
-    ])
-    def test_bench_full_sc_in_config_any_case(self, tmp_path, monkeypatch,
-                                              value, expected):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text(f"full_sc = {value}\n")
-        seen = []
-        monkeypatch.setattr(bench, "run_scenario",
-                            lambda cfg: seen.append(cfg.full_sc) or [])
-        rc = cli.main(["bench", "s1", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "s1.csv")])
-        assert rc == 0 and seen == [expected]
-
     def test_bench_config_out_honoured_and_flag_overrides(self, tmp_path,
                                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1009,12 +1010,24 @@ class TestCli:
         # A negative node count reaches the graph build's own check.
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--nodes", "-4",
                       "--n", "2", "--out", "{tmp}/r"], id="argv27"),
-        # A label that is no integer: the error names the file it is in.
+        # A label that is no integer: the error names its file and line.
         pytest.param(["eval", "{tmp}/float.labels", "{tmp}/two.labels"], id="argv28"),
+        # A bad id names its file line, counting comment and blank lines.
+        pytest.param(["cluster", "--edges", "{tmp}/float.edges", "--n", "2"], id="argv29"),
+        pytest.param(["cluster", "--edges", "{tmp}/big.edges", "--n", "2"], id="argv30"),
+        pytest.param(["eval", "{tmp}/two.labels", "{tmp}/x.labels"], id="argv31"),
+        # A superscript digit is no decimal integer.
+        pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--k", "²",
+                      "--n", "5"], id="argv32"),
+        pytest.param(["generate", "--nodes", "10", "--k", "3", "--pi", "nan,nan,nan",
+                      "--out", "{tmp}/g.edges"], id="argv33"),
+        pytest.param(["bench", "s1", "--pi", "nan nan nan", "--out", "{tmp}/x.csv"],
+                     id="argv34"),
     ])
-    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv):
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, request, no_trial,
+                                         argv):
         (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
-        (tmp_path / "bad_full_sc.cfg").write_text("full_sc = ture\n")
+        (tmp_path / "bad_full_sc.cfg").write_text("full_sc = 1\n")
         (tmp_path / "empty_out.cfg").write_text("out =\n")
         (tmp_path / "unknown_key.cfg").write_text("colour = red\n")
         (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
@@ -1022,14 +1035,17 @@ class TestCli:
         (tmp_path / "three.labels").write_text("0 1\n1 2\n2 1\n")
         (tmp_path / "two.labels").write_text("0 1\n1 2\n")
         (tmp_path / "float.labels").write_text("0 1\n1 1.5\n")
+        (tmp_path / "float.edges").write_text("# c\n\n0 1\n1 2.5\n")
+        (tmp_path / "big.edges").write_text("# c\n\n0 1\n1 2\n99999999999999999999 3\n")
+        (tmp_path / "x.labels").write_text("# labels\n\n0 1\n1 x\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         rc = cli.main(argv)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(("error: ", "config error: "))
-        if str(tmp_path / "float.labels") in argv:
-            assert f"error: {tmp_path / 'float.labels'}: " in err[0]
+        if request.node.callspec.id in EXACT_ERRORS:
+            assert err == [EXACT_ERRORS[request.node.callspec.id].format(tmp=tmp_path)]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("n, stderr", [

@@ -1,7 +1,6 @@
 import hashlib
 import logging
 import os
-import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -277,8 +276,9 @@ class TestFiles:
     def test_non_integer_id_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1.5 2\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'1.5'"):
+        with pytest.raises(ValueError) as info:
             read_edge_list(path)
+        assert str(info.value) == f"{path}:2: could not convert string '1.5' to int64"
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
     def test_empty_file_is_silent(self, tmp_path, text):

@@ -80,6 +80,19 @@ def test_traced_dcs_records_one_kmeans_1d_span(perfbench_run):
     assert names.count("sampling.dcs") == 1
 
 
+def test_sweep_check_passes_on_a_bench_s4_csv(perfbench_run, tmp_path):
+    # The sweep check counts every TRIAL row, so a full-SC row in an s4
+    # CSV would mark every sweep_s4 operation incorrect.
+    import checks  # importable once the fixture has loaded the harness
+
+    from sscluster import bench, cli
+
+    out = tmp_path / "s4.csv"
+    assert cli.main(["bench", "s4", "--trials", "1", "--out", str(out)]) == 0
+    checks.check_sweep_output(str(out), 4 * 1 * 2, bench)
+    assert all(r["method"] != "full" for r in bench.read_records_csv(out))
+
+
 def test_traced_cluster_reaches_every_wrapped_layer(perfbench_run, tmp_path, capsys):
     # A call that routes around a wrapped name records no span, and the
     # per-layer metric of that layer reads 0. N <= FULL_BASELINE_MAX_N, so
