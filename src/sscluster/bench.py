@@ -14,14 +14,15 @@ with ``read_records_csv``. Rows, TRIAL, AGG and TREND alike, are dicts
 keyed by ``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
-strength, and community imbalance. ``SWEEPS`` states each scenario's
-swept axes (its ``*_grid`` settings); its cells are the product of the
-axes N, n, beta, zeta and delta, each a grid or a single value, and its
-TREND rows follow its one swept axis (s3 sweeps two and has none). Every
-cell passes the model's own checks before any trial runs. Every trial is
-driven by a seed derived from (master seed, scenario, cell index, trial
-index), so identical configurations reproduce the CSV byte for byte
-except for the timing columns.
+strength, and community imbalance. ``SWEEPS`` states the axes each
+scenario reads, with its defaults. Each axis (N, n, beta, zeta, delta)
+holds one value or several; a sweep's cells are their product, in that
+order, and its TREND rows follow the one axis that holds several values
+(none when no axis or several do). Every cell passes the model's own
+checks before any trial runs. Every trial is driven by a seed derived from
+(master seed, scenario, cell index, trial index), so identical
+configurations reproduce the CSV byte for byte except for the timing
+columns.
 
 CSV schema (version header "# sscluster bench csv v1"):
     row_type   TRIAL | AGG | TREND
@@ -91,24 +92,20 @@ def subsample_size_rule(N: int) -> int:
 class ScenarioConfig:
     """Parameters for one scenario sweep.
 
-    The sweep settings (N through delta_grid) stay None unless given:
+    The sweep settings (N through pi) stay None unless given:
     ``run_scenario`` fills in the scenario's desk defaults from ``SWEEPS``
-    and rejects a setting the scenario does not read. The full-size
-    settings (N up to 30,000, T=100) go through the same fields.
+    and rejects a setting the scenario does not read. Each axis, N through
+    delta, is a tuple of one value or several.
     """
 
     scenario: str                       # s1 | s2 | s3 | s4
     K: int = 3
-    N: int | None = None
-    n: int | None = None
-    beta: float | None = None
-    zeta: float | None = None
+    N: tuple[int, ...] | None = None
+    n: tuple[int, ...] | None = None
+    beta: tuple[float, ...] | None = None
+    zeta: tuple[float, ...] | None = None
+    delta: tuple[float, ...] | None = None
     pi: tuple[float, ...] | None = None
-    N_grid: tuple[int, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
-    beta_grid: tuple[float, ...] | None = None
-    zeta_grid: tuple[float, ...] | None = None
-    delta_grid: tuple[float, ...] | None = None
     trials: int = 20
     master_seed: int = 0
     out: str = "bench.csv"
@@ -262,34 +259,33 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 # The sweep settings each scenario reads, with their desk defaults (pi None:
-# uniform over the K communities). Every other sweep setting is rejected.
+# uniform over the K communities); every other one is rejected. s1 leaves n
+# to subsample_size_rule, and s4 derives pi from delta.
 SWEEPS = {
-    "s1": {"N_grid": (1000, 2000, 4000), "beta": 0.1, "zeta": 0.05, "pi": None},
-    "s2": {"N": 2000, "n_grid": (100, 300, 500, 700, 900, 1100),
-           "beta": 0.03, "zeta": 0.05, "pi": None},
-    "s3": {"N": 2000, "n": 100, "beta_grid": (0.05, 0.35, 0.65, 0.95),
-           "zeta_grid": (0.05, 0.35, 0.65, 0.95), "pi": None},
-    "s4": {"N": 2000, "n": 100, "beta": 0.1, "zeta": 0.05,
-           "delta_grid": (0.0, 0.1, 0.2, 0.3)},
+    "s1": {"N": (1000, 2000, 4000), "beta": (0.1,), "zeta": (0.05,), "pi": None},
+    "s2": {"N": (2000,), "n": (100, 300, 500, 700, 900, 1100),
+           "beta": (0.03,), "zeta": (0.05,), "pi": None},
+    "s3": {"N": (2000,), "n": (100,), "beta": (0.05, 0.35, 0.65, 0.95),
+           "zeta": (0.05, 0.35, 0.65, 0.95), "pi": None},
+    "s4": {"N": (2000,), "n": (100,), "beta": (0.1,), "zeta": (0.05,),
+           "delta": (0.0, 0.1, 0.2, 0.3)},
 }
 
 
 def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
     """The product of the sweep's axes N, n, beta, zeta and delta, in that
-    order (delta varies fastest), each the scenario's grid when set, else
-    its single value (delta 0). An unset n follows ``subsample_size_rule``
-    (s1), and a delta grid sets pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
-    if cfg.N_grid is not None and list(cfg.N_grid) != sorted(cfg.N_grid):
-        raise ValueError("N grid must be ascending")
-    if cfg.delta_grid is not None and cfg.K != 3:
+    order (delta varies fastest). An unset n follows ``subsample_size_rule``
+    (s1), an unset delta is 0, and a set delta makes
+    pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
+    if list(cfg.N) != sorted(cfg.N):
+        raise ValueError("nodes must be ascending")
+    if cfg.delta is not None and cfg.K != 3:
         raise ValueError("the imbalance sweep is defined for K = 3")
-    grids = (cfg.N_grid, cfg.n_grid, cfg.beta_grid, cfg.zeta_grid, cfg.delta_grid)
-    values = (cfg.N, cfg.n, cfg.beta, cfg.zeta, 0.0)
-    axes = [grid if grid is not None else (value,)
-            for grid, value in zip(grids, values)]
+    axes = (cfg.N, (None,) if cfg.n is None else cfg.n, cfg.beta, cfg.zeta,
+            (0.0,) if cfg.delta is None else cfg.delta)
     return [_Cell(index=i, N=N, n=subsample_size_rule(N) if n is None else n,
                   beta=beta, zeta=zeta, delta=delta,
-                  pi=cfg.pi if cfg.delta_grid is None
+                  pi=cfg.pi if cfg.delta is None
                   else (1 / 3 - delta, 1 / 3, 1 / 3 + delta))
             for i, (N, n, beta, zeta, delta) in enumerate(itertools.product(*axes))]
 
@@ -325,10 +321,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     cells = _sweep_cells(cfg)
     _check_cells(cells, cfg)
     rows = _run_sweep(cfg, cells)
-    # TREND rows follow the one axis a scenario sweeps; s3 sweeps two.
-    swept = [key.removesuffix("_grid") for key in reads if key.endswith("_grid")]
-    trend_axis = swept[0] if len(swept) == 1 else None
-    write_records_csv(rows, cfg.out, trend_axis=trend_axis)
+    # TREND rows follow the one axis that holds several values.
+    varied = [axis for axis in ("N", "n", "beta", "zeta", "delta")
+              if len(getattr(cfg, axis) or ()) > 1]
+    write_records_csv(rows, cfg.out,
+                      trend_axis=varied[0] if len(varied) == 1 else None)
     return rows
 
 
@@ -504,21 +501,3 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
             if ext_ids is not None:
                 graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
     return summary
-
-
-# ---------------------------------------------------------------------------
-# Config files: plain "key = value" lines, '#' comments. Flags override.
-# ---------------------------------------------------------------------------
-
-def read_config_file(path) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out

@@ -43,6 +43,8 @@ def _grid(parse):
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
+    if text not in ("srs", "dcs", "both"):
+        raise ValueError(f"must be srs, dcs or both, got {text!r}")
     return ("srs", "dcs") if text == "both" else (text,)
 
 
@@ -52,22 +54,19 @@ _SCENARIOS = ("s1", "s2", "s3", "s4")
 
 # bench settings: config-file key -> (ScenarioConfig field, value parser).
 _BENCH_KEYS = {
-    "nodes": ("N", int), "n": ("n", int), "k": ("K", int),
-    "beta": ("beta", float), "zeta": ("zeta", float), "pi": ("pi", _parse_pi),
+    "nodes": ("N", _grid(int)), "n": ("n", _grid(int)), "k": ("K", int),
+    "beta": ("beta", _grid(float)), "zeta": ("zeta", _grid(float)),
+    "delta": ("delta", _grid(float)), "pi": ("pi", _parse_pi),
     "trials": ("trials", int), "jobs": ("jobs", int), "seed": ("master_seed", int),
     "out": ("out", str), "method": ("methods", _parse_methods),
-    "N_grid": ("N_grid", _grid(int)), "n_grid": ("n_grid", _grid(int)),
-    "beta_grid": ("beta_grid", _grid(float)),
-    "zeta_grid": ("zeta_grid", _grid(float)),
-    "delta_grid": ("delta_grid", _grid(float)),
 }
 
 # The bench keys that are also flags, with their help; a flag overrides the
 # config file.
 _BENCH_FLAGS = {
     "seed": "master seed", "out": "output path", "trials": None, "jobs": None,
-    "method": "srs, dcs or both", "n": "fixed subsample size",
-    "nodes": "fixed network size", "k": None, "beta": None, "zeta": None,
+    "method": "srs, dcs or both", "n": "subsample size, one value or a list",
+    "nodes": "network size, one value or a list", "k": None, "beta": None, "zeta": None,
     "pi": "community probabilities, e.g. '0.3,0.3,0.4'",
 }
 
@@ -169,13 +168,28 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def read_config_file(path) -> dict[str, str]:
+    """The "key = value" lines of a bench config file, values as text."""
+    out = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            out[key.strip()] = value.strip()
+    return out
+
+
 def _bench_config(args):
     """The scenario's ``bench.ScenarioConfig``: its defaults, then the
     config file, then the flags."""
     from . import bench
 
     cfg = bench.ScenarioConfig(scenario=args.scenario, out=f"bench_{args.scenario}.csv")
-    settings = list(bench.read_config_file(args.config).items()) if args.config else []
+    settings = list(read_config_file(args.config).items()) if args.config else []
     settings += [(key, getattr(args, key)) for key in _BENCH_FLAGS
                  if getattr(args, key) is not None]
     for key, text in settings:

@@ -230,10 +230,11 @@ def read_edge_list(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _raise_on_bad_line(path) -> None:
+def _raise_on_bad_line(path, n_nodes: int | None = None) -> None:
     # loadtxt counts rows over data lines only, from 0 or from 1 by the
     # kind of error; rescan the file to name the first bad line instead. A
-    # byte that is no UTF-8 reads as U+FFFD, so its id is reported as bad.
+    # byte that is no UTF-8 reads as U+FFFD, so its id is reported as bad,
+    # and so is an id outside [0, n_nodes) when n_nodes is given.
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             fields = line.split("#", 1)[0].split()
@@ -246,6 +247,9 @@ def _raise_on_bad_line(path) -> None:
                         and _INT64.min <= int(field) <= _INT64.max):
                     raise ValueError(f"{path}:{lineno}: could not convert "
                                      f"string {field!r} to int64") from None
+                if n_nodes is not None and not 0 <= int(field) < n_nodes:
+                    raise ValueError(f"{path}:{lineno}: node id {int(field)} "
+                                     f"is outside [0, {n_nodes})")
 
 
 def write_int_rows(path, *columns) -> None:
@@ -350,6 +354,8 @@ def _parse_graph(path, n_nodes: int | None) -> tuple[SparseGraph, np.ndarray | N
     if pairs.size == 0 and n_nodes is None:
         raise ValueError(f"{path}: no edges found")
     if n_nodes is not None:
+        if 0 <= n_nodes and pairs.size and (pairs.min() < 0 or pairs.max() >= n_nodes):
+            _raise_on_bad_line(path, n_nodes)
         return from_edge_list(pairs, n_nodes), None
     lo, hi = pairs.min(), pairs.max()
     # Ids are dense when every value in 0..hi occurs; that needs hi < size.

@@ -32,11 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_cfg(scenario, out, **kw):
-    cfg = bench.ScenarioConfig(scenario=scenario)
-    if "N" in bench.SWEEPS[scenario]:
-        cfg.N = 60
+    cfg = bench.ScenarioConfig(scenario=scenario, N=(60,))
     if "n" in bench.SWEEPS[scenario]:
-        cfg.n = 10
+        cfg.n = (10,)
     cfg.trials = 2
     cfg.out = str(out)
     for k, v in kw.items():
@@ -50,6 +48,15 @@ def no_trial(monkeypatch):
     def trial(*args):
         raise AssertionError("a trial ran")
     monkeypatch.setattr(bench, "_sbm_trial", trial)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The (config, cells) of each sweep, which runs no trial."""
+    calls = []
+    monkeypatch.setattr(bench, "_run_sweep",
+                        lambda cfg, cells: calls.append((cfg, cells)) or [])
+    return calls
 
 
 class TestSeedDerivation:
@@ -75,7 +82,7 @@ class TestSubsampleSizeRule:
 
 class TestScenario1:
     def test_record_counts(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80))
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N=(60, 80))
         records = bench.run_scenario(cfg)
         trial_srs_dcs = [r for r in records if r["method"] in ("srs", "dcs")]
         assert len(trial_srs_dcs) == 2 * 2 * 2  # cells x trials x methods
@@ -83,20 +90,20 @@ class TestScenario1:
         assert len(full_rows) == 2  # one baseline per cell
 
     def test_n_follows_rule(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(60, 80))
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N=(60, 80))
         records = bench.run_scenario(cfg)
         for r in records:
             assert r["n"] == bench.subsample_size_rule(r["N"])
 
     def test_single_point_grid_valid(self, tmp_path):
-        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N_grid=(80,))
+        cfg = tiny_cfg("s1", tmp_path / "s1.csv", N=(80,))
         records = bench.run_scenario(cfg)
         assert {r["N"] for r in records} == {80}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_keep_the_order_they_are_made_in(self, tmp_path, jobs):
         out = tmp_path / "s1.csv"
-        bench.run_scenario(tiny_cfg("s1", out, N_grid=(60, 80), jobs=jobs))
+        bench.run_scenario(tiny_cfg("s1", out, N=(60, 80), jobs=jobs))
         rows = bench.read_records_csv(out)
         assert [(r["cell"], r["method"]) for r in rows if r["row_type"] == "AGG"] == [
             (cell, method) for cell in ("0", "1") for method in ("srs", "dcs", "full")]
@@ -107,7 +114,7 @@ class TestScenario1:
                                                                  capsys):
         # beta = 0 draws no edges: every row is degenerate, none a traceback.
         cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("N_grid = 60 90\ntrials = 1\n")
+        cfgfile.write_text("nodes = 60 90\ntrials = 1\n")
         out = tmp_path / "s1.csv"
         rc = cli.main(["bench", "s1", "--config", str(cfgfile), "--beta", "0",
                        "--out", str(out)])
@@ -125,14 +132,14 @@ class TestScenario1:
 
     def test_rejects_descending_grid(self, tmp_path):
         out = tmp_path / "s1.csv"
-        cfg = tiny_cfg("s1", out, N_grid=(80, 60))
-        with pytest.raises(ValueError, match="^N grid must be ascending$"):
+        cfg = tiny_cfg("s1", out, N=(80, 60))
+        with pytest.raises(ValueError, match="^nodes must be ascending$"):
             bench.run_scenario(cfg)
         assert not out.exists()
 
     def test_no_partial_csv_on_invalid_config(self, tmp_path):
         out = tmp_path / "s1.csv"
-        cfg = tiny_cfg("s1", out, N_grid=(40,), K=50)  # K > n
+        cfg = tiny_cfg("s1", out, N=(40,), K=50)  # K > n
         with pytest.raises(ValueError):
             bench.run_scenario(cfg)
         assert not out.exists()
@@ -141,7 +148,7 @@ class TestScenario1:
 class TestScenario2:
     def test_grid_echo_and_trend_column(self, tmp_path):
         out = tmp_path / "s2.csv"
-        cfg = tiny_cfg("s2", out, n_grid=(8, 16))
+        cfg = tiny_cfg("s2", out, n=(8, 16))
         records = bench.run_scenario(cfg)
         assert len(records) == 2 * 2 * 2  # cells x trials x methods
         assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
@@ -156,7 +163,7 @@ class TestScenario2:
                                                      no_trial):
         # An explicit n is never replaced by s1's subsample-size rule.
         cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("n_grid = 0 5\nnodes = 60\ntrials = 1\n")
+        cfgfile.write_text("n = 0 5\nnodes = 60\ntrials = 1\n")
         out = tmp_path / "s2.csv"
         rc = cli.main(["bench", "s2", "--config", str(cfgfile), "--out", str(out)])
         assert rc == 2 and not out.exists()
@@ -167,7 +174,7 @@ class TestScenario2:
 class TestScenario3:
     def test_table_layout(self, tmp_path):
         out = tmp_path / "s3.csv"
-        cfg = tiny_cfg("s3", out, beta_grid=(0.3, 0.6), zeta_grid=(0.05, 0.5))
+        cfg = tiny_cfg("s3", out, beta=(0.3, 0.6), zeta=(0.05, 0.5))
         records = bench.run_scenario(cfg)
         assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         aggs = bench.aggregate(records)
@@ -176,8 +183,8 @@ class TestScenario3:
         assert cells == {(0.3, 0.05), (0.3, 0.5), (0.6, 0.05), (0.6, 0.5)}
 
     def test_beta_zero_cell_degenerate_at_chance(self, tmp_path):
-        cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta_grid=(0.0,),
-                       zeta_grid=(0.5,), N=90, trials=3)
+        cfg = tiny_cfg("s3", tmp_path / "s3.csv", beta=(0.0,),
+                       zeta=(0.5,), N=(90,), trials=3)
         records = bench.run_scenario(cfg)
         assert all(r["status"] == "degenerate" for r in records)
         # The trivial labeling scores at chance level for uniform pi.
@@ -187,7 +194,7 @@ class TestScenario3:
     def test_rejects_out_of_range_grid(self, tmp_path):
         # The second beta meets the first of the four default zetas: cell 4.
         out = tmp_path / "s3.csv"
-        cfg = tiny_cfg("s3", out, beta_grid=(0.5, 1.5))
+        cfg = tiny_cfg("s3", out, beta=(0.5, 1.5))
         with pytest.raises(ValueError,
                            match=r"^cell 4: beta must be in \[0, 1\], got 1.5$"):
             bench.run_scenario(cfg)
@@ -212,7 +219,7 @@ class TestScenario3:
 
 class TestScenario4:
     def test_delta_grid_echo(self, tmp_path):
-        cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta_grid=(0.0, 0.2))
+        cfg = tiny_cfg("s4", tmp_path / "s4.csv", delta=(0.0, 0.2))
         records = bench.run_scenario(cfg)
         assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         assert sorted({r["delta"] for r in records}) == [0.0, 0.2]
@@ -221,7 +228,7 @@ class TestScenario4:
 
     def test_rejects_delta_above_third(self, tmp_path):
         out = tmp_path / "s4.csv"
-        cfg = tiny_cfg("s4", out, delta_grid=(0.1, 0.4))
+        cfg = tiny_cfg("s4", out, delta=(0.1, 0.4))
         with pytest.raises(ValueError,
                            match="^cell 1: pi entries must be >= 0 and sum to 1$"):
             bench.run_scenario(cfg)
@@ -229,14 +236,14 @@ class TestScenario4:
 
 
 @pytest.mark.parametrize("scenario, setting, cell, message", [
-    ("s1", {"beta": 1.5}, 0, "beta must be in [0, 1], got 1.5"),
-    ("s1", {"zeta": -0.1}, 0, "zeta must be in [0, 1], got -0.1"),
-    ("s2", {"beta": -0.1, "n_grid": (8,)}, 0, "beta must be in [0, 1], got -0.1"),
-    ("s2", {"zeta": 1.5, "n_grid": (8,)}, 0, "zeta must be in [0, 1], got 1.5"),
-    ("s3", {"beta_grid": (0.5, 1.5)}, 4, "beta must be in [0, 1], got 1.5"),
-    ("s3", {"zeta_grid": (0.1, -0.2)}, 1, "zeta must be in [0, 1], got -0.2"),
-    ("s4", {"beta": 1.5}, 0, "beta must be in [0, 1], got 1.5"),
-    ("s4", {"zeta": -0.1}, 0, "zeta must be in [0, 1], got -0.1"),
+    ("s1", {"beta": (1.5,)}, 0, "beta must be in [0, 1], got 1.5"),
+    ("s1", {"zeta": (-0.1,)}, 0, "zeta must be in [0, 1], got -0.1"),
+    ("s2", {"beta": (-0.1,), "n": (8,)}, 0, "beta must be in [0, 1], got -0.1"),
+    ("s2", {"zeta": (1.5,), "n": (8,)}, 0, "zeta must be in [0, 1], got 1.5"),
+    ("s3", {"beta": (0.5, 1.5)}, 4, "beta must be in [0, 1], got 1.5"),
+    ("s3", {"zeta": (0.1, -0.2)}, 1, "zeta must be in [0, 1], got -0.2"),
+    ("s4", {"beta": (1.5,)}, 0, "beta must be in [0, 1], got 1.5"),
+    ("s4", {"zeta": (-0.1,)}, 0, "zeta must be in [0, 1], got -0.1"),
 ], ids=["s1-beta", "s1-zeta", "s2-beta", "s2-zeta", "s3-beta", "s3-zeta", "s4-beta",
         "s4-zeta"])
 def test_out_of_range_signal_rejected_before_any_trial(tmp_path, no_trial, scenario,
@@ -249,76 +256,98 @@ def test_out_of_range_signal_rejected_before_any_trial(tmp_path, no_trial, scena
 
 class TestUnreadConfigFields:
     @pytest.mark.parametrize("scenario, field, value", [
-        ("s1", "n_grid", (8, 10)),
-        ("s1", "delta_grid", (0.0, 0.1)),
-        ("s2", "N_grid", (60, 90)),
-        ("s2", "beta_grid", (0.1, 0.2)),
-        ("s3", "n_grid", (8, 10)),
-        ("s3", "delta_grid", (0.0, 0.1)),
+        ("s1", "n", (10,)),
+        ("s1", "n", (8, 10)),
+        ("s1", "delta", (0.0, 0.1)),
+        ("s2", "delta", (0.1,)),
+        ("s3", "delta", (0.0, 0.1)),
         ("s4", "pi", (0.1, 0.2, 0.7)),
-        ("s4", "n_grid", (5, 7)),
-        ("s4", "zeta_grid", (0.1, 0.2)),
-        ("s1", "N", 60),
-        ("s1", "n", 10),
-        ("s2", "n", 10),
-        ("s3", "beta", 0.2),
-        ("s3", "zeta", 0.2),
-    ])
-    def test_rejected_before_any_trial(self, tmp_path, scenario, field, value):
+    ], ids=["s1-n-10", "s1-n-8,10", "s1-delta-0.0,0.1", "s2-delta-0.1",
+            "s3-delta-0.0,0.1", "s4-pi-0.1,0.2,0.7"])
+    def test_rejected_before_any_trial(self, tmp_path, no_trial, scenario, field,
+                                       value):
         out = tmp_path / "x.csv"
         cfg = tiny_cfg(scenario, out, **{field: value})
-        with pytest.raises(ValueError, match=f"{scenario} does not use {field}"):
+        with pytest.raises(ValueError, match=f"^{scenario} does not use {field}$"):
             bench.run_scenario(cfg)
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["s1", "s2", "s3", "s4"])
-    def test_config_file_is_one_error_line(self, tmp_path, capsys, scenario):
-        # Each scenario leaves at least one of these grids unread.
-        unread = {"s1": "n_grid = 5 7", "s2": "N_grid = 60 90",
-                  "s3": "delta_grid = 0.1", "s4": "pi = 0.1 0.2 0.7\nn_grid = 5 7"}
+    def test_config_file_is_one_error_line(self, tmp_path, capsys, no_trial,
+                                           scenario):
+        # The settings each scenario leaves unread: s1's n follows
+        # subsample_size_rule, only s4 has a delta, and s4 derives its pi.
+        unread = {"s1": ("n", "5 7"), "s2": ("delta", "0.1"),
+                  "s3": ("delta", "0.1"), "s4": ("pi", "0.1 0.2 0.7")}
+        key, value = unread[scenario]
         cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text(f"{unread[scenario]}\nnodes = 60\nn = 10\ntrials = 1\n")
+        cfgfile.write_text(f"{key} = {value}\nnodes = 60\ntrials = 1\n")
         out = tmp_path / "x.csv"
         rc = cli.main(["bench", scenario, "--config", str(cfgfile),
                        "--out", str(out)])
         assert rc == 2 and not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {scenario} does not use ")
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {scenario} does not use {key}"]
 
     @pytest.mark.parametrize("via", ["flag", "file"])
     @pytest.mark.parametrize("scenario, key, field", [
-        ("s1", "nodes", "N"), ("s1", "n", "n"), ("s2", "n", "n"),
+        ("s1", "nodes", "N"), ("s2", "n", "n"),
         ("s3", "beta", "beta"), ("s3", "zeta", "zeta"),
     ])
-    def test_fixed_setting_of_a_swept_axis(self, tmp_path, capsys, scenario,
-                                           key, field, via):
-        value = "0.2" if field in ("beta", "zeta") else "60"
+    def test_fixed_setting_of_a_swept_axis(self, tmp_path, capsys, no_trial, swept,
+                                           scenario, key, field, via):
+        # One value of the axis a scenario sweeps by default runs, from a
+        # flag or from the file.
+        value = "0.2" if field in ("beta", "zeta") else "50"
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text("trials = 1\n" + (f"{key} = {value}\n" if via == "file" else ""))
-        out = tmp_path / "x.csv"
         flags = [f"--{key}", value] if via == "flag" else []
         rc = cli.main(["bench", scenario, "--config", str(cfgfile),
-                       "--out", str(out), *flags])
-        assert rc == 2 and not out.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"config error: {scenario} does not use {field}"]
+                       "--out", str(tmp_path / "x.csv"), *flags])
+        assert rc == 0 and capsys.readouterr().err == ""
+        (_, cells), = swept
+        assert {getattr(c, field) for c in cells} == {float(value)}
+        # The other axes keep the scenario's defaults.
+        assert len(cells) == math.prod(len(values) for axis, values
+                                       in bench.SWEEPS[scenario].items()
+                                       if axis not in (field, "pi"))
+
+
+@pytest.mark.parametrize("scenario, settings, n_cells, axis", [
+    ("s1", {}, 3, "N"), ("s2", {}, 6, "n"), ("s3", {}, 16, None), ("s4", {}, 4, "delta"),
+    ("s1", {"N": (80,)}, 1, None),
+    ("s2", {"N": (60,), "n": (8,)}, 1, None),
+    ("s3", {"beta": (0.3,)}, 4, "zeta"),
+    ("s2", {"beta": (0.03, 0.05), "n": (100, 300)}, 4, None),
+    ("s4", {"N": (60, 90), "n": (10,)}, 8, None),
+], ids=["s1-desk", "s2-desk", "s3-desk", "s4-desk", "s1-one-N", "s2-one-n",
+        "s3-zetas", "s2-betas-and-ns", "s4-Ns-and-deltas"])
+def test_trend_rows_follow_the_one_axis_with_several_values(
+        tmp_path, monkeypatch, swept, scenario, settings, n_cells, axis):
+    seen = []
+    monkeypatch.setattr(bench, "write_records_csv",
+                        lambda rows, out, trend_axis=None: seen.append(trend_axis))
+    bench.run_scenario(bench.ScenarioConfig(scenario=scenario,
+                                            out=str(tmp_path / "x.csv"), **settings))
+    (_, cells), = swept
+    assert len(cells) == n_cells
+    assert seen == [axis]
 
 
 # The full-size parameter blocks of each sweep (N up to 30,000, T = 100).
 FULL_SCALE = {
-    "s1": dict(N_grid=(5000, 10000, 15000, 20000, 25000, 30000), trials=100),
-    "s2": dict(N=12000, trials=100),
-    "s3": dict(N=12000, n=100, trials=100),
-    "s4": dict(N=12000, n=100, trials=100,
-               delta_grid=(0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
+    "s1": dict(N=(5000, 10000, 15000, 20000, 25000, 30000), trials=100),
+    "s2": dict(N=(12000,), trials=100),
+    "s3": dict(N=(12000,), n=(100,), trials=100),
+    "s4": dict(N=(12000,), n=(100,), trials=100,
+               delta=(0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
 }
 
 
 @pytest.mark.parametrize("scenario, n_cells", [
     ("s1", 6), ("s2", 6), ("s3", 16), ("s4", 7),
 ])
-def test_full_scale_config_files(tmp_path, monkeypatch, scenario, n_cells):
+def test_full_scale_config_files(tmp_path, swept, scenario, n_cells):
     path = ROOT / "configs" / "full_scale" / f"{scenario}.cfg"
     out = str(tmp_path / f"{scenario}.csv")
     cfg = cli._bench_config(cli.build_parser().parse_args(
@@ -326,9 +355,6 @@ def test_full_scale_config_files(tmp_path, monkeypatch, scenario, n_cells):
     assert cfg == bench.ScenarioConfig(scenario=scenario, out=out,
                                        **FULL_SCALE[scenario])
     # The settings pass run_scenario's checks; no trial runs.
-    swept = []
-    monkeypatch.setattr(bench, "_run_sweep",
-                        lambda cfg, cells: swept.append((cfg, cells)) or [])
     assert bench.run_scenario(cfg) == []
     (_, cells), = swept
     assert len(cells) == n_cells
@@ -337,8 +363,8 @@ def test_full_scale_config_files(tmp_path, monkeypatch, scenario, n_cells):
 class TestCsvContract:
     def test_reproducible_except_timing(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        records1 = bench.run_scenario(tiny_cfg("s2", out1, n_grid=(8, 12)))
-        records2 = bench.run_scenario(tiny_cfg("s2", out2, n_grid=(8, 12)))
+        records1 = bench.run_scenario(tiny_cfg("s2", out1, n=(8, 12)))
+        records2 = bench.run_scenario(tiny_cfg("s2", out2, n=(8, 12)))
         rows1 = bench.read_records_csv(out1)
         rows2 = bench.read_records_csv(out2)
         assert len(rows1) == len(rows2)
@@ -359,12 +385,12 @@ class TestCsvContract:
 
     def test_version_header(self, tmp_path):
         out = tmp_path / "s2.csv"
-        bench.run_scenario(tiny_cfg("s2", out, n_grid=(8,)))
+        bench.run_scenario(tiny_cfg("s2", out, n=(8,)))
         assert out.read_text().splitlines()[0] == bench.CSV_VERSION
 
     def test_agg_recomputable_from_trials(self, tmp_path):
         out = tmp_path / "s2.csv"
-        bench.run_scenario(tiny_cfg("s2", out, n_grid=(8, 12), trials=4))
+        bench.run_scenario(tiny_cfg("s2", out, n=(8, 12), trials=4))
         rows = bench.read_records_csv(out)
         trials = [r for r in rows if r["row_type"] == "TRIAL"]
         aggs = [r for r in rows if r["row_type"] == "AGG"]
@@ -380,8 +406,8 @@ class TestCsvContract:
 
     def test_parallel_matches_serial(self, tmp_path):
         out1, out2 = tmp_path / "ser.csv", tmp_path / "par.csv"
-        bench.run_scenario(tiny_cfg("s2", out1, n_grid=(8,), trials=3))
-        bench.run_scenario(tiny_cfg("s2", out2, n_grid=(8,), trials=3, jobs=2))
+        bench.run_scenario(tiny_cfg("s2", out1, n=(8,), trials=3))
+        bench.run_scenario(tiny_cfg("s2", out2, n=(8,), trials=3, jobs=2))
         rows1 = bench.read_records_csv(out1)
         rows2 = bench.read_records_csv(out2)
         for r1, r2 in zip(rows1, rows2):
@@ -698,14 +724,14 @@ class TestConfigFile:
     def test_parse(self, tmp_path):
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text("# comment\ntrials = 3\nnodes = 70\nbeta = 0.2\n")
-        raw = bench.read_config_file(cfgfile)
+        raw = cli.read_config_file(cfgfile)
         assert raw == {"trials": "3", "nodes": "70", "beta": "0.2"}
 
     def test_rejects_malformed_line(self, tmp_path):
         cfgfile = tmp_path / "bench.cfg"
         cfgfile.write_text("trials 3\n")
         with pytest.raises(ValueError):
-            bench.read_config_file(cfgfile)
+            cli.read_config_file(cfgfile)
 
 
 # A 4-cycle: every degree is 2, so a degree partition into 3 leaves two
@@ -724,6 +750,12 @@ EXACT_ERRORS = {
     "argv32": "error: --k must be an integer or 'auto', got '²'",
     "argv33": "error: pi entries must be >= 0 and sum to 1",
     "argv34": "config error: pi entries must be >= 0 and sum to 1",
+    "argv35": "config error: unknown key 'N_grid'",
+    "argv36": "error: {tmp}/oor.edges:3: node id 7 is outside [0, 3)",
+    "argv37": "error: {tmp}/neg.edges:2: node id -2 is outside [0, 3)",
+    "argv38": "config error: pi must have K=3 entries, got 2",
+    "argv39": "config error: method: must be srs, dcs or both, got 'none'",
+    "argv40": "config error: method: must be srs, dcs or both, got 'srs,dcs'",
 }
 
 
@@ -857,7 +889,7 @@ class TestCli:
 
     def test_bench_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("nodes = 50\ntrials = 5\nn_grid = 8\n")
+        cfgfile.write_text("nodes = 50\ntrials = 5\nn = 8\n")
         out = tmp_path / "s2.csv"
         rc = cli.main(["bench", "s2", "--config", str(cfgfile),
                        "--trials", "2", "--out", str(out)])
@@ -876,8 +908,8 @@ class TestCli:
         rc = cli.main(["bench", scenario, "--config", str(cfgfile),
                        "--out", str(out)])
         assert rc == 2 and not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("config error: methods must be srs/dcs")
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: method: must be srs, dcs or both, got 'bogus'"]
 
     def test_bench_config_out_honoured_and_flag_overrides(self, tmp_path,
                                                           monkeypatch):
@@ -906,7 +938,7 @@ class TestCli:
         assert set().union(*bench.SWEEPS.values()) == sweep_fields
 
     @pytest.mark.parametrize("line, key", [
-        ("trials = x", "trials"), ("N_grid = 10 abc", "N_grid"), ("N_grid =", "N_grid"),
+        ("trials = x", "trials"), ("nodes = 10 abc", "nodes"), ("nodes =", "nodes"),
     ])
     def test_unparsable_config_value_names_its_key(self, tmp_path, capsys,
                                                    line, key):
@@ -927,9 +959,11 @@ class TestCli:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"error: pi must have K=3 entries, got {n_entries}"]
 
-    def test_readme_commands_parse(self):
+    def test_readme_commands_parse(self, tmp_path, monkeypatch, swept):
         # The CLI examples in the README must not name a removed subcommand
-        # or flag.
+        # or flag, and each bench example must resolve to a sweep: no
+        # removed key, no setting its scenario leaves unread. No trial runs.
+        monkeypatch.chdir(ROOT)
         readme = (ROOT / "README.md").read_text()
         script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
         commands = [shlex.split(line, comments=True)
@@ -945,6 +979,16 @@ class TestCli:
             config = getattr(args, "config", None)
             if config is not None and not (ROOT / config).is_file():
                 pytest.fail(f"README command names a missing file: {config}")
+            if args.command == "bench":
+                args.out = str(tmp_path / "x.csv")
+                try:
+                    bench.run_scenario(cli._bench_config(args))
+                except ValueError as exc:
+                    pytest.fail(f"README command fails: sscluster {shlex.join(argv)}: {exc}")
+        assert len(swept) == sum(argv[0] == "bench" for argv in commands)
+        # The README's key list names exactly the bench config keys.
+        sentence = re.search(r"Recognized keys:(.*?);", readme, flags=re.S).group(1)
+        assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(cli._BENCH_KEYS)
 
     def test_eval_has_no_k_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1023,6 +1067,21 @@ class TestCli:
                       "--out", "{tmp}/g.edges"], id="argv33"),
         pytest.param(["bench", "s1", "--pi", "nan nan nan", "--out", "{tmp}/x.csv"],
                      id="argv34"),
+        # A key that no longer exists: each sweep axis has one key.
+        pytest.param(["bench", "s1", "--config", "{tmp}/old_key.cfg",
+                      "--out", "{tmp}/x.csv"], id="argv35"),
+        # With --nodes, an id outside [0, nodes) names its file line.
+        pytest.param(["cluster", "--edges", "{tmp}/oor.edges", "--nodes", "3", "--n", "2",
+                      "--out", "{tmp}/r"], id="argv36"),
+        pytest.param(["cluster", "--edges", "{tmp}/neg.edges", "--nodes", "3", "--n", "2",
+                      "--out", "{tmp}/r"], id="argv37"),
+        # pi is checked once, before any cell, so its line has no "cell i:".
+        pytest.param(["bench", "s2", "--pi", "0.5,0.5", "--out", "{tmp}/x.csv"],
+                     id="argv38"),
+        pytest.param(["bench", "s1", "--method", "none", "--out", "{tmp}/x.csv"],
+                     id="argv39"),
+        pytest.param(["bench", "s1", "--method", "srs,dcs", "--out", "{tmp}/x.csv"],
+                     id="argv40"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, request, no_trial,
                                          argv):
@@ -1038,6 +1097,9 @@ class TestCli:
         (tmp_path / "float.edges").write_text("# c\n\n0 1\n1 2.5\n")
         (tmp_path / "big.edges").write_text("# c\n\n0 1\n1 2\n99999999999999999999 3\n")
         (tmp_path / "x.labels").write_text("# labels\n\n0 1\n1 x\n")
+        (tmp_path / "old_key.cfg").write_text("N_grid = 60 90\n")
+        (tmp_path / "oor.edges").write_text("# c\n0 1\n1 7\n")
+        (tmp_path / "neg.edges").write_text("0 1\n1 -2\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         rc = cli.main(argv)
         assert rc == 2
