@@ -16,13 +16,13 @@ keyed by ``COLUMNS`` names; a column a row lacks is written empty.
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance. ``SWEEPS`` states the axes each
 scenario reads, with its defaults. Each axis (N, n, beta, zeta, delta)
-holds one value or several; a sweep's cells are their product, in that
-order, and its TREND rows follow the one axis that holds several values
-(none when no axis or several do). Every cell passes the model's own
-checks before any trial runs. Every trial is driven by a seed derived from
-(master seed, scenario, cell index, trial index), so identical
-configurations reproduce the CSV byte for byte except for the timing
-columns.
+holds one value or several, strictly ascending; a sweep's cells are their
+product, in that order, and its TREND rows follow the one axis that holds
+several values (none when no axis or several do). Every cell passes the
+model's own checks and the Gram guard before any trial runs. Every trial
+is driven by a seed derived from (master seed, scenario, cell index, trial
+index), so identical configurations reproduce the CSV byte for byte
+except for the timing columns.
 
 CSV schema (version header "# sscluster bench csv v1"):
     row_type   TRIAL | AGG | TREND
@@ -48,6 +48,7 @@ import csv
 import hashlib
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -272,13 +273,20 @@ SWEEPS = {
 }
 
 
+# The sweep axes, in cell order, each with the setting that names it in
+# error lines.
+_AXES = {"N": "nodes", "n": "n", "beta": "beta", "zeta": "zeta", "delta": "delta"}
+
+
 def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
     """The product of the sweep's axes N, n, beta, zeta and delta, in that
-    order (delta varies fastest). An unset n follows ``subsample_size_rule``
-    (s1), an unset delta is 0, and a set delta makes
-    pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
-    if list(cfg.N) != sorted(cfg.N):
-        raise ValueError("nodes must be ascending")
+    order (delta varies fastest), each strictly ascending for its TREND
+    rows. An unset n follows ``subsample_size_rule`` (s1), an unset delta
+    is 0, and a set delta makes pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
+    for axis, flag in _AXES.items():
+        values = getattr(cfg, axis) or ()
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"{flag} must be strictly ascending")
     if cfg.delta is not None and cfg.K != 3:
         raise ValueError("the imbalance sweep is defined for K = 3")
     axes = (cfg.N, (None,) if cfg.n is None else cfg.n, cfg.beta, cfg.zeta,
@@ -313,8 +321,10 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         raise ValueError("trials must be >= 1")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not cfg.out:
-        raise ValueError("out must name a file")
+    if not cfg.out or os.path.isdir(cfg.out):
+        raise ValueError(f"out: must name a file, got {cfg.out!r}")
+    if not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ValueError(f"out: {os.path.dirname(cfg.out)} is not a directory")
     if not all(m in ("srs", "dcs") for m in cfg.methods):
         raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
 
@@ -322,8 +332,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     _check_cells(cells, cfg)
     rows = _run_sweep(cfg, cells)
     # TREND rows follow the one axis that holds several values.
-    varied = [axis for axis in ("N", "n", "beta", "zeta", "delta")
-              if len(getattr(cfg, axis) or ()) > 1]
+    varied = [axis for axis in _AXES if len(getattr(cfg, axis) or ()) > 1]
     write_records_csv(rows, cfg.out,
                       trend_axis=varied[0] if len(varied) == 1 else None)
     return rows
@@ -339,6 +348,7 @@ def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
                 raise ValueError(f"need 1 <= n <= N, got n={c.n}, N={c.N}")
             if cfg.K > c.n:
                 raise ValueError(f"K={cfg.K} exceeds subsample size {c.n}")
+            spectral.check_gram_size(c.n)
             sbm.block_matrix(c.beta, c.zeta, cfg.K)
             sbm.community_probs(c.pi, cfg.K)
         except ValueError as exc:

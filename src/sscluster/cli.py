@@ -6,7 +6,8 @@ Subcommands:
     bench      run a simulation sweep (s1..s4) and write the records CSV
     eval       misclustered rate between two label files
 
-Flags override values from an optional "key = value" config file.
+Each ``bench`` flag sets one ``bench.ScenarioConfig`` field; ``_BENCH_FLAGS``
+gives its field, value parser and help.
 
 ``bench`` and ``metrics`` are imported by the handlers that use them, so
 ``generate`` loads numpy only.
@@ -20,7 +21,6 @@ import sys
 import numpy as np
 
 from . import graph, sbm
-from .errors import ResourceLimitError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -52,22 +52,17 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 # the parser does not import bench.
 _SCENARIOS = ("s1", "s2", "s3", "s4")
 
-# bench settings: config-file key -> (ScenarioConfig field, value parser).
-_BENCH_KEYS = {
-    "nodes": ("N", _grid(int)), "n": ("n", _grid(int)), "k": ("K", int),
-    "beta": ("beta", _grid(float)), "zeta": ("zeta", _grid(float)),
-    "delta": ("delta", _grid(float)), "pi": ("pi", _parse_pi),
-    "trials": ("trials", int), "jobs": ("jobs", int), "seed": ("master_seed", int),
-    "out": ("out", str), "method": ("methods", _parse_methods),
-}
-
-# The bench keys that are also flags, with their help; a flag overrides the
-# config file.
+# bench settings: flag -> (ScenarioConfig field, value parser, help).
 _BENCH_FLAGS = {
-    "seed": "master seed", "out": "output path", "trials": None, "jobs": None,
-    "method": "srs, dcs or both", "n": "subsample size, one value or a list",
-    "nodes": "network size, one value or a list", "k": None, "beta": None, "zeta": None,
-    "pi": "community probabilities, e.g. '0.3,0.3,0.4'",
+    "nodes": ("N", _grid(int), "network size, one value or a list"),
+    "n": ("n", _grid(int), "subsample size, one value or a list"),
+    "k": ("K", int, None),
+    "beta": ("beta", _grid(float), None), "zeta": ("zeta", _grid(float), None),
+    "delta": ("delta", _grid(float), "s4 imbalance, one value or a list"),
+    "pi": ("pi", _parse_pi, "community probabilities, e.g. '0.3,0.3,0.4'"),
+    "trials": ("trials", int, None), "jobs": ("jobs", int, None),
+    "seed": ("master_seed", int, "master seed"), "out": ("out", str, "output path"),
+    "method": ("methods", _parse_methods, "srs, dcs or both"),
 }
 
 
@@ -102,11 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a simulation sweep")
     b.add_argument("scenario", choices=_SCENARIOS)
-    b.add_argument("--config", type=str, default=None,
-                   help="'key = value' config file; flags override it")
-    # Values stay text until _bench_config parses them with the file's.
-    for key, help_text in _BENCH_FLAGS.items():
-        b.add_argument(f"--{key}", default=None, help=help_text)
+    # Values stay text until _bench_config parses them, so that a bad one
+    # is one "config error:" line that names its flag.
+    for flag, (_, _, help_text) in _BENCH_FLAGS.items():
+        b.add_argument(f"--{flag}", default=None, help=help_text)
 
     e = sub.add_parser("eval", help="misclustered rate between two label files")
     e.add_argument("predicted", type=str)
@@ -168,38 +162,17 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def read_config_file(path) -> dict[str, str]:
-    """The "key = value" lines of a bench config file, values as text."""
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _bench_config(args):
-    """The scenario's ``bench.ScenarioConfig``: its defaults, then the
-    config file, then the flags."""
+    """The scenario's ``bench.ScenarioConfig``: its defaults, then the flags."""
     from . import bench
 
     cfg = bench.ScenarioConfig(scenario=args.scenario, out=f"bench_{args.scenario}.csv")
-    settings = list(read_config_file(args.config).items()) if args.config else []
-    settings += [(key, getattr(args, key)) for key in _BENCH_FLAGS
-                 if getattr(args, key) is not None]
-    for key, text in settings:
-        if key not in _BENCH_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        field, parse = _BENCH_KEYS[key]
-        try:
-            setattr(cfg, field, parse(text))
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+    for flag, (field, parse, _) in _BENCH_FLAGS.items():
+        if (text := getattr(args, flag)) is not None:
+            try:
+                setattr(cfg, field, parse(text))
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return cfg
 
 
@@ -244,7 +217,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # MemoryError: a size too large to allocate, e.g. --nodes 10**15.
-    except (OSError, ValueError, MemoryError, ResourceLimitError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

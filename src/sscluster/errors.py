@@ -6,5 +6,5 @@ class DegenerateInputError(ValueError):
     all-zero connection matrix that cannot be degree-normalized)."""
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(ValueError):
     """A dense-storage or memory guard was exceeded."""

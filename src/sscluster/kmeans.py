@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger(__name__)
-# Where the application configures no logging, the package's warnings (here
-# and in ``sampling.dcs``, which imports this module) go nowhere rather than
-# to logging's last-resort stderr handler.
+# Where the application configures no logging, the package's warnings (the
+# empty degree partition of ``sampling.dcs``, whose module imports this one)
+# go nowhere rather than to logging's last-resort stderr handler.
 logging.getLogger("sscluster").addHandler(logging.NullHandler())
 
 MOVE_TOL = 1e-6
@@ -257,7 +257,7 @@ def kmeans_1d(values, K: int) -> KMeansResult:
     and a dynamic programme over the distinct values finds the best split
     (Wang & Song 2011, "Ckmeans.1d.dp"): the leftmost of equally good ones.
     Clusters are numbered by ascending mean. Fewer distinct values than K
-    leave clusters empty, counted in ``n_empty`` with a warning logged.
+    leave clusters empty, counted in ``n_empty``.
     """
     values = _finite(np.asarray(values, dtype=np.float64).ravel())
     n = len(values)
@@ -290,8 +290,6 @@ def kmeans_1d(values, K: int) -> KMeansResult:
     group = np.repeat(np.arange(groups), np.diff(np.append(starts, U)))
     means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
     n_empty = K - groups
-    if n_empty:
-        logger.warning("scalar k-means left %d of %d clusters empty", n_empty, K)
     res = KMeansResult(
         labels=group[inverse] + 1,
         # An empty cluster repeats the largest mean, so the means still ascend.

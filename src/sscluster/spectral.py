@@ -104,14 +104,18 @@ def subsampled_laplacian(biadj: BiAdjacency) -> SubsampledLaplacian:
     return SubsampledLaplacian(matrix=norm, n_zero_rows=int((row_deg == 0).sum()))
 
 
-def gram(ls: SubsampledLaplacian) -> np.ndarray:
-    """Dense n x n Gram matrix L^T L, accumulated column-major; n above
-    ``GRAM_DENSE_GUARD`` raises ResourceLimitError."""
-    n = ls.shape[1]
+def check_gram_size(n: int) -> None:
+    """Raise ResourceLimitError when a dense n x n Gram matrix would exceed
+    ``GRAM_DENSE_GUARD``."""
     if n > GRAM_DENSE_GUARD:
         raise ResourceLimitError(
             f"Gram matrix would be {n}x{n} dense; guard is {GRAM_DENSE_GUARD}"
         )
+
+
+def gram(ls: SubsampledLaplacian) -> np.ndarray:
+    """Dense n x n Gram matrix L^T L, accumulated column-major."""
+    check_gram_size(ls.shape[1])
     return (ls.matrix.T @ ls.matrix).toarray()
 
 

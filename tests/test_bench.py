@@ -113,10 +113,8 @@ class TestScenario1:
     def test_full_rows_of_a_graph_without_edges_are_degenerate(self, tmp_path,
                                                                  capsys):
         # beta = 0 draws no edges: every row is degenerate, none a traceback.
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("nodes = 60 90\ntrials = 1\n")
         out = tmp_path / "s1.csv"
-        rc = cli.main(["bench", "s1", "--config", str(cfgfile), "--beta", "0",
+        rc = cli.main(["bench", "s1", "--nodes", "60 90", "--trials", "1", "--beta", "0",
                        "--out", str(out)])
         assert rc == 0 and capsys.readouterr().err == ""
         trials = [r for r in bench.read_records_csv(out) if r["row_type"] == "TRIAL"]
@@ -133,7 +131,7 @@ class TestScenario1:
     def test_rejects_descending_grid(self, tmp_path):
         out = tmp_path / "s1.csv"
         cfg = tiny_cfg("s1", out, N=(80, 60))
-        with pytest.raises(ValueError, match="^nodes must be ascending$"):
+        with pytest.raises(ValueError, match="^nodes must be strictly ascending$"):
             bench.run_scenario(cfg)
         assert not out.exists()
 
@@ -162,10 +160,9 @@ class TestScenario2:
     def test_rejects_zero_in_n_grid_before_any_trial(self, tmp_path, capsys,
                                                      no_trial):
         # An explicit n is never replaced by s1's subsample-size rule.
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("n = 0 5\nnodes = 60\ntrials = 1\n")
         out = tmp_path / "s2.csv"
-        rc = cli.main(["bench", "s2", "--config", str(cfgfile), "--out", str(out)])
+        rc = cli.main(["bench", "s2", "--n", "0 5", "--nodes", "60", "--trials", "1",
+                       "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [
             "config error: cell 0: need 1 <= n <= N, got n=0, N=60"]
@@ -241,7 +238,7 @@ class TestScenario4:
     ("s2", {"beta": (-0.1,), "n": (8,)}, 0, "beta must be in [0, 1], got -0.1"),
     ("s2", {"zeta": (1.5,), "n": (8,)}, 0, "zeta must be in [0, 1], got 1.5"),
     ("s3", {"beta": (0.5, 1.5)}, 4, "beta must be in [0, 1], got 1.5"),
-    ("s3", {"zeta": (0.1, -0.2)}, 1, "zeta must be in [0, 1], got -0.2"),
+    ("s3", {"zeta": (0.1, 1.2)}, 1, "zeta must be in [0, 1], got 1.2"),
     ("s4", {"beta": (1.5,)}, 0, "beta must be in [0, 1], got 1.5"),
     ("s4", {"zeta": (-0.1,)}, 0, "zeta must be in [0, 1], got -0.1"),
 ], ids=["s1-beta", "s1-zeta", "s2-beta", "s2-zeta", "s3-beta", "s3-zeta", "s4-beta",
@@ -280,16 +277,14 @@ class TestUnreadConfigFields:
         unread = {"s1": ("n", "5 7"), "s2": ("delta", "0.1"),
                   "s3": ("delta", "0.1"), "s4": ("pi", "0.1 0.2 0.7")}
         key, value = unread[scenario]
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text(f"{key} = {value}\nnodes = 60\ntrials = 1\n")
         out = tmp_path / "x.csv"
-        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
-                       "--out", str(out)])
+        rc = cli.main(["bench", scenario, f"--{key}", value, "--nodes", "60",
+                       "--trials", "1", "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {scenario} does not use {key}"]
 
-    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("via", ["flag", "twice"])
     @pytest.mark.parametrize("scenario, key, field", [
         ("s1", "nodes", "N"), ("s2", "n", "n"),
         ("s3", "beta", "beta"), ("s3", "zeta", "zeta"),
@@ -297,13 +292,11 @@ class TestUnreadConfigFields:
     def test_fixed_setting_of_a_swept_axis(self, tmp_path, capsys, no_trial, swept,
                                            scenario, key, field, via):
         # One value of the axis a scenario sweeps by default runs, from a
-        # flag or from the file.
-        value = "0.2" if field in ("beta", "zeta") else "50"
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("trials = 1\n" + (f"{key} = {value}\n" if via == "file" else ""))
-        flags = [f"--{key}", value] if via == "flag" else []
-        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "x.csv"), *flags])
+        # flag or from the last of a flag given twice.
+        value, other = ("0.2", "0.9") if field in ("beta", "zeta") else ("50", "70")
+        flags = [f"--{key}", other] if via == "twice" else []
+        rc = cli.main(["bench", scenario, *flags, f"--{key}", value, "--trials", "1",
+                       "--out", str(tmp_path / "x.csv")])
         assert rc == 0 and capsys.readouterr().err == ""
         (_, cells), = swept
         assert {getattr(c, field) for c in cells} == {float(value)}
@@ -344,14 +337,26 @@ FULL_SCALE = {
 }
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``sscluster`` line of the README's bash blocks."""
+    readme = (ROOT / "README.md").read_text()
+    script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
+    commands = [shlex.split(line, comments=True)
+                for line in script.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in commands if argv[:1] == ["sscluster"]]
+
+
 @pytest.mark.parametrize("scenario, n_cells", [
     ("s1", 6), ("s2", 6), ("s3", 16), ("s4", 7),
 ])
-def test_full_scale_config_files(tmp_path, swept, scenario, n_cells):
-    path = ROOT / "configs" / "full_scale" / f"{scenario}.cfg"
+def test_full_scale_readme_commands(tmp_path, swept, scenario, n_cells):
+    # The README's full-size commands are its bench commands with T = 100.
+    full_size = [argv for argv in readme_commands()
+                 if argv[:2] == ["bench", scenario] and "--trials" in argv
+                 and argv[argv.index("--trials") + 1] == "100"]
+    assert len(full_size) == 1
     out = str(tmp_path / f"{scenario}.csv")
-    cfg = cli._bench_config(cli.build_parser().parse_args(
-        ["bench", scenario, "--config", str(path), "--out", out]))
+    cfg = cli._bench_config(cli.build_parser().parse_args([*full_size[0], "--out", out]))
     assert cfg == bench.ScenarioConfig(scenario=scenario, out=out,
                                        **FULL_SCALE[scenario])
     # The settings pass run_scenario's checks; no trial runs.
@@ -720,20 +725,6 @@ class TestSidecarRuns:
         assert [p.name for p in piped.iterdir()] == ["net.edges"]
 
 
-class TestConfigFile:
-    def test_parse(self, tmp_path):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("# comment\ntrials = 3\nnodes = 70\nbeta = 0.2\n")
-        raw = cli.read_config_file(cfgfile)
-        assert raw == {"trials": "3", "nodes": "70", "beta": "0.2"}
-
-    def test_rejects_malformed_line(self, tmp_path):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("trials 3\n")
-        with pytest.raises(ValueError):
-            cli.read_config_file(cfgfile)
-
-
 # A 4-cycle: every degree is 2, so a degree partition into 3 leaves two
 # clusters empty.
 CYCLE = "0 1\n1 2\n2 3\n3 0\n"
@@ -741,7 +732,8 @@ CYCLE = "0 1\n1 2\n2 3\n3 0\n"
 # The whole error line of the test_bad_input_is_one_error_line cases that
 # pin one ({tmp}: the test's directory).
 EXACT_ERRORS = {
-    "argv4": "config error: unknown key 'full_sc'",
+    "argv19": "config error: out: must name a file, got ''",
+    "argv20": "config error: out: {tmp}/no_dir is not a directory",
     "argv28": "error: {tmp}/float.labels:2: could not convert string '1.5' to int64",
     "argv29": "error: {tmp}/float.edges:4: could not convert string '2.5' to int64",
     "argv30": "error: {tmp}/big.edges:5: could not convert string "
@@ -750,12 +742,15 @@ EXACT_ERRORS = {
     "argv32": "error: --k must be an integer or 'auto', got '²'",
     "argv33": "error: pi entries must be >= 0 and sum to 1",
     "argv34": "config error: pi entries must be >= 0 and sum to 1",
-    "argv35": "config error: unknown key 'N_grid'",
     "argv36": "error: {tmp}/oor.edges:3: node id 7 is outside [0, 3)",
     "argv37": "error: {tmp}/neg.edges:2: node id -2 is outside [0, 3)",
     "argv38": "config error: pi must have K=3 entries, got 2",
     "argv39": "config error: method: must be srs, dcs or both, got 'none'",
     "argv40": "config error: method: must be srs, dcs or both, got 'srs,dcs'",
+    "argv41": "config error: cell 1: Gram matrix would be 4050x4050 dense; guard is 4000",
+    "argv42": "config error: n must be strictly ascending",
+    "argv43": "config error: nodes must be strictly ascending",
+    "argv44": "config error: out: must name a file, got '{tmp}'",
 }
 
 
@@ -862,19 +857,17 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv, expected", [
-        pytest.param([], 7, id="argv0-7"),                # the config file's seed
+        pytest.param(["--seed", "3", "--seed", "7"], 7, id="argv0-7"),  # the last one
         pytest.param(["--seed", "0"], 0, id="argv1-0"),   # 0 is a value, not "unset"
         pytest.param(["--seed", "3"], 3, id="argv2-3"),
+        pytest.param([], 0, id="argv3-0"),                # ScenarioConfig's default
     ])
     def test_bench_seed_flag_overrides_config(self, tmp_path, monkeypatch,
                                               argv, expected):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("seed = 7\n")
         seen = []
         monkeypatch.setattr(bench, "run_scenario",
                             lambda cfg: seen.append(cfg.master_seed) or [])
-        rc = cli.main(["bench", "s4", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "s4.csv"), *argv])
+        rc = cli.main(["bench", "s4", "--out", str(tmp_path / "s4.csv"), *argv])
         assert rc == 0 and seen == [expected]
 
     def test_generate_default_seed_unchanged(self):
@@ -887,26 +880,12 @@ class TestCli:
                        "--trials", "2", "--out", str(out), "--seed", "4"])
         assert rc == 0 and out.exists()
 
-    def test_bench_config_file_with_flag_override(self, tmp_path):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("nodes = 50\ntrials = 5\nn = 8\n")
-        out = tmp_path / "s2.csv"
-        rc = cli.main(["bench", "s2", "--config", str(cfgfile),
-                       "--trials", "2", "--out", str(out)])
-        assert rc == 0
-        rows = bench.read_records_csv(out)
-        trials = {r["trial"] for r in rows if r["row_type"] == "TRIAL"}
-        assert trials == {"0", "1"}  # flag overrode the file's 5
-        assert {r["N"] for r in rows if r["row_type"] == "TRIAL"} == {"50"}
-
     @pytest.mark.parametrize("scenario", ["s3", "s4"])
     def test_bench_unknown_method_in_config_rejected(self, tmp_path, capsys,
                                                      scenario):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("method = bogus\nnodes = 60\nn = 10\ntrials = 1\n")
         out = tmp_path / "x.csv"
-        rc = cli.main(["bench", scenario, "--config", str(cfgfile),
-                       "--out", str(out)])
+        rc = cli.main(["bench", scenario, "--method", "bogus", "--nodes", "60",
+                       "--n", "10", "--trials", "1", "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [
             "config error: method: must be srs, dcs or both, got 'bogus'"]
@@ -914,21 +893,19 @@ class TestCli:
     def test_bench_config_out_honoured_and_flag_overrides(self, tmp_path,
                                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text("out = mine.csv\nnodes = 60\nn = 10\ntrials = 1\n")
-        assert cli.main(["bench", "s4", "--config", str(cfgfile)]) == 0
-        assert (tmp_path / "mine.csv").exists()
-        assert not (tmp_path / "bench_s4.csv").exists()
-        assert cli.main(["bench", "s4", "--config", str(cfgfile),
-                         "--out", "flag.csv"]) == 0
+        argv = ["bench", "s4", "--nodes", "60", "--n", "10", "--trials", "1"]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "bench_s4.csv").exists()
+        assert cli.main([*argv, "--out", "flag.csv"]) == 0
         assert (tmp_path / "flag.csv").exists()
 
-    def test_every_scenario_field_has_one_config_key(self):
-        targets = [field for field, _ in cli._BENCH_KEYS.values()]
+    def test_every_scenario_field_has_one_flag(self):
+        targets = [field for field, _, _ in cli._BENCH_FLAGS.values()]
         config_fields = [f.name for f in dataclasses.fields(bench.ScenarioConfig)]
         assert sorted(targets) == sorted(config_fields[1:])
         assert config_fields[0] == "scenario"
-        assert set(cli._BENCH_FLAGS) <= set(cli._BENCH_KEYS)
+        args = vars(cli.build_parser().parse_args(["bench", "s1"]))
+        assert set(args) == {"command", "scenario", *cli._BENCH_FLAGS}
 
     def test_sweeps_read_exactly_the_sweep_fields(self):
         # The sweep fields are the ones that stay None until run_scenario
@@ -937,14 +914,11 @@ class TestCli:
                         if f.default is None}
         assert set().union(*bench.SWEEPS.values()) == sweep_fields
 
-    @pytest.mark.parametrize("line, key", [
-        ("trials = x", "trials"), ("nodes = 10 abc", "nodes"), ("nodes =", "nodes"),
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "x"), ("nodes", "10 abc"), ("nodes", ""),
     ])
-    def test_unparsable_config_value_names_its_key(self, tmp_path, capsys,
-                                                   line, key):
-        cfgfile = tmp_path / "bench.cfg"
-        cfgfile.write_text(line + "\n")
-        rc = cli.main(["bench", "s1", "--config", str(cfgfile),
+    def test_unparsable_value_names_its_flag(self, tmp_path, capsys, key, value):
+        rc = cli.main(["bench", "s1", f"--{key}", value,
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -959,26 +933,17 @@ class TestCli:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"error: pi must have K=3 entries, got {n_entries}"]
 
-    def test_readme_commands_parse(self, tmp_path, monkeypatch, swept):
+    def test_readme_commands_parse(self, tmp_path, swept):
         # The CLI examples in the README must not name a removed subcommand
         # or flag, and each bench example must resolve to a sweep: no
-        # removed key, no setting its scenario leaves unread. No trial runs.
-        monkeypatch.chdir(ROOT)
-        readme = (ROOT / "README.md").read_text()
-        script = "".join(re.findall(r"```bash\n(.*?)```", readme, flags=re.S))
-        commands = [shlex.split(line, comments=True)
-                    for line in script.replace("\\\n", " ").splitlines()]
-        commands = [argv[1:] for argv in commands if argv[:1] == ["sscluster"]]
+        # setting its scenario leaves unread. No trial runs.
+        commands = readme_commands()
         assert commands
         for argv in commands:
             try:
                 args = cli.build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: sscluster {shlex.join(argv)}")
-            # A config file a README command names ships with the repo.
-            config = getattr(args, "config", None)
-            if config is not None and not (ROOT / config).is_file():
-                pytest.fail(f"README command names a missing file: {config}")
             if args.command == "bench":
                 args.out = str(tmp_path / "x.csv")
                 try:
@@ -986,15 +951,22 @@ class TestCli:
                 except ValueError as exc:
                     pytest.fail(f"README command fails: sscluster {shlex.join(argv)}: {exc}")
         assert len(swept) == sum(argv[0] == "bench" for argv in commands)
-        # The README's key list names exactly the bench config keys.
-        sentence = re.search(r"Recognized keys:(.*?);", readme, flags=re.S).group(1)
-        assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(cli._BENCH_KEYS)
+        # The README's settings sentence names exactly the bench flags.
+        readme = (ROOT / "README.md").read_text()
+        sentence = re.search(r"settings are its flags(.*?)\.", readme, flags=re.S).group(1)
+        assert sorted(re.findall(r"`--([^`]+)`", sentence)) == sorted(cli._BENCH_FLAGS)
 
     def test_eval_has_no_k_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["eval", "a", "b", "--k", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+    def test_bench_has_no_config_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "s1", "--config", "x.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x.cfg" in capsys.readouterr().err
 
     def test_bench_invalid_config_exits_nonzero(self, tmp_path):
         rc = cli.main(["bench", "s4", "--nodes", "60", "--trials", "1",
@@ -1006,9 +978,6 @@ class TestCli:
         pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--n", "10"],
                      id="argv0"),
         pytest.param(["eval", "{tmp}/missing1", "{tmp}/missing2"], id="argv1"),
-        pytest.param(["bench", "s4", "--config", "{tmp}/missing.cfg"], id="argv2"),
-        pytest.param(["bench", "s4", "--config", "{tmp}/bad_trials.cfg"], id="argv3"),
-        pytest.param(["bench", "s1", "--config", "{tmp}/bad_full_sc.cfg"], id="argv4"),
         pytest.param(["generate", "--nodes", "0", "--out", "{tmp}/g.edges"], id="argv5"),
         pytest.param(["generate", "--nodes", "10", "--beta", "2", "--out", "{tmp}/g.edges"],
                      id="argv6"),
@@ -1035,17 +1004,16 @@ class TestCli:
                      id="argv17"),
         pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--nodes",
                       "1000000000000000", "--n", "2", "--out", "{tmp}/r"], id="argv18"),
-        # An empty output path is rejected before any trial runs.
+        # An empty output path, or one that cannot be written, is rejected
+        # before any trial runs.
         pytest.param(["bench", "s4", "--trials", "1", "--out", ""], id="argv19"),
-        pytest.param(["bench", "s4", "--trials", "1", "--config", "{tmp}/empty_out.cfg"],
+        pytest.param(["bench", "s4", "--trials", "1", "--out", "{tmp}/no_dir/x.csv"],
                      id="argv20"),
         # dcs's degree partition of a 4-cycle leaves two clusters empty,
-        # which it logs as warnings, before n < K stops it.
+        # which it logs as a warning, before n < K stops it.
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--method", "dcs",
                       "--n", "2", "--k", "3", "--out", "{tmp}/r"], id="argv21"),
         pytest.param(["bench", "s1", "--trials", "0", "--out", "{tmp}/x.csv"], id="argv22"),
-        pytest.param(["bench", "s4", "--config", "{tmp}/unknown_key.cfg",
-                      "--out", "{tmp}/x.csv"], id="argv23"),
         pytest.param(["eval", "{tmp}/three.labels", "{tmp}/two.labels"], id="argv24"),
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--n", "2", "--k", "0",
                       "--out", "{tmp}/r"], id="argv25"),
@@ -1067,9 +1035,6 @@ class TestCli:
                       "--out", "{tmp}/g.edges"], id="argv33"),
         pytest.param(["bench", "s1", "--pi", "nan nan nan", "--out", "{tmp}/x.csv"],
                      id="argv34"),
-        # A key that no longer exists: each sweep axis has one key.
-        pytest.param(["bench", "s1", "--config", "{tmp}/old_key.cfg",
-                      "--out", "{tmp}/x.csv"], id="argv35"),
         # With --nodes, an id outside [0, nodes) names its file line.
         pytest.param(["cluster", "--edges", "{tmp}/oor.edges", "--nodes", "3", "--n", "2",
                       "--out", "{tmp}/r"], id="argv36"),
@@ -1082,13 +1047,18 @@ class TestCli:
                      id="argv39"),
         pytest.param(["bench", "s1", "--method", "srs,dcs", "--out", "{tmp}/x.csv"],
                      id="argv40"),
+        # The Gram guard stops a sweep before cell 0's trials, not at cell 1.
+        pytest.param(["bench", "s2", "--nodes", "4100", "--n", "100,4050", "--trials", "1",
+                      "--method", "srs", "--out", "{tmp}/x.csv"], id="argv41"),
+        # Each axis lists strictly ascending values, as its TREND rows read it.
+        pytest.param(["bench", "s2", "--nodes", "60", "--n", "30,8", "--out", "{tmp}/x.csv"],
+                     id="argv42"),
+        pytest.param(["bench", "s1", "--nodes", "60,60", "--out", "{tmp}/x.csv"],
+                     id="argv43"),
+        pytest.param(["bench", "s4", "--trials", "1", "--out", "{tmp}"], id="argv44"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, request, no_trial,
                                          argv):
-        (tmp_path / "bad_trials.cfg").write_text("trials = x\n")
-        (tmp_path / "bad_full_sc.cfg").write_text("full_sc = 1\n")
-        (tmp_path / "empty_out.cfg").write_text("out =\n")
-        (tmp_path / "unknown_key.cfg").write_text("colour = red\n")
         (tmp_path / "loops.edges").write_text("5 5\n7 7\n")  # no edges left
         (tmp_path / "cycle.edges").write_text(CYCLE)
         (tmp_path / "three.labels").write_text("0 1\n1 2\n2 1\n")
@@ -1097,7 +1067,6 @@ class TestCli:
         (tmp_path / "float.edges").write_text("# c\n\n0 1\n1 2.5\n")
         (tmp_path / "big.edges").write_text("# c\n\n0 1\n1 2\n99999999999999999999 3\n")
         (tmp_path / "x.labels").write_text("# labels\n\n0 1\n1 x\n")
-        (tmp_path / "old_key.cfg").write_text("N_grid = 60 90\n")
         (tmp_path / "oor.edges").write_text("# c\n0 1\n1 7\n")
         (tmp_path / "neg.edges").write_text("0 1\n1 -2\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -1134,4 +1103,4 @@ class TestCli:
                            "--out", str(tmp_path / "r")])
         assert rc == 0
         assert [(r.name, r.levelno) for r in caplog.records] == [
-            ("sscluster.kmeans", logging.WARNING), ("sscluster.sampling", logging.WARNING)]
+            ("sscluster.sampling", logging.WARNING)]

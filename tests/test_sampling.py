@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -159,6 +160,16 @@ class TestDcs:
             dcs(g, 6, 2)
         with pytest.raises(ValueError):
             dcs(g, 3, 6)
+
+    def test_one_warning_for_an_empty_degree_partition(self, caplog):
+        # A ring where each node links to the 2 nearest on each side: every
+        # degree is 4, so a partition into 3 leaves two clusters empty.
+        g = from_edge_list([(i, (i + s) % 30) for i in range(30) for s in (1, 2)], 30)
+        with caplog.at_level(logging.WARNING, logger="sscluster"):
+            dcs(g, 6, 3)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("sscluster.sampling", "degree partition has 2 empty clusters; "
+                                   "quotas use the 1 nonempty ones")]
 
 
 class TestDraw:
