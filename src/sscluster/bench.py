@@ -14,15 +14,16 @@ with ``read_records_csv``. Rows, TRIAL, AGG and TREND alike, are dicts
 keyed by ``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
-strength, and community imbalance. ``SWEEPS`` states the axes each
-scenario reads, with its defaults. Each axis (N, n, beta, zeta, delta)
-holds one value or several, strictly ascending; a sweep's cells are their
-product, in that order, and its TREND rows follow the one axis that holds
-several values (none when no axis or several do). Every cell passes the
-model's own checks and the Gram guard before any trial runs. Every trial
-is driven by a seed derived from (master seed, scenario, cell index, trial
-index), so identical configurations reproduce the CSV byte for byte
-except for the timing columns.
+strength, and community imbalance; all plant ``SWEEP_K`` = 3 communities.
+``SWEEPS`` states the axes each scenario reads, with its defaults. Each
+axis (N, n, beta, zeta, delta) holds one value or several, strictly
+ascending; a sweep's cells are their product, in that order, and its
+TREND rows follow the one axis that holds several values (none when no
+axis or several do). Every cell passes the model's own checks and the
+Gram guard before any trial runs. Every trial is driven by a seed derived
+from (master seed, scenario, cell index, trial index), so identical
+configurations reproduce the CSV byte for byte except for the timing
+columns.
 
 CSV schema (version header "# sscluster bench csv v1"):
     row_type   TRIAL | AGG | TREND
@@ -48,7 +49,6 @@ import csv
 import hashlib
 import itertools
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -57,6 +57,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import graph, metrics, sampling, sbm, spectral
+from .cli import check_output_path
 from .errors import DegenerateInputError
 from .kmeans import kmeans
 
@@ -72,6 +73,9 @@ TIMING_COLUMNS = [col for col in COLUMNS if col.startswith("t_")]
 # Largest N at which run_real adds the full-SC comparison and the s1 sweep
 # runs its full rows (larger cells are marked skipped).
 FULL_BASELINE_MAX_N = 5000
+
+# Community count of every sweep; s4's pi = (1/3 - delta, 1/3, 1/3 + delta).
+SWEEP_K = 3
 
 # Degree-partition count of dcs sampling when run_real picks K by eigengap,
 # which needs the sample first.
@@ -100,7 +104,6 @@ class ScenarioConfig:
     """
 
     scenario: str                       # s1 | s2 | s3 | s4
-    K: int = 3
     N: tuple[int, ...] | None = None
     n: tuple[int, ...] | None = None
     beta: tuple[float, ...] | None = None
@@ -186,7 +189,7 @@ def _trial_row(times: dict, **fields) -> dict:
     return {"row_type": "TRIAL", **fields, **stages, "t_total": sum(stages.values())}
 
 
-def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
+def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int,
                methods: tuple[str, ...]) -> list[dict]:
     """Run one seeded replication of a scenario cell.
 
@@ -196,6 +199,7 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int, K: int,
     full-SC baseline row of the cell. Returns one TRIAL row per method, in
     the order srs/dcs, then full.
     """
+    K = SWEEP_K
     rng = np.random.default_rng(seed)
     z = sbm.sample_memberships(cell.pi, cell.N, rng)
     B = sbm.block_matrix(cell.beta, cell.zeta, K)
@@ -245,7 +249,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
     for cell in cells:
         for t in range(cfg.trials):
             seed = derive_seed(cfg.master_seed, cfg.scenario, cell.index, t)
-            tasks.append((cfg.scenario, cell, t, seed, cfg.K, cfg.methods))
+            tasks.append((cfg.scenario, cell, t, seed, cfg.methods))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -260,8 +264,8 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 # The sweep settings each scenario reads, with their desk defaults (pi None:
-# uniform over the K communities); every other one is rejected. s1 leaves n
-# to subsample_size_rule, and s4 derives pi from delta.
+# uniform over the SWEEP_K communities); every other one is rejected. s1
+# leaves n to subsample_size_rule, and s4 derives pi from delta.
 SWEEPS = {
     "s1": {"N": (1000, 2000, 4000), "beta": (0.1,), "zeta": (0.05,), "pi": None},
     "s2": {"N": (2000,), "n": (100, 300, 500, 700, 900, 1100),
@@ -287,8 +291,6 @@ def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
         values = getattr(cfg, axis) or ()
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"{flag} must be strictly ascending")
-    if cfg.delta is not None and cfg.K != 3:
-        raise ValueError("the imbalance sweep is defined for K = 3")
     axes = (cfg.N, (None,) if cfg.n is None else cfg.n, cfg.beta, cfg.zeta,
             (0.0,) if cfg.delta is None else cfg.delta)
     return [_Cell(index=i, N=N, n=subsample_size_rule(N) if n is None else n,
@@ -316,20 +318,17 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     cfg = replace(cfg, **{key: value for key, value in reads.items()
                           if getattr(cfg, key) is None})
     if "pi" in reads:
-        cfg.pi = sbm.community_probs(cfg.pi, cfg.K)
+        cfg.pi = sbm.community_probs(cfg.pi, SWEEP_K)
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not cfg.out or os.path.isdir(cfg.out):
-        raise ValueError(f"out: must name a file, got {cfg.out!r}")
-    if not os.path.isdir(os.path.dirname(cfg.out) or "."):
-        raise ValueError(f"out: {os.path.dirname(cfg.out)} is not a directory")
+    check_output_path("out", cfg.out)
     if not all(m in ("srs", "dcs") for m in cfg.methods):
         raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
 
     cells = _sweep_cells(cfg)
-    _check_cells(cells, cfg)
+    _check_cells(cells)
     rows = _run_sweep(cfg, cells)
     # TREND rows follow the one axis that holds several values.
     varied = [axis for axis in _AXES if len(getattr(cfg, axis) or ()) > 1]
@@ -338,7 +337,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     return rows
 
 
-def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
+def _check_cells(cells: list[_Cell]) -> None:
     """Validate every cell against the pipeline preconditions and the
     model's own checks up front, so an invalid config fails before any
     trial runs (no partial CSV)."""
@@ -346,11 +345,11 @@ def _check_cells(cells: list[_Cell], cfg: ScenarioConfig) -> None:
         try:
             if not 1 <= c.n <= c.N:
                 raise ValueError(f"need 1 <= n <= N, got n={c.n}, N={c.N}")
-            if cfg.K > c.n:
-                raise ValueError(f"K={cfg.K} exceeds subsample size {c.n}")
+            if SWEEP_K > c.n:
+                raise ValueError(f"K={SWEEP_K} exceeds subsample size {c.n}")
             spectral.check_gram_size(c.n)
-            sbm.block_matrix(c.beta, c.zeta, cfg.K)
-            sbm.community_probs(c.pi, cfg.K)
+            sbm.block_matrix(c.beta, c.zeta, SWEEP_K)
+            sbm.community_probs(c.pi, SWEEP_K)
         except ValueError as exc:
             raise ValueError(f"cell {c.index}: {exc}") from None
 
@@ -444,7 +443,7 @@ def read_records_csv(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
-             out_prefix: str | None = None, n_nodes: int | None = None) -> dict:
+             out_prefix: str, n_nodes: int | None = None) -> dict:
     """Cluster a network from an edge-list file.
 
     ``method`` selects srs/dcs subsampling (size ``n``) or "full" for the
@@ -466,8 +465,9 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
     later run on the same bytes hashes the file and loads and checks the
     graph from the sidecar the first run wrote. The summary's ``sample``
     holds the sampled node ids, or None for ``method="full"``, and its
-    ``relabeled`` whether the file's ids were relabeled, which writes the
-    id map ``<out_prefix>.idmap``.
+    ``relabeled`` whether the file's ids were relabeled. The run writes
+    ``<out_prefix>.labels``, ``.sample`` (sampled runs) and ``.idmap``
+    (relabeled ids).
     """
     if k != "auto" and (not isinstance(k, int) or k < 1):
         raise ValueError(f"k must be a positive int or 'auto', got {k!r}")
@@ -504,10 +504,9 @@ def run_real(edge_list_path, n: int | None, k, method: str, seed: int,
         summary["disagreement_rate"] = metrics.misclustered_rate(labels, full_labels, k)
 
     with _stage(times, "write"):
-        if out_prefix:
-            sbm.write_labels(labels, f"{out_prefix}.labels")
-            if ids is not None:
-                sampling.write_sample(ids, f"{out_prefix}.sample")
-            if ext_ids is not None:
-                graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
+        sbm.write_labels(labels, f"{out_prefix}.labels")
+        if ids is not None:
+            sampling.write_sample(ids, f"{out_prefix}.sample")
+        if ext_ids is not None:
+            graph.write_relabel_map(ext_ids, f"{out_prefix}.idmap")
     return summary

@@ -7,7 +7,9 @@ Subcommands:
     eval       misclustered rate between two label files
 
 Each ``bench`` flag sets one ``bench.ScenarioConfig`` field; ``_BENCH_FLAGS``
-gives its field, value parser and help.
+gives its field, value parser and help. There is no ``--k``: sweeps plant
+``bench.SWEEP_K`` = 3 communities. ``generate``, ``cluster`` and ``bench``
+check their output paths with ``check_output_path`` before any work.
 
 ``bench`` and ``metrics`` are imported by the handlers that use them, so
 ``generate`` loads numpy only.
@@ -16,11 +18,20 @@ gives its field, value parser and help.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import graph, sbm
+
+
+def check_output_path(name: str, path: str) -> None:
+    """Raise ValueError, naming ``name``, unless ``path`` can be created."""
+    if not path or os.path.isdir(path):
+        raise ValueError(f"{name}: must name a file, got {path!r}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{name}: {os.path.dirname(path)} is not a directory")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -56,7 +67,6 @@ _SCENARIOS = ("s1", "s2", "s3", "s4")
 _BENCH_FLAGS = {
     "nodes": ("N", _grid(int), "network size, one value or a list"),
     "n": ("n", _grid(int), "subsample size, one value or a list"),
-    "k": ("K", int, None),
     "beta": ("beta", _grid(float), None), "zeta": ("zeta", _grid(float), None),
     "delta": ("delta", _grid(float), "s4 imbalance, one value or a list"),
     "pi": ("pi", _parse_pi, "community probabilities, e.g. '0.3,0.3,0.4'"),
@@ -110,12 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    out = args.out or "network.edges"
+    check_output_path("out", out)
+    if args.labels_out:
+        check_output_path("labels-out", args.labels_out)
     rng = np.random.default_rng(args.seed)
     B = sbm.block_matrix(args.beta, args.zeta, args.k)  # checks k >= 1 first
     pi = sbm.community_probs(args.pi, args.k)
     z = sbm.sample_memberships(pi, args.nodes, rng)
     g = sbm.generate_adjacency(z, B, rng)
-    out = args.out or "network.edges"
     graph.write_edge_list(g, out)
     print(f"wrote {g.n_nodes} nodes, {g.n_edges} edges to {out}")
     if args.labels_out:
@@ -141,6 +154,7 @@ def cmd_cluster(args) -> int:
         # The eigengap compares two eigenvalues of the n x n Gram matrix.
         raise ValueError(f"--k auto needs --n >= 2, got --n {args.n}")
     out_prefix = args.out or "cluster_out"
+    check_output_path("out", f"{out_prefix}.labels")
     summary = bench.run_real(
         args.edges, n=args.n, k=k, method=args.method, seed=args.seed,
         out_prefix=out_prefix, n_nodes=args.nodes)

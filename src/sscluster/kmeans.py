@@ -6,7 +6,7 @@ pass per iteration:
 
 - one stacked matmul gives the products of the N points with the K
   centroids of each of the R running restarts, an (R, N, K) float64 block;
-  for the default 10 restarts and K=3 that is 7.2 MB at N=30k and 72 MB at
+  for its R = ``RESTARTS`` = 10 and K=3 that is 7.2 MB at N=30k and 72 MB at
   N=300k;
 - the squared distances are formed one cluster column at a time, each an
   (R, N) array, and the labels come from a running strict-< minimum over
@@ -25,7 +25,8 @@ that loop, so the results are bitwise its results
 share a pass.
 
 The scalar solver, ``kmeans_1d``, partitions degree sequences exactly, by a
-dynamic programme over the sorted distinct values.
+dynamic programme over the sorted distinct values, and returns the labels
+alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ logging.getLogger("sscluster").addHandler(logging.NullHandler())
 
 MOVE_TOL = 1e-6
 MAX_ITER = 100
+RESTARTS = 10
 
 
 @dataclass
@@ -52,8 +54,8 @@ class KMeansResult:
     wcss: float
     iterations: int
     converged: bool
-    n_empty: int = 0          # clusters left empty (degenerate inputs only)
-    restart: int = 0          # index of the winning restart
+    n_empty: int              # clusters left empty (degenerate inputs only)
+    restart: int              # index of the winning restart
 
 
 def _finite(points: np.ndarray) -> np.ndarray:
@@ -214,9 +216,8 @@ def _lloyd(points: np.ndarray, p2: np.ndarray, pn: np.ndarray,
     return labels, centroids, dist.sum(axis=1), iterations, converged
 
 
-def kmeans(points, K: int, restarts: int = 10, *,
-           rng: np.random.Generator) -> KMeansResult:
-    """Best-of-restarts k-means with k-means++ seeding.
+def kmeans(points, K: int, *, rng: np.random.Generator) -> KMeansResult:
+    """Best of ``RESTARTS`` k-means runs with k-means++ seeding.
 
     Each restart draws its own seed from the required ``rng``; the first
     restart with the lowest within-cluster sum of squares wins. Labels are
@@ -228,11 +229,9 @@ def kmeans(points, K: int, restarts: int = 10, *,
     n = len(points)
     if K < 1 or K > n:
         raise ValueError(f"K must be in 1..{n}, got {K}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     p2, pn = _expansion(points)
-    seeds = [rng.integers(2**63) for _ in range(restarts)]
+    seeds = [rng.integers(2**63) for _ in range(RESTARTS)]
     init = _plusplus_init(points, p2, pn, K, [np.random.default_rng(s) for s in seeds])
     labels, cents, wcss, iters, conv = _lloyd(points, p2, pn, init)
 
@@ -246,18 +245,21 @@ def kmeans(points, K: int, restarts: int = 10, *,
         n_empty=int((np.bincount(labels[r], minlength=K) == 0).sum()),
         restart=r,
     )
-    _log(res, restarts)
+    logger.debug(
+        "k-means K=%d: restart %d of %d won, %d iterations, converged=%s, "
+        "%d empty, wcss=%.6g", K, res.restart, RESTARTS, res.iterations,
+        res.converged, res.n_empty, res.wcss)
     return res
 
 
-def kmeans_1d(values, K: int) -> KMeansResult:
+def kmeans_1d(values, K: int) -> np.ndarray:
     """Exact scalar k-means, with no randomness.
 
     An optimal 1-D partition splits the sorted values into contiguous runs,
     and a dynamic programme over the distinct values finds the best split
     (Wang & Song 2011, "Ckmeans.1d.dp"): the leftmost of equally good ones.
-    Clusters are numbered by ascending mean. Fewer distinct values than K
-    leave clusters empty, counted in ``n_empty``.
+    Returns the int64 labels, 1-based and numbered by ascending mean. Fewer
+    distinct values than K leave the highest labels unused.
     """
     values = _finite(np.asarray(values, dtype=np.float64).ravel())
     n = len(values)
@@ -288,23 +290,4 @@ def kmeans_1d(values, K: int) -> KMeansResult:
         starts[k] = end = first[k, end]
 
     group = np.repeat(np.arange(groups), np.diff(np.append(starts, U)))
-    means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
-    n_empty = K - groups
-    res = KMeansResult(
-        labels=group[inverse] + 1,
-        # An empty cluster repeats the largest mean, so the means still ascend.
-        centroids=np.pad(means, (0, n_empty), mode="edge")[:, None],
-        wcss=float((w * (x - means[group]) ** 2).sum()),
-        iterations=1,
-        converged=True,
-        n_empty=n_empty,
-    )
-    _log(res, 1)
-    return res
-
-
-def _log(res: KMeansResult, restarts: int) -> None:
-    logger.debug(
-        "k-means K=%d: restart %d of %d won, %d iterations, converged=%s, "
-        "%d empty, wcss=%.6g", len(res.centroids), res.restart, restarts,
-        res.iterations, res.converged, res.n_empty, res.wcss)
+    return group[inverse] + 1

@@ -64,7 +64,7 @@ def dcs(g: SparseGraph, n: int, K: int) -> np.ndarray:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
 
     d = degrees(g)
-    labels = kmeans_1d(d / N, K).labels
+    labels = kmeans_1d(d / N, K)
     counts = np.bincount(labels, minlength=K + 1)[1:]
     nonempty = np.flatnonzero(counts > 0)
     if len(nonempty) < K:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sscluster import bench, cli, graph, sampling, spectral
+from sscluster import bench, cli, graph, sampling, sbm, spectral
 from sscluster.graph import bi_adjacency, from_edge_list, write_edge_list
 from sscluster.kmeans import kmeans
 from sscluster.metrics import misclustered_rate
@@ -136,9 +136,9 @@ class TestScenario1:
         assert not out.exists()
 
     def test_no_partial_csv_on_invalid_config(self, tmp_path):
-        out = tmp_path / "s1.csv"
-        cfg = tiny_cfg("s1", out, N=(40,), K=50)  # K > n
-        with pytest.raises(ValueError):
+        out = tmp_path / "s2.csv"
+        cfg = tiny_cfg("s2", out, n=(2,))  # K = 3 > n
+        with pytest.raises(ValueError, match="^cell 0: K=3 exceeds subsample size 2$"):
             bench.run_scenario(cfg)
         assert not out.exists()
 
@@ -200,7 +200,7 @@ class TestScenario3:
     def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
         cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
                            pi=(1 / 3, 1 / 3, 1 / 3))
-        records = bench._sbm_trial("s3", cell, 0, 11, 3, ("srs", "dcs"))
+        records = bench._sbm_trial("s3", cell, 0, 11, ("srs", "dcs"))
         # Replay the draws: a degenerate trial runs no k-means, so the
         # generator state after the first sample is the state dcs sees.
         rng = np.random.default_rng(11)
@@ -501,10 +501,10 @@ class TestRunReal:
     def test_auto_k_finds_planted_value(self, network, tmp_path):
         g, z, path = network
         summary = bench.run_real(path, n=60, k="auto", method="srs", seed=3,
-                                 n_nodes=g.n_nodes)
+                                 out_prefix=str(tmp_path / "out"), n_nodes=g.n_nodes)
         assert summary["K"] == 3
 
-    def test_auto_k_solves_the_gram_once(self, network, monkeypatch):
+    def test_auto_k_solves_the_gram_once(self, network, tmp_path, monkeypatch):
         g, z, path = network
         calls = []
         solve = spectral.symmetric_eig
@@ -512,7 +512,7 @@ class TestRunReal:
                             lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         monkeypatch.setattr(bench, "FULL_BASELINE_MAX_N", 10)
         summary = bench.run_real(path, n=60, k="auto", method="srs", seed=3,
-                                 n_nodes=g.n_nodes)
+                                 out_prefix=str(tmp_path / "out"), n_nodes=g.n_nodes)
         assert len(calls) == 1
         # Two-solve route: the spectrum for K, then a fresh solve in embed.
         rng = np.random.default_rng(3)
@@ -559,10 +559,10 @@ class TestRunReal:
         assert np.array_equal(labels, km.labels)
         assert rng.bit_generator.state == replay.bit_generator.state
 
-    def test_full_comparison_included_under_guard(self, network):
+    def test_full_comparison_included_under_guard(self, network, tmp_path):
         g, z, path = network
         summary = bench.run_real(path, n=40, k=3, method="dcs", seed=1,
-                                 n_nodes=g.n_nodes)
+                                 out_prefix=str(tmp_path / "out"), n_nodes=g.n_nodes)
         assert "disagreement_rate" in summary
         assert 0.0 <= summary["disagreement_rate"] <= 1.0
         assert summary["times"]["full_sc"] > 0
@@ -600,7 +600,7 @@ class TestRunReal:
         path = tmp_path / "tiny.edges"
         write_edge_list(g, path)
         summary = bench.run_real(path, n=2, k=2, method="srs", seed=0,
-                                 n_nodes=5)
+                                 out_prefix=str(tmp_path / "out"), n_nodes=5)
         assert summary["n_disconnected_from_sample"] >= 1
 
 
@@ -733,7 +733,10 @@ CYCLE = "0 1\n1 2\n2 3\n3 0\n"
 # pin one ({tmp}: the test's directory).
 EXACT_ERRORS = {
     "argv19": "config error: out: must name a file, got ''",
+    "argv14": "config error: cell 0: K=3 exceeds subsample size 2",
+    "argv15": "config error: cell 0: K=3 exceeds subsample size 1",
     "argv20": "config error: out: {tmp}/no_dir is not a directory",
+    "argv26": "config error: cell 1: pi entries must be >= 0 and sum to 1",
     "argv28": "error: {tmp}/float.labels:2: could not convert string '1.5' to int64",
     "argv29": "error: {tmp}/float.edges:4: could not convert string '2.5' to int64",
     "argv30": "error: {tmp}/big.edges:5: could not convert string "
@@ -751,6 +754,18 @@ EXACT_ERRORS = {
     "argv42": "config error: n must be strictly ascending",
     "argv43": "config error: nodes must be strictly ascending",
     "argv44": "config error: out: must name a file, got '{tmp}'",
+    "argv45": "error: out: {tmp}/no_dir is not a directory",
+    "argv46": "error: out: {tmp}/no_dir is not a directory",
+    "argv47": "error: labels-out: {tmp}/no_dir is not a directory",
+}
+
+# Output paths in a missing directory, each checked before any stage runs.
+NO_DIR_ARGV = {
+    "argv45": ["cluster", "--edges", "{tmp}/cycle.edges", "--n", "2",
+               "--out", "{tmp}/no_dir/r"],
+    "argv46": ["generate", "--nodes", "10", "--out", "{tmp}/no_dir/g.edges"],
+    "argv47": ["generate", "--nodes", "10", "--out", "{tmp}/g.edges",
+               "--labels-out", "{tmp}/no_dir/t.labels"],
 }
 
 
@@ -968,6 +983,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --config x.cfg" in capsys.readouterr().err
 
+    def test_bench_has_no_k_flag(self, capsys):
+        # Sweeps plant bench.SWEEP_K = 3 communities.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "s1", "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(NO_DIR_ARGV))
+    def test_output_path_is_checked_before_any_stage(self, tmp_path, monkeypatch,
+                                                     case):
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(graph, "graph_from_file", stage)
+        monkeypatch.setattr(sbm, "generate_adjacency", stage)
+        assert cli.main([a.format(tmp=tmp_path) for a in NO_DIR_ARGV[case]]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_bench_invalid_config_exits_nonzero(self, tmp_path):
         rc = cli.main(["bench", "s4", "--nodes", "60", "--trials", "1",
                        "--out", str(tmp_path / "x.csv"), "--beta", "1.5"])
@@ -994,8 +1026,11 @@ class TestCli:
                      id="argv12"),
         pytest.param(["cluster", "--edges", "{tmp}/missing.edges", "--method", "dcs"],
                      id="argv13"),
-        pytest.param(["bench", "s1", "--k", "0", "--out", "{tmp}/x.csv"], id="argv14"),
-        pytest.param(["bench", "s1", "--k", "-1", "--out", "{tmp}/x.csv"], id="argv15"),
+        # Sweeps plant bench.SWEEP_K = 3 communities, so a subsample of fewer
+        # nodes is rejected before any trial: s2's n, and s1's n from
+        # subsample_size_rule.
+        pytest.param(["bench", "s2", "--n", "2", "--out", "{tmp}/x.csv"], id="argv14"),
+        pytest.param(["bench", "s1", "--nodes", "2", "--out", "{tmp}/x.csv"], id="argv15"),
         pytest.param(["cluster", "--edges", "{tmp}/loops.edges", "--method", "full",
                       "--k", "1", "--out", "{tmp}/r"], id="argv16"),
         # argv17 asks for about 7 PiB, which fails at once and allocates
@@ -1017,8 +1052,9 @@ class TestCli:
         pytest.param(["eval", "{tmp}/three.labels", "{tmp}/two.labels"], id="argv24"),
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--n", "2", "--k", "0",
                       "--out", "{tmp}/r"], id="argv25"),
-        # The imbalance sweep is defined for K = 3 only.
-        pytest.param(["bench", "s4", "--k", "4", "--out", "{tmp}/x.csv"], id="argv26"),
+        # s4's imbalance pi = (1/3 - delta, 1/3, 1/3 + delta) is checked per cell.
+        pytest.param(["bench", "s4", "--delta", "0.1,0.4", "--out", "{tmp}/x.csv"],
+                     id="argv26"),
         # A negative node count reaches the graph build's own check.
         pytest.param(["cluster", "--edges", "{tmp}/cycle.edges", "--nodes", "-4",
                       "--n", "2", "--out", "{tmp}/r"], id="argv27"),
@@ -1056,6 +1092,7 @@ class TestCli:
         pytest.param(["bench", "s1", "--nodes", "60,60", "--out", "{tmp}/x.csv"],
                      id="argv43"),
         pytest.param(["bench", "s4", "--trials", "1", "--out", "{tmp}"], id="argv44"),
+        *(pytest.param(argv, id=case) for case, argv in NO_DIR_ARGV.items()),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, request, no_trial,
                                          argv):

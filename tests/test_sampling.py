@@ -144,7 +144,7 @@ class TestDcs:
         g = generate_adjacency(z, block_matrix(0.4, 0.1, 2), rng)
         ids = dcs(g, 20, 2)
         d = degrees(g)
-        labels = kmeans_1d(d / 80, 2).labels
+        labels = kmeans_1d(d / 80, 2)
         chosen = np.zeros(80, dtype=bool)
         chosen[ids] = True
         for k in (1, 2):

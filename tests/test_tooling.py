@@ -1,5 +1,6 @@
 """The benchmark harness under perfbench/ still finds every name it traces,
-and the test settings report a failing test as a failure.
+the test settings report a failing test as a failure, and no module keeps
+an import it does not use.
 
 ``perfbench/run.py --trace 1`` wraps ``(module, attr)`` pairs of the
 package; a renamed or deleted function would only show up there as a
@@ -7,6 +8,7 @@ failed traced run, and a call that bypasses a wrapped name only as a
 layer metric reading 0. These tests load the harness without running it.
 """
 
+import ast
 import importlib.util
 import shlex
 import subprocess
@@ -162,3 +164,21 @@ def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_every_module_level_import_is_read():
+    # A deletion can leave behind an import that nothing reads any more.
+    unused = []
+    for path in sorted([*(ROOT / "src" / "sscluster").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds `a`.
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                           for name in bound if name not in read]
+    assert unused == []
