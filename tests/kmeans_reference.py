@@ -4,6 +4,10 @@ This is the earlier implementation, which runs Lloyd one restart at a
 time with a Python loop over clusters. It is kept verbatim except that
 ``KMeansResult`` carries the index of the winning restart, so the tests
 can assert that the batched solver returns the same result bit for bit.
+
+``kmeans_1d_by_run_end`` is the exact scalar solver's dynamic programme
+with one run end at a time, the reference for ``sscluster.kmeans_1d``'s
+blocks of run ends.
 """
 
 from __future__ import annotations
@@ -184,3 +188,31 @@ def kmeans_1d(values, K: int) -> KMeansResult:
         converged=conv,
         n_empty=n_empty,
     )
+
+
+def kmeans_1d_by_run_end(values, K: int) -> np.ndarray:
+    """Exact scalar k-means by a dynamic programme over the sorted distinct
+    values, one run end j at a time; 1-based int64 labels numbered by
+    ascending mean, the leftmost of equally good splits."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    n = len(values)
+    x, inverse, w = np.unique(values, return_inverse=True, return_counts=True)
+    U, groups = len(x), min(K, len(x))
+    xc = x - np.dot(w, x) / n
+    s0, s1, s2 = (np.append(0, np.cumsum(t)) for t in (w, w * xc, w * xc * xc))
+
+    best = np.append(np.inf, s2[1:] - s1[1:] ** 2 / s0[1:])
+    first = np.zeros((groups, U + 1), dtype=np.int64)
+    for k in range(1, groups):
+        prev, best = best, np.full(U + 1, np.inf)
+        for j in range(k + 1 if k < groups - 1 else U, U - groups + k + 2):
+            t = s1[j] - s1[k:j]
+            total = prev[k:j] + (s2[j] - s2[k:j] - t * t / (s0[j] - s0[k:j]))
+            i = int(np.argmin(total))
+            best[j], first[k, j] = total[i], k + i
+    starts, end = np.zeros(groups, dtype=np.int64), U
+    for k in range(groups - 1, 0, -1):
+        starts[k] = end = first[k, end]
+
+    group = np.repeat(np.arange(groups), np.diff(np.append(starts, U)))
+    return group[inverse] + 1

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations, product
 from unittest.mock import patch
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import sscluster.kmeans as kmeans_module
 from sscluster import bench, sbm, spectral
 from sscluster.graph import bi_adjacency, degrees
-from sscluster.kmeans import KMeansResult, _expansion, _nearest, kmeans, kmeans_1d
+from sscluster.kmeans import (
+    KMeansResult, _nearest, _row_blocks, _Workspace, kmeans, kmeans_1d)
 from sscluster.sampling import srs
 
 
@@ -50,8 +52,8 @@ class TestKMeans:
         # the third pass's assignment then costs more than the second's.
         sums, passes = kmeans_module._cluster_sums, []
 
-        def pushed(points, labels, K):
-            counts, totals = sums(points, labels, K)
+        def pushed(ws, labels, K):
+            counts, totals = sums(ws, labels, K)
             passes.append(1)
             return counts, totals * (3.0 if len(passes) == 2 else 1.0)
 
@@ -234,21 +236,34 @@ def kmeans_inputs(draw):
     return points, K, restarts, draw(st.integers(0, 2**32 - 1))
 
 
-@given(kmeans_inputs())
-@settings(max_examples=150, deadline=None)
-def test_batched_restarts_match_per_restart_oracle(case):
+def check_against_oracle(case, block):
     points, K, restarts, seed = case
     # Hypothesis rejects function-scoped fixtures such as monkeypatch, so
-    # each example patches the restart count itself.
-    with patch.object(kmeans_module, "RESTARTS", restarts):
+    # each example patches the restart count and row block itself.
+    with patch.object(kmeans_module, "RESTARTS", restarts), \
+            patch.object(kmeans_module, "BLOCK", block):
         res = kmeans(points, K, rng=np.random.default_rng(seed))
     oracle = ref.kmeans(points, K, restarts=restarts, rng=np.random.default_rng(seed))
     assert_bitwise_equal(res, oracle)
 
 
+@given(kmeans_inputs())
+@settings(max_examples=150, deadline=None)
+def test_batched_restarts_match_per_restart_oracle(case):
+    check_against_oracle(case, kmeans_module.BLOCK)
+
+
+@given(kmeans_inputs())
+@settings(max_examples=150, deadline=None)
+def test_row_blocks_of_five_match_per_restart_oracle(case):
+    # Every input of more than 6 points spans several blocks.
+    check_against_oracle(case, 5)
+
+
 @pytest.mark.parametrize("n, d", [(3000, 1), (20000, 3), (5000, 5)])
 def test_large_inputs_match_oracle(n, d):
-    # Clusters of more than 128 points sum in several pairwise blocks.
+    # Clusters of more than 128 points sum in several pairwise blocks. The
+    # default row blocks split n = 20000 in three.
     rng = np.random.default_rng(n + d)
     centers = rng.normal(scale=3.0, size=(4, d))
     points = centers[rng.integers(4, size=n)] + rng.normal(size=(n, d))
@@ -257,13 +272,83 @@ def test_large_inputs_match_oracle(n, d):
                              ref.kmeans(points, K, rng=np.random.default_rng(K)))
 
 
+@pytest.mark.parametrize("n, d", [(3000, 1), (20000, 3), (5000, 5)])
+def test_large_inputs_over_small_row_blocks_match_oracle(monkeypatch, n, d):
+    # Blocks of 700 rows: several, and a remainder, at each n.
+    monkeypatch.setattr(kmeans_module, "BLOCK", 700)
+    test_large_inputs_match_oracle(n, d)
+
+
+def test_row_blocks_cover_the_rows_with_no_lone_last_row(monkeypatch):
+    monkeypatch.setattr(kmeans_module, "BLOCK", 5)
+    for n in range(1, 40):
+        blocks = _row_blocks(n)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= 6 and (n == 1 or min(sizes) >= 2)
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 10])
+@pytest.mark.parametrize("n, d, K, shape", [
+    (23, 1, 1, "spread"), (23, 3, 1, "spread"), (21, 1, 3, "spread"),
+    (21, 3, 3, "spread"), (22, 3, 3, "identical"), (23, 2, 23, "spread")])
+def test_several_row_blocks_match_oracle(monkeypatch, n, d, K, shape, restarts):
+    # Blocks of 5 rows with a remainder (n = 22, 23) or with a lone last
+    # row joined to the block before it (n = 21). Identical points send
+    # every K > 1 restart through the empty-cluster repair.
+    monkeypatch.setattr(kmeans_module, "BLOCK", 5)
+    monkeypatch.setattr(kmeans_module, "RESTARTS", restarts)
+    rng = np.random.default_rng(n * d * K)
+    points = rng.normal(size=(n, d))
+    if shape == "identical":
+        points[:] = points[0]
+    assert_bitwise_equal(kmeans(points, K, rng=np.random.default_rng(restarts)),
+                         ref.kmeans(points, K, restarts=restarts,
+                                    rng=np.random.default_rng(restarts)))
+
+
+def test_wide_labels_over_several_row_blocks(monkeypatch):
+    # With K = 300 OpenBLAS partitions each product itself, so a row's
+    # products can round differently in a block of rows than in the whole
+    # product: the distances are checked to the expansion's rounding (a few
+    # ulps of |x|^2 + |c|^2, here about 10), and each label names a
+    # centroid at the least distance to that rounding.
+    rng = np.random.default_rng(300)
+    points = rng.normal(size=(900, 2))
+    stack = rng.normal(size=(3, 300, 2))
+    whole = [x.copy() for x in _nearest(_Workspace(points, 3, 300), stack)]
+    monkeypatch.setattr(kmeans_module, "BLOCK", 5)
+    labels, dist = _nearest(_Workspace(points, 3, 300), stack)
+    assert labels.dtype == np.uint16 and labels.max() > 255
+    np.testing.assert_allclose(dist, whole[1], rtol=0, atol=1e-13)
+    exact = ((points[None, :, None] - stack[:, None]) ** 2).sum(axis=3)
+    chosen = np.take_along_axis(exact, labels[..., None].astype(np.intp), axis=2)[..., 0]
+    np.testing.assert_allclose(chosen, exact.min(axis=2), rtol=0, atol=1e-13)
+
+
+def test_memory_is_bounded_by_the_row_block():
+    # The (R, N) distances and one-byte labels, the point terms and one
+    # block of products: about 20 MB at N = 100k, d = 3. Whole (R, N, K)
+    # products and fresh (R, N) arrays in every pass take about 60 MB.
+    rng = np.random.default_rng(0)
+    n = 100_000
+    points = rng.normal(scale=3.0, size=(3, 3))[rng.integers(3, size=n)] + rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        kmeans(points, 3, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 @pytest.mark.parametrize("K, label_type", [(1, np.uint8), (300, np.uint16)])
 def test_label_widths_match_oracle(monkeypatch, K, label_type):
     # Assignments are kept in the narrowest unsigned type holding K - 1;
     # the returned labels are int64 either way.
     points = np.random.default_rng(K).normal(size=(900, 2))
-    p2, pn = _expansion(points)
-    assert _nearest(p2, pn, points[None, :K])[0].dtype == label_type
+    assert _nearest(_Workspace(points, 1, K), points[None, :K])[0].dtype == label_type
     monkeypatch.setattr(kmeans_module, "RESTARTS", 3)
     res = kmeans(points, K, rng=np.random.default_rng(5))
     assert_bitwise_equal(res, ref.kmeans(points, K, restarts=3,
@@ -330,6 +415,26 @@ def test_kmeans_1d_matches_brute_force_over_contiguous_splits(seed, U, K, n):
     assert partition_wcss(values, labels) == pytest.approx(best, rel=1e-9, abs=1e-300)
 
 
+@pytest.mark.parametrize("block", [kmeans_module.BLOCK, 5])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 6),
+       st.sampled_from(["degrees", "reals", "few"]))
+@settings(max_examples=100, deadline=None)
+def test_kmeans_1d_matches_the_loop_over_run_ends(block, seed, n, K, kind):
+    # The same floats per table entry and the same first minimum as the
+    # dynamic programme with one run end at a time, so the same labels.
+    rng = np.random.default_rng(seed)
+    if kind == "degrees":
+        values = rng.poisson(rng.uniform(0.5, 20), size=n).astype(float)
+    elif kind == "reals":
+        values = rng.exponential(size=n)
+    else:
+        values = rng.integers(0, 4, size=n).astype(float)
+    K = min(K, n)
+    with patch.object(kmeans_module, "BLOCK", block):
+        labels = kmeans_1d(values, K)
+    assert np.array_equal(labels, ref.kmeans_1d_by_run_end(values, K))
+
+
 def test_kmeans_1d_ties_take_the_leftmost_split():
     # {0}{1, 2} and {0, 1}{2} cost the same; the first run ends earliest.
     assert kmeans_1d(np.array([0.0, 1.0, 2.0]), 2).tolist() == [1, 2, 2]
@@ -390,6 +495,13 @@ class TestNonFinite:
         points[5, 1] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite"):
             kmeans(points, 1, rng=np.random.default_rng(0))
+
+    def test_overflowing_distances(self):
+        # Finite points whose squared distances overflow to infinity.
+        points = np.random.default_rng(0).normal(size=(50, 2)) * 1e160
+        with pytest.raises(ValueError, match="squared distances overflow"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            kmeans(points, 3, rng=np.random.default_rng(0))
 
     def test_nan_scalar(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
