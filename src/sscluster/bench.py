@@ -10,24 +10,22 @@ stage seconds in a ``times`` dict; callers record the stages they own
 (sampling, and load and write in ``run_real``) into the same kind of
 dict. No other module of the package knows the records CSV schema below:
 this one writes the per-trial stage seconds and reads rows back as text
-with ``read_records_csv``. Rows, TRIAL, AGG and TREND alike, are dicts
-keyed by ``COLUMNS`` names; a column a row lacks is written empty.
+with ``read_records_csv``. Rows, TRIAL and AGG alike, are dicts keyed by
+``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
 strength, and community imbalance; all plant ``SWEEP_K`` = 3 communities.
 ``SWEEPS`` states the axes each scenario reads, with its defaults. Each
 axis (N, n, beta, zeta, delta) holds one value or several, strictly
-ascending; a sweep's cells are their product, in that order, and its
-TREND rows follow the one axis that holds several values (none when no
-axis or several do). Every cell passes the model's own checks and the
-Gram guard before any trial runs. Every trial is driven by a seed derived
-from (master seed, scenario, cell index, trial index), so identical
-configurations reproduce the CSV byte for byte except for the timing
-columns.
+ascending, so that no cell repeats; a sweep's cells are their product, in
+that order. Every cell passes the model's own checks and the Gram guard
+before any trial runs. Every trial is driven by a seed derived from
+(master seed, scenario, cell index, trial index), so identical configurations
+reproduce the CSV byte for byte except for the timing columns.
 
-CSV schema (version header "# sscluster bench csv v1"):
-    row_type   TRIAL | AGG | TREND
-    scenario   s1..s4 | real
+CSV schema (version header "# sscluster bench csv v2"; v1 files also read):
+    row_type   TRIAL | AGG
+    scenario   s1..s4
     cell       cell index within the sweep grid
     N, n, K    network size, subsample size, community count
     beta, zeta, delta   SBM signal and imbalance parameters
@@ -38,7 +36,6 @@ CSV schema (version header "# sscluster bench csv v1"):
     covered    1 if the sample hit every community, else 0
     rate       per-trial misclustered rate (TRIAL rows)
     rate_mean, rate_se   aggregates over the cell (AGG rows)
-    trend      per-method monotonicity summary of mean rates (TREND rows)
     t_sampling, t_laplacian, t_eig, t_kmeans   stage seconds (TRIAL rows)
     t_total    their sum (TRIAL rows), its mean over the cell (AGG rows)
 """
@@ -61,11 +58,11 @@ from .cli import check_output_path
 from .errors import DegenerateInputError
 from .kmeans import kmeans
 
-CSV_VERSION = "# sscluster bench csv v1"
+CSV_VERSION = "# sscluster bench csv v2"
 COLUMNS = [
     "row_type", "scenario", "cell", "N", "n", "K", "beta", "zeta", "delta",
     "method", "trial", "seed", "status", "covered", "rate",
-    "rate_mean", "rate_se", "trend",
+    "rate_mean", "rate_se",
     "t_sampling", "t_laplacian", "t_eig", "t_kmeans", "t_total",
 ]
 TIMING_COLUMNS = [col for col in COLUMNS if col.startswith("t_")]
@@ -277,15 +274,14 @@ SWEEPS = {
 }
 
 
-# The sweep axes, in cell order, each with the setting that names it in
-# error lines.
+# Each sweep axis with the setting that names it in error lines.
 _AXES = {"N": "nodes", "n": "n", "beta": "beta", "zeta": "zeta", "delta": "delta"}
 
 
 def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
     """The product of the sweep's axes N, n, beta, zeta and delta, in that
-    order (delta varies fastest), each strictly ascending for its TREND
-    rows. An unset n follows ``subsample_size_rule`` (s1), an unset delta
+    order (delta varies fastest), each strictly ascending so that no cell
+    repeats. An unset n follows ``subsample_size_rule`` (s1), an unset delta
     is 0, and a set delta makes pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
     for axis, flag in _AXES.items():
         values = getattr(cfg, axis) or ()
@@ -330,10 +326,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     cells = _sweep_cells(cfg)
     _check_cells(cells)
     rows = _run_sweep(cfg, cells)
-    # TREND rows follow the one axis that holds several values.
-    varied = [axis for axis in _AXES if len(getattr(cfg, axis) or ()) > 1]
-    write_records_csv(rows, cfg.out,
-                      trend_axis=varied[0] if len(varied) == 1 else None)
+    write_records_csv(rows, cfg.out)
     return rows
 
 
@@ -359,9 +352,8 @@ def _check_cells(cells: list[_Cell]) -> None:
 # ---------------------------------------------------------------------------
 
 def aggregate(records: list[dict]) -> list[dict]:
-    """AGG rows: mean and standard error of the rate per (cell, method),
-    in the order the pairs first occur in ``records``, and the mean
-    t_total."""
+    """AGG rows: mean and standard error of the rate per (cell, method), in
+    the order the pairs first occur in ``records``, and the mean t_total."""
     groups: dict[tuple[int, str], list[dict]] = {}
     for r in records:
         if r["rate"] is not None:
@@ -381,25 +373,6 @@ def aggregate(records: list[dict]) -> list[dict]:
     return rows
 
 
-def _trend_rows(aggs: list[dict], axis: str) -> list[dict]:
-    """One TREND row per method: how its mean rate moves along ``axis``."""
-    by_method: dict[str, list[dict]] = {}
-    for a in aggs:
-        by_method.setdefault(a["method"], []).append(a)
-    return [{"row_type": "TREND", "scenario": rows[0]["scenario"],
-             "K": rows[0]["K"], "method": method,
-             "trend": f"{axis}:{_trend_label([a['rate_mean'] for a in rows])}"}
-            for method, rows in by_method.items()]
-
-
-def _trend_label(means: list[float]) -> str:
-    if all(b <= a + 1e-12 for a, b in zip(means, means[1:])):
-        return "non-increasing"
-    if all(b >= a - 1e-12 for a, b in zip(means, means[1:])):
-        return "non-decreasing"
-    return "mixed"
-
-
 # Columns written with 10 significant digits; the timing columns get 6
 # decimals and the rest their str().
 _G10_COLUMNS = {"beta", "zeta", "delta", "rate", "rate_mean", "rate_se"}
@@ -415,17 +388,13 @@ def _csv_text(col: str, value) -> str:
     return str(value)
 
 
-def write_records_csv(records: list[dict], path,
-                      trend_axis: str | None = None) -> None:
-    """The TRIAL rows ``records``, then their AGG rows and, for sweeps
-    along a single axis, a TREND row per method."""
-    aggs = aggregate(records)
-    trends = _trend_rows(aggs, trend_axis) if trend_axis is not None else []
+def write_records_csv(records: list[dict], path) -> None:
+    """The TRIAL rows ``records``, then their AGG rows."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_VERSION + "\n")
         w = csv.DictWriter(fh, fieldnames=COLUMNS)
         w.writeheader()
-        for row in (*records, *aggs, *trends):
+        for row in (*records, *aggregate(records)):
             w.writerow({col: _csv_text(col, value) for col, value in row.items()})
 
 

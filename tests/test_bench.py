@@ -107,8 +107,6 @@ class TestScenario1:
         rows = bench.read_records_csv(out)
         assert [(r["cell"], r["method"]) for r in rows if r["row_type"] == "AGG"] == [
             (cell, method) for cell in ("0", "1") for method in ("srs", "dcs", "full")]
-        assert [r["method"] for r in rows if r["row_type"] == "TREND"] == [
-            "srs", "dcs", "full"]
 
     def test_full_rows_of_a_graph_without_edges_are_degenerate(self, tmp_path,
                                                                  capsys):
@@ -152,10 +150,8 @@ class TestScenario2:
         assert {r["method"] for r in records} == {"srs", "dcs"}  # no full rows
         assert sorted({r["n"] for r in records}) == [8, 16]
         rows = bench.read_records_csv(out)
-        assert "trend" in rows[0]
-        trend_rows = [r for r in rows if r["row_type"] == "TREND"]
-        assert {r["method"] for r in trend_rows} == {"srs", "dcs"}
-        assert all(r["trend"].startswith("n:") for r in trend_rows)
+        assert "trend" not in rows[0]
+        assert {r["row_type"] for r in rows} == {"TRIAL", "AGG"}
 
     def test_rejects_zero_in_n_grid_before_any_trial(self, tmp_path, capsys,
                                                      no_trial):
@@ -306,25 +302,21 @@ class TestUnreadConfigFields:
                                        if axis not in (field, "pi"))
 
 
-@pytest.mark.parametrize("scenario, settings, n_cells, axis", [
-    ("s1", {}, 3, "N"), ("s2", {}, 6, "n"), ("s3", {}, 16, None), ("s4", {}, 4, "delta"),
-    ("s1", {"N": (80,)}, 1, None),
-    ("s2", {"N": (60,), "n": (8,)}, 1, None),
-    ("s3", {"beta": (0.3,)}, 4, "zeta"),
-    ("s2", {"beta": (0.03, 0.05), "n": (100, 300)}, 4, None),
-    ("s4", {"N": (60, 90), "n": (10,)}, 8, None),
+@pytest.mark.parametrize("scenario, settings, n_cells", [
+    ("s1", {}, 3), ("s2", {}, 6), ("s3", {}, 16), ("s4", {}, 4),
+    ("s1", {"N": (80,)}, 1),
+    ("s2", {"N": (60,), "n": (8,)}, 1),
+    ("s3", {"beta": (0.3,)}, 4),
+    ("s2", {"beta": (0.03, 0.05), "n": (100, 300)}, 4),
+    ("s4", {"N": (60, 90), "n": (10,)}, 8),
 ], ids=["s1-desk", "s2-desk", "s3-desk", "s4-desk", "s1-one-N", "s2-one-n",
         "s3-zetas", "s2-betas-and-ns", "s4-Ns-and-deltas"])
-def test_trend_rows_follow_the_one_axis_with_several_values(
-        tmp_path, monkeypatch, swept, scenario, settings, n_cells, axis):
-    seen = []
-    monkeypatch.setattr(bench, "write_records_csv",
-                        lambda rows, out, trend_axis=None: seen.append(trend_axis))
+def test_cells_are_the_product_of_the_axes(tmp_path, swept, scenario, settings,
+                                           n_cells):
     bench.run_scenario(bench.ScenarioConfig(scenario=scenario,
                                             out=str(tmp_path / "x.csv"), **settings))
     (_, cells), = swept
     assert len(cells) == n_cells
-    assert seen == [axis]
 
 
 # The full-size parameter blocks of each sweep (N up to 30,000, T = 100).
@@ -379,14 +371,18 @@ class TestCsvContract:
                     continue
                 assert r1[col] == r2[col], col
 
-    def test_trend_label_mixed(self):
-        assert bench._trend_label([0.1, 0.3, 0.2]) == "mixed"
-
-    def test_reads_csv_without_version_line(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text("row_type,cell\nTRIAL,0\nAGG,0\n")
-        assert bench.read_records_csv(path) == [
-            {"row_type": "TRIAL", "cell": "0"}, {"row_type": "AGG", "cell": "0"}]
+    @pytest.mark.parametrize("text, rows", [
+        ("row_type,cell\nTRIAL,0\nAGG,0\n",
+         [{"row_type": "TRIAL", "cell": "0"}, {"row_type": "AGG", "cell": "0"}]),
+        # A v1 file: its trend column and TREND rows come back as they are.
+        ("# sscluster bench csv v1\nrow_type,cell,trend\nTRIAL,0,\nTREND,,n:mixed\n",
+         [{"row_type": "TRIAL", "cell": "0", "trend": ""},
+          {"row_type": "TREND", "cell": "", "trend": "n:mixed"}]),
+    ], ids=["plain", "v1"])
+    def test_reads_csv_without_version_line(self, tmp_path, text, rows):
+        path = tmp_path / "old.csv"
+        path.write_text(text)
+        assert bench.read_records_csv(path) == rows
 
     def test_version_header(self, tmp_path):
         out = tmp_path / "s2.csv"
@@ -1086,7 +1082,7 @@ class TestCli:
         # The Gram guard stops a sweep before cell 0's trials, not at cell 1.
         pytest.param(["bench", "s2", "--nodes", "4100", "--n", "100,4050", "--trials", "1",
                       "--method", "srs", "--out", "{tmp}/x.csv"], id="argv41"),
-        # Each axis lists strictly ascending values, as its TREND rows read it.
+        # Each axis lists strictly ascending values, so no cell repeats.
         pytest.param(["bench", "s2", "--nodes", "60", "--n", "30,8", "--out", "{tmp}/x.csv"],
                      id="argv42"),
         pytest.param(["bench", "s1", "--nodes", "60,60", "--out", "{tmp}/x.csv"],

@@ -1,6 +1,7 @@
 """The benchmark harness under perfbench/ still finds every name it traces,
-the test settings report a failing test as a failure, and no module keeps
-an import it does not use.
+the test settings report a failing test as a failure, no module keeps an
+import it does not use, and no package module keeps a private name that
+it does not read itself.
 
 ``perfbench/run.py --trace 1`` wraps ``(module, attr)`` pairs of the
 package; a renamed or deleted function would only show up there as a
@@ -182,3 +183,26 @@ def test_every_module_level_import_is_read():
                 unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
                            for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_private_module_level_name_is_read_in_its_module():
+    # A private helper that its own module no longer reads is dead code,
+    # even when a test still calls it. Dunders are exempt.
+    unread = []
+    for path in sorted((ROOT / "src" / "sscluster").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.relative_to(ROOT)}:{lineno}: {name}"
+                       for name, lineno in defined
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
