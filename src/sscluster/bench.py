@@ -14,14 +14,16 @@ with ``read_records_csv``. Rows, TRIAL and AGG alike, are dicts keyed by
 ``COLUMNS`` names; a column a row lacks is written empty.
 
 Four simulation scenarios sweep network size, subsample size, signal
-strength, and community imbalance; all plant ``SWEEP_K`` = 3 communities.
-``SWEEPS`` states the axes each scenario reads, with its defaults. Each
-axis (N, n, beta, zeta, delta) holds one value or several, strictly
+strength, and community imbalance; all plant ``SWEEP_K`` = 3 communities
+with probabilities (1/3 - delta, 1/3, 1/3 + delta), where delta is 0 but
+in s4. ``SWEEPS`` states the axes each scenario reads, with its defaults.
+Each axis (N, n, beta, zeta, delta) holds one value or several, strictly
 ascending, so that no cell repeats; a sweep's cells are their product, in
 that order. Every cell passes the model's own checks and the Gram guard
-before any trial runs. Every trial is driven by a seed derived from
-(master seed, scenario, cell index, trial index), so identical configurations
-reproduce the CSV byte for byte except for the timing columns.
+before any trial runs. Every trial runs srs and then dcs subsampling on one
+generator, seeded from (master seed, scenario, cell index, trial index), so
+identical configurations reproduce the CSV byte for byte except for the
+timing columns.
 
 CSV schema (version header "# sscluster bench csv v2"; v1 files also read):
     row_type   TRIAL | AGG
@@ -71,7 +73,7 @@ TIMING_COLUMNS = [col for col in COLUMNS if col.startswith("t_")]
 # runs its full rows (larger cells are marked skipped).
 FULL_BASELINE_MAX_N = 5000
 
-# Community count of every sweep; s4's pi = (1/3 - delta, 1/3, 1/3 + delta).
+# Community count of every sweep.
 SWEEP_K = 3
 
 # Degree-partition count of dcs sampling when run_real picks K by eigengap,
@@ -94,10 +96,10 @@ def subsample_size_rule(N: int) -> int:
 class ScenarioConfig:
     """Parameters for one scenario sweep.
 
-    The sweep settings (N through pi) stay None unless given:
+    The sweep axes (N through delta) stay None unless given:
     ``run_scenario`` fills in the scenario's desk defaults from ``SWEEPS``
-    and rejects a setting the scenario does not read. Each axis, N through
-    delta, is a tuple of one value or several.
+    and rejects an axis the scenario does not read. Each axis is a tuple of
+    one value or several.
     """
 
     scenario: str                       # s1 | s2 | s3 | s4
@@ -106,12 +108,10 @@ class ScenarioConfig:
     beta: tuple[float, ...] | None = None
     zeta: tuple[float, ...] | None = None
     delta: tuple[float, ...] | None = None
-    pi: tuple[float, ...] | None = None
     trials: int = 20
     master_seed: int = 0
     out: str = "bench.csv"
     jobs: int = 1
-    methods: tuple[str, ...] = ("srs", "dcs")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,10 @@ class _Cell:
     beta: float
     zeta: float
     delta: float
-    pi: tuple[float, ...]
+
+    @property
+    def probs(self) -> tuple[float, float, float]:
+        return (1 / 3 - self.delta, 1 / 3, 1 / 3 + self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +189,18 @@ def _trial_row(times: dict, **fields) -> dict:
     return {"row_type": "TRIAL", **fields, **stages, "t_total": sum(stages.values())}
 
 
-def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int,
-               methods: tuple[str, ...]) -> list[dict]:
+def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int) -> list[dict]:
     """Run one seeded replication of a scenario cell.
 
-    Draws labels and a graph, then evaluates each subsampling method
-    against the planted communities. The consistency sweep (s1) also
-    compares with full spectral clustering: its trial 0 adds the one
-    full-SC baseline row of the cell. Returns one TRIAL row per method, in
-    the order srs/dcs, then full.
+    Draws labels and a graph, then evaluates srs and then dcs subsampling,
+    on the one generator, against the planted communities. The consistency
+    sweep (s1) also compares with full spectral clustering: its trial 0
+    adds the one full-SC baseline row of the cell. Returns one TRIAL row
+    per method, in the order srs, dcs, full.
     """
     K = SWEEP_K
     rng = np.random.default_rng(seed)
-    z = sbm.sample_memberships(cell.pi, cell.N, rng)
+    z = sbm.sample_memberships(cell.probs, cell.N, rng)
     B = sbm.block_matrix(cell.beta, cell.zeta, K)
     g = sbm.generate_adjacency(z, B, rng)
 
@@ -206,7 +208,7 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int,
                 beta=cell.beta, zeta=cell.zeta, delta=cell.delta, trial=trial,
                 seed=seed)
     rows = []
-    for method in methods:
+    for method in ("srs", "dcs"):
         times = {}
         with _stage(times, "sampling"):
             ids = sampling.draw(method, g, cell.n, K, rng)
@@ -217,7 +219,7 @@ def _sbm_trial(scenario: str, cell: _Cell, trial: int, seed: int,
             status = "ok"
         except DegenerateInputError:
             # No signal at all (e.g. beta = 0): score the trivial one-block
-            # labeling, which sits at chance level for the given pi.
+            # labeling, which sits at chance level for the cell's sizes.
             labels, status = np.ones(cell.N, dtype=np.int64), "degenerate"
         rows.append(_trial_row(
             times, **base, method=method, status=status, covered=int(covered),
@@ -246,7 +248,7 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
     for cell in cells:
         for t in range(cfg.trials):
             seed = derive_seed(cfg.master_seed, cfg.scenario, cell.index, t)
-            tasks.append((cfg.scenario, cell, t, seed, cfg.methods))
+            tasks.append((cfg.scenario, cell, t, seed))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -260,15 +262,14 @@ def _run_sweep(cfg: ScenarioConfig, cells: list[_Cell]) -> list[dict]:
 # Scenario sweeps
 # ---------------------------------------------------------------------------
 
-# The sweep settings each scenario reads, with their desk defaults (pi None:
-# uniform over the SWEEP_K communities); every other one is rejected. s1
-# leaves n to subsample_size_rule, and s4 derives pi from delta.
+# The sweep axes each scenario reads, with their desk defaults; any other is
+# rejected. s1 leaves n to subsample_size_rule, and only s4 reads delta.
 SWEEPS = {
-    "s1": {"N": (1000, 2000, 4000), "beta": (0.1,), "zeta": (0.05,), "pi": None},
+    "s1": {"N": (1000, 2000, 4000), "beta": (0.1,), "zeta": (0.05,)},
     "s2": {"N": (2000,), "n": (100, 300, 500, 700, 900, 1100),
-           "beta": (0.03,), "zeta": (0.05,), "pi": None},
+           "beta": (0.03,), "zeta": (0.05,)},
     "s3": {"N": (2000,), "n": (100,), "beta": (0.05, 0.35, 0.65, 0.95),
-           "zeta": (0.05, 0.35, 0.65, 0.95), "pi": None},
+           "zeta": (0.05, 0.35, 0.65, 0.95)},
     "s4": {"N": (2000,), "n": (100,), "beta": (0.1,), "zeta": (0.05,),
            "delta": (0.0, 0.1, 0.2, 0.3)},
 }
@@ -281,8 +282,8 @@ _AXES = {"N": "nodes", "n": "n", "beta": "beta", "zeta": "zeta", "delta": "delta
 def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
     """The product of the sweep's axes N, n, beta, zeta and delta, in that
     order (delta varies fastest), each strictly ascending so that no cell
-    repeats. An unset n follows ``subsample_size_rule`` (s1), an unset delta
-    is 0, and a set delta makes pi = (1/3 - delta, 1/3, 1/3 + delta) (s4)."""
+    repeats. An unset n follows ``subsample_size_rule`` (s1), and an unset
+    delta is 0."""
     for axis, flag in _AXES.items():
         values = getattr(cfg, axis) or ()
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -290,9 +291,7 @@ def _sweep_cells(cfg: ScenarioConfig) -> list[_Cell]:
     axes = (cfg.N, (None,) if cfg.n is None else cfg.n, cfg.beta, cfg.zeta,
             (0.0,) if cfg.delta is None else cfg.delta)
     return [_Cell(index=i, N=N, n=subsample_size_rule(N) if n is None else n,
-                  beta=beta, zeta=zeta, delta=delta,
-                  pi=cfg.pi if cfg.delta is None
-                  else (1 / 3 - delta, 1 / 3, 1 / 3 + delta))
+                  beta=beta, zeta=zeta, delta=delta)
             for i, (N, n, beta, zeta, delta) in enumerate(itertools.product(*axes))]
 
 
@@ -300,8 +299,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
     """Run ``cfg.scenario``'s sweep, write its CSV to ``cfg.out`` and
     return its TRIAL rows.
 
-    Unset sweep settings take the scenario's defaults from ``SWEEPS``. A
-    sweep setting the scenario does not read, or any invalid setting,
+    Unset sweep axes take the scenario's defaults from ``SWEEPS``. A
+    sweep axis the scenario does not read, or any invalid setting,
     raises ValueError before any trial runs, so no partial CSV is written.
     """
     if cfg.scenario not in SWEEPS:
@@ -313,15 +312,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
         raise ValueError(f"{cfg.scenario} does not use {', '.join(unread)}")
     cfg = replace(cfg, **{key: value for key, value in reads.items()
                           if getattr(cfg, key) is None})
-    if "pi" in reads:
-        cfg.pi = sbm.community_probs(cfg.pi, SWEEP_K)
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
     check_output_path("out", cfg.out)
-    if not all(m in ("srs", "dcs") for m in cfg.methods):
-        raise ValueError(f"methods must be srs/dcs, got {cfg.methods}")
 
     cells = _sweep_cells(cfg)
     _check_cells(cells)
@@ -342,7 +337,7 @@ def _check_cells(cells: list[_Cell]) -> None:
                 raise ValueError(f"K={SWEEP_K} exceeds subsample size {c.n}")
             spectral.check_gram_size(c.n)
             sbm.block_matrix(c.beta, c.zeta, SWEEP_K)
-            sbm.community_probs(c.pi, SWEEP_K)
+            sbm.community_probs(c.probs, SWEEP_K)
         except ValueError as exc:
             raise ValueError(f"cell {c.index}: {exc}") from None
 

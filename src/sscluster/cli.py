@@ -7,9 +7,10 @@ Subcommands:
     eval       misclustered rate between two label files
 
 Each ``bench`` flag sets one ``bench.ScenarioConfig`` field; ``_BENCH_FLAGS``
-gives its field, value parser and help. There is no ``--k``: sweeps plant
-``bench.SWEEP_K`` = 3 communities. ``generate``, ``cluster`` and ``bench``
-check their output paths with ``check_output_path`` before any work.
+gives its field, value parser and help. There is no ``--k``, ``--pi`` or
+``--method``: sweeps plant ``bench.SWEEP_K`` = 3 communities sized by
+``--delta`` and run srs and dcs in every trial. ``generate``, ``cluster``
+and ``bench`` check their output paths with ``check_output_path`` first.
 
 ``bench`` and ``metrics`` are imported by the handlers that use them, so
 ``generate`` loads numpy only.
@@ -53,12 +54,6 @@ def _grid(parse):
     return parse_grid
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    if text not in ("srs", "dcs", "both"):
-        raise ValueError(f"must be srs, dcs or both, got {text!r}")
-    return ("srs", "dcs") if text == "both" else (text,)
-
-
 # The bench scenarios: bench.SWEEPS's keys, stated here so that building
 # the parser does not import bench.
 _SCENARIOS = ("s1", "s2", "s3", "s4")
@@ -69,10 +64,8 @@ _BENCH_FLAGS = {
     "n": ("n", _grid(int), "subsample size, one value or a list"),
     "beta": ("beta", _grid(float), None), "zeta": ("zeta", _grid(float), None),
     "delta": ("delta", _grid(float), "s4 imbalance, one value or a list"),
-    "pi": ("pi", _parse_pi, "community probabilities, e.g. '0.3,0.3,0.4'"),
     "trials": ("trials", int, None), "jobs": ("jobs", int, None),
     "seed": ("master_seed", int, "master seed"), "out": ("out", str, "output path"),
-    "method": ("methods", _parse_methods, "srs, dcs or both"),
 }
 
 

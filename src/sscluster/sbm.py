@@ -84,13 +84,18 @@ def sample_memberships(pi, N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _tri_decode(t: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    # Inverse of the linearization t = i*(2b-i-1)/2 + (j-i-1) over pairs i<j.
+    # Inverse of the linearization t = off(i) + (j-i-1) over pairs i<j, where
+    # off(i) = i*(2b-i-1)/2 is the position of row i's first pair. Near the
+    # last rows of a large block (b - 1/2)^2 - 2t cancels in floats: the
+    # estimate of i can miss by several rows and the radicand dip below 0.
+    # So i steps by one until off(i) <= t < off(i+1) holds at every position.
     t = np.asarray(t, dtype=np.int64)
     bf = float(b)
-    i = np.floor(bf - 0.5 - np.sqrt((bf - 0.5) ** 2 - 2.0 * t)).astype(np.int64)
+    radicand = np.maximum((bf - 0.5) ** 2 - 2.0 * t, 0.0)
+    i = np.floor(bf - 0.5 - np.sqrt(radicand)).astype(np.int64)
     off = lambda k: k * (2 * b - k - 1) // 2
-    i = np.where(off(i + 1) <= t, i + 1, i)
-    i = np.where(off(i) > t, i - 1, i)
+    while (step := (off(i + 1) <= t).view(np.int8) - (off(i) > t)).any():
+        i += step
     j = t - off(i) + i + 1
     return i, j
 

@@ -194,14 +194,14 @@ class TestScenario3:
         assert not out.exists()
 
     def test_degenerate_trial_keeps_coverage_and_sampling_time(self):
-        cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0,
-                           pi=(1 / 3, 1 / 3, 1 / 3))
-        records = bench._sbm_trial("s3", cell, 0, 11, ("srs", "dcs"))
+        cell = bench._Cell(index=0, N=90, n=10, beta=0.0, zeta=0.5, delta=0.0)
+        records = bench._sbm_trial("s3", cell, 0, 11)
         # Replay the draws: a degenerate trial runs no k-means, so the
         # generator state after the first sample is the state dcs sees.
         rng = np.random.default_rng(11)
-        z = sample_memberships(cell.pi, cell.N, rng)
+        z = sample_memberships((1 / 3, 1 / 3, 1 / 3), cell.N, rng)
         g = generate_adjacency(z, block_matrix(0.0, 0.5, 3), rng)
+        assert [r["method"] for r in records] == ["srs", "dcs"]
         for r in records:
             s = sampling.draw(r["method"], g, cell.n, 3, rng)
             assert r["status"] == "degenerate"
@@ -254,9 +254,8 @@ class TestUnreadConfigFields:
         ("s1", "delta", (0.0, 0.1)),
         ("s2", "delta", (0.1,)),
         ("s3", "delta", (0.0, 0.1)),
-        ("s4", "pi", (0.1, 0.2, 0.7)),
     ], ids=["s1-n-10", "s1-n-8,10", "s1-delta-0.0,0.1", "s2-delta-0.1",
-            "s3-delta-0.0,0.1", "s4-pi-0.1,0.2,0.7"])
+            "s3-delta-0.0,0.1"])
     def test_rejected_before_any_trial(self, tmp_path, no_trial, scenario, field,
                                        value):
         out = tmp_path / "x.csv"
@@ -265,13 +264,13 @@ class TestUnreadConfigFields:
             bench.run_scenario(cfg)
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3", "s4"])
+    @pytest.mark.parametrize("scenario", ["s1", "s2", "s3"])
     def test_config_file_is_one_error_line(self, tmp_path, capsys, no_trial,
                                            scenario):
         # The settings each scenario leaves unread: s1's n follows
-        # subsample_size_rule, only s4 has a delta, and s4 derives its pi.
+        # subsample_size_rule, and only s4 has a delta. s4 reads every axis.
         unread = {"s1": ("n", "5 7"), "s2": ("delta", "0.1"),
-                  "s3": ("delta", "0.1"), "s4": ("pi", "0.1 0.2 0.7")}
+                  "s3": ("delta", "0.1")}
         key, value = unread[scenario]
         out = tmp_path / "x.csv"
         rc = cli.main(["bench", scenario, f"--{key}", value, "--nodes", "60",
@@ -299,7 +298,7 @@ class TestUnreadConfigFields:
         # The other axes keep the scenario's defaults.
         assert len(cells) == math.prod(len(values) for axis, values
                                        in bench.SWEEPS[scenario].items()
-                                       if axis not in (field, "pi"))
+                                       if axis != field)
 
 
 @pytest.mark.parametrize("scenario, settings, n_cells", [
@@ -740,12 +739,9 @@ EXACT_ERRORS = {
     "argv31": "error: {tmp}/x.labels:4: could not convert string 'x' to int64",
     "argv32": "error: --k must be an integer or 'auto', got '²'",
     "argv33": "error: pi entries must be >= 0 and sum to 1",
-    "argv34": "config error: pi entries must be >= 0 and sum to 1",
+    "argv34": "config error: cell 0: pi entries must be >= 0 and sum to 1",
     "argv36": "error: {tmp}/oor.edges:3: node id 7 is outside [0, 3)",
     "argv37": "error: {tmp}/neg.edges:2: node id -2 is outside [0, 3)",
-    "argv38": "config error: pi must have K=3 entries, got 2",
-    "argv39": "config error: method: must be srs, dcs or both, got 'none'",
-    "argv40": "config error: method: must be srs, dcs or both, got 'srs,dcs'",
     "argv41": "config error: cell 1: Gram matrix would be 4050x4050 dense; guard is 4000",
     "argv42": "config error: n must be strictly ascending",
     "argv43": "config error: nodes must be strictly ascending",
@@ -891,16 +887,6 @@ class TestCli:
                        "--trials", "2", "--out", str(out), "--seed", "4"])
         assert rc == 0 and out.exists()
 
-    @pytest.mark.parametrize("scenario", ["s3", "s4"])
-    def test_bench_unknown_method_in_config_rejected(self, tmp_path, capsys,
-                                                     scenario):
-        out = tmp_path / "x.csv"
-        rc = cli.main(["bench", scenario, "--method", "bogus", "--nodes", "60",
-                       "--n", "10", "--trials", "1", "--out", str(out)])
-        assert rc == 2 and not out.exists()
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: method: must be srs, dcs or both, got 'bogus'"]
-
     def test_bench_config_out_honoured_and_flag_overrides(self, tmp_path,
                                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -986,6 +972,20 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["s1", "--pi", "0.3,0.3,0.4"], id="pi"),
+        pytest.param(["s4", "--method", "srs"], id="method"),
+    ])
+    def test_bench_has_no_pi_or_method_flag(self, tmp_path, capsys, no_trial, argv):
+        # Community sizes come from --delta, and every trial runs srs and dcs.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", *argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sscluster")
+        assert f"unrecognized arguments: {shlex.join(argv[1:])}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("case", list(NO_DIR_ARGV))
     def test_output_path_is_checked_before_any_stage(self, tmp_path, monkeypatch,
                                                      case):
@@ -1065,23 +1065,17 @@ class TestCli:
                       "--n", "5"], id="argv32"),
         pytest.param(["generate", "--nodes", "10", "--k", "3", "--pi", "nan,nan,nan",
                       "--out", "{tmp}/g.edges"], id="argv33"),
-        pytest.param(["bench", "s1", "--pi", "nan nan nan", "--out", "{tmp}/x.csv"],
+        # A NaN delta fails its cell's community-probability check.
+        pytest.param(["bench", "s4", "--delta", "nan", "--out", "{tmp}/x.csv"],
                      id="argv34"),
         # With --nodes, an id outside [0, nodes) names its file line.
         pytest.param(["cluster", "--edges", "{tmp}/oor.edges", "--nodes", "3", "--n", "2",
                       "--out", "{tmp}/r"], id="argv36"),
         pytest.param(["cluster", "--edges", "{tmp}/neg.edges", "--nodes", "3", "--n", "2",
                       "--out", "{tmp}/r"], id="argv37"),
-        # pi is checked once, before any cell, so its line has no "cell i:".
-        pytest.param(["bench", "s2", "--pi", "0.5,0.5", "--out", "{tmp}/x.csv"],
-                     id="argv38"),
-        pytest.param(["bench", "s1", "--method", "none", "--out", "{tmp}/x.csv"],
-                     id="argv39"),
-        pytest.param(["bench", "s1", "--method", "srs,dcs", "--out", "{tmp}/x.csv"],
-                     id="argv40"),
         # The Gram guard stops a sweep before cell 0's trials, not at cell 1.
         pytest.param(["bench", "s2", "--nodes", "4100", "--n", "100,4050", "--trials", "1",
-                      "--method", "srs", "--out", "{tmp}/x.csv"], id="argv41"),
+                      "--out", "{tmp}/x.csv"], id="argv41"),
         # Each axis lists strictly ascending values, so no cell repeats.
         pytest.param(["bench", "s2", "--nodes", "60", "--n", "30,8", "--out", "{tmp}/x.csv"],
                      id="argv42"),

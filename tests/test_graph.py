@@ -477,6 +477,14 @@ def _two_self_loops(m):
     return with_entry(with_entry(m, 2, 2), 7, 7)
 
 
+def _switch_entries(m):
+    # Entries (0, 5) and (7, 6) become (0, 6) and (7, 5): every row length
+    # and every column count stays, but (0, 6) has no (6, 0).
+    indptr, indices = m["indptr"], m["indices"].copy()
+    indices[indptr[1] - 1], indices[indptr[7]] = 6, 5
+    return {**m, "indices": indices}
+
+
 def _two_extra_entries(m):
     # indptr ends short of len(indices).
     return {**m, "indices": np.append(m["indices"], np.int32([0, 1]))}
@@ -507,6 +515,7 @@ BAD_MEMBERS = {
     "repeated_entry": _repeat_edge_0_1,
     "self_loops": _two_self_loops,
     "asymmetric": lambda m: replaced(m, "indices", set_item(4, 7)),  # (0, 5) -> (0, 7)
+    "asymmetric_same_counts": _switch_entries,
     "self_loop_count": lambda m: {**m, "n_self_loops_dropped": np.int64(-1)},
     "ext_ids_order": lambda m: replaced(m, "ext_ids", lambda a: a[[1, 0, *range(2, 12)]]),
     "ext_ids_length": lambda m: replaced(m, "ext_ids", lambda a: a[:-1]),

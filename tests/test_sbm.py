@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sscluster import sbm
 from sscluster.sbm import (
     BlockMatrix,
     block_matrix,
@@ -164,6 +165,24 @@ class TestGenerateAdjacency:
                 p = B.probs[k - 1, k2 - 1]
                 sigma = np.sqrt(pairs * p * (1 - p))
                 assert abs(observed - pairs * p) < 4 * sigma
+
+    @pytest.mark.parametrize("b", [3 * 10**8, 10**9, 2**31 - 1])
+    def test_pair_decode_is_exact_in_large_blocks(self, b):
+        # Each position t of a diagonal block decodes to the one pair i < j
+        # with off(i) + j - i - 1 = t, off(i) = i(2b - i - 1)/2, also near the
+        # block's last rows, where the float estimate of i cancels (one such
+        # position once decoded to i > j at b = 3e8). Nothing of size b is
+        # allocated.
+        off = lambda i: i * (2 * b - i - 1) // 2
+        rows = np.concatenate([np.arange(3), b // 2 + np.arange(-1, 2),
+                               b - 2 - np.arange(2000)]).astype(np.int64)
+        firsts, lasts = off(rows), off(rows + 1) - 1
+        drawn = np.random.default_rng(b).integers(0, off(b - 1), 20000)
+        t = np.concatenate([firsts, lasts, drawn, [44_999_999_849_999_997]])
+        i, j = sbm._tri_decode(t, b)
+        assert ((0 <= i) & (i < j) & (j < b)).all()
+        assert np.array_equal(off(i) + j - i - 1, t)
+        assert np.array_equal(i[:2 * len(rows)], np.tile(rows, 2))
 
 
 class TestPopulationAdjacency:
